@@ -15,24 +15,21 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
     Allocation,
     DimensionError,
-    InflowProfile,
     ObservedAllocation,
     ParameterError,
+    RuleKind,
+    RuleSpec,
     as_observed,
     as_profile,
-    compromise,
-    egalitarian_full_transfer,
-    egalitarian_partial_transfer,
     no_transfer,
-    partial_compromise,
-    shapley,
+    parse_rule,
     tolerance_for,
 )
 from .data_io import builtin_nile
@@ -55,20 +52,13 @@ def as_family(value) -> Family:
         raise ParameterError(f"unknown family {value!r}, expected one of: {legal}") from None
 
 
-def _full_transfer_endpoint(e: InflowProfile, family: Family) -> Allocation:
-    # the parameter-0 endpoint; parameter 1 is always the no-transfer rule
-    if family is Family.COMPROMISE:
-        return egalitarian_full_transfer(e)
-    return egalitarian_partial_transfer(e)
-
-
 def family_member(e, family, parameter: float) -> Allocation:
-    """The family's allocation at `parameter` (weight on no-transfer)."""
-    e = as_profile(e)
-    family = as_family(family)
-    if family is Family.COMPROMISE:
-        return compromise(e, parameter)
-    return partial_compromise(e, parameter)
+    """The family's allocation at `parameter` (weight on no-transfer).
+
+    Parameter 1 is the no-transfer rule; parameter 0 is the family's full
+    transfer endpoint, bit-identical to eft or ept.
+    """
+    return RuleSpec(RuleKind(as_family(family).value), weight=parameter).apply(e)
 
 
 def _distance(x: Sequence[float], z: Sequence[float]) -> float:
@@ -114,7 +104,7 @@ def fit_family(e, z, family) -> FitResult:
     if len(z) != len(e):
         raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
     a = no_transfer(e)
-    b = _full_transfer_endpoint(e, family)
+    b = family_member(e, family, 0.0)
     direction = [ai - bi for ai, bi in zip(a, b)]
     gram = math.fsum(d * d for d in direction)
     if math.sqrt(gram) <= tolerance_for(e.total):
@@ -175,7 +165,7 @@ def integrate_distance(e, z, family, nodes: int = 64) -> float:
         raise ParameterError(f"nodes must be a positive integer, got {nodes!r}")
     t, w = _unit_interval_nodes(nodes)
     a = np.asarray(no_transfer(e), dtype=float)
-    b = np.asarray(_full_transfer_endpoint(e, family), dtype=float)
+    b = np.asarray(family_member(e, family, 0.0), dtype=float)
     zz = np.asarray(tuple(z), dtype=float)
     offsets = (b - zz)[None, :] + np.outer(t, a - b)
     norms = np.sqrt((offsets * offsets).sum(axis=1))
@@ -255,7 +245,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
     if tol is None:
         tol = tolerance_for(max(e.total, z.total))
     a = no_transfer(e)
-    b = _full_transfer_endpoint(e, family)
+    b = family_member(e, family, 0.0)
     entries = []
     for i, name in enumerate(names):
         lower, upper = min(a[i], b[i]), max(a[i], b[i])
@@ -296,7 +286,7 @@ def shares_of_total(values) -> tuple[float, ...]:
 
 #: Reference summary table for the Nile analysis, in km^3/year at the one
 #: decimal place the underlying withdrawal statistics are reported with.
-#: Column order: observed, then the six rules.
+#: Column order: observed, then six rules labelled as `parse_rule` reads them.
 NILE_REFERENCE_TABLE: tuple[tuple[str, tuple[float, ...]], ...] = (
     ("observed", (5.4, 0.7, 0.7, 28.1, 81.0)),
     ("eft", (0.0, 4.2, 9.6, 18.4, 83.7)),
@@ -451,18 +441,12 @@ def nile_case_study(reporting_decimals: int | None = 1, nodes: int = 64) -> Case
         observed = tuple(round(v, reporting_decimals) for v in exact)
     z = ObservedAllocation(observed)
 
-    rule_columns: tuple[tuple[str, Callable], ...] = (
-        ("eft", egalitarian_full_transfer),
-        ("compromise:0.5", lambda p: compromise(p, 0.5)),
-        ("nt", no_transfer),
-        ("partial:0.5", lambda p: partial_compromise(p, 0.5)),
-        ("ept", egalitarian_partial_transfer),
-        ("shapley", shapley),
-    )
-    computed = {"observed": observed}
-    for label, rule in rule_columns:
-        computed[label] = tuple(rule(e))
-    table = tuple((label, computed[label]) for label, _ in NILE_REFERENCE_TABLE)
+    # every column but the observed one is labelled with its rule
+    computed = {
+        label: observed if label == "observed" else tuple(parse_rule(label).apply(e))
+        for label, _ in NILE_REFERENCE_TABLE
+    }
+    table = tuple(computed.items())
 
     compromise_fit = fit_family(e, z, Family.COMPROMISE)
     partial_fit = fit_family(e, z, Family.PARTIAL_COMPROMISE)

@@ -4,13 +4,15 @@ Output goes to standard output as plain tables (four decimal places), or
 as a single JSON document with `--json` (full precision, key-sorted, no
 timestamps, so identical invocations are byte-identical).  Exit codes:
 0 on success, 1 on parse or validation errors, 2 when a requested check
-fails (an axiom violation, or a case-study reference outside tolerance).
+fails (an allocation that fails validation, an axiom violation, or a
+case-study reference outside tolerance).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,58 +29,14 @@ from .analysis import (
 )
 from .axioms import Axiom, run_axiom_suite
 from .core import (
+    _RULE_GRAMMAR,
     InflowProfile,
     ParameterError,
-    RetentionShares,
     RiverShareError,
-    RuleSpec,
+    parse_rule,
     validate_allocation,
 )
 from .data_io import BasinDataset, builtin_nile, read_dataset
-
-_RULE_GRAMMAR = "nt | eft | ept | shapley | compromise:<w> | partial:<w> | alpha:<a1,...>"
-
-
-def parse_rule(text: str) -> RuleSpec:
-    """Parse a rule spec string; errors name the offending token."""
-    head, sep, tail = text.strip().partition(":")
-    name = head.casefold()
-    plain = {
-        "nt": RuleSpec.no_transfer,
-        "eft": RuleSpec.egalitarian_full_transfer,
-        "ept": RuleSpec.egalitarian_partial_transfer,
-        "shapley": RuleSpec.shapley,
-    }
-    if name in plain:
-        if sep:
-            raise ParameterError(f"rule {head!r} takes no parameter, got {tail!r}")
-        return plain[name]()
-    if name in ("compromise", "partial"):
-        try:
-            weight = float(tail)
-        except ValueError:
-            raise ParameterError(
-                f"{head}: expected a weight in [0, 1] after the colon, got {tail!r}"
-            ) from None
-        if not 0.0 <= weight <= 1.0:
-            raise ParameterError(f"{head}: weight must lie in [0, 1], got {tail}")
-        if name == "compromise":
-            return RuleSpec.compromise(weight)
-        return RuleSpec.partial_compromise(weight)
-    if name == "alpha":
-        if not tail:
-            raise ParameterError("alpha: expected comma-separated retention shares after the colon")
-        shares = []
-        for token in tail.split(","):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParameterError(f"alpha: {token!r} is not a number") from None
-            if not 0.0 <= value <= 1.0:
-                raise ParameterError(f"alpha: share {token} must lie in [0, 1]")
-            shares.append(value)
-        return RuleSpec.retention_rule(RetentionShares(tuple(shares)))
-    raise ParameterError(f"unknown rule {head!r}, expected one of: {_RULE_GRAMMAR}")
 
 
 def _parse_inflows(text: str) -> InflowProfile:
@@ -189,8 +147,10 @@ def cmd_allocate(args) -> int:
     rows.append(["total", _fmt(e.total), _fmt(allocation.total)])
     lines = [f"rule: {rule.label()}"]
     lines.extend(_table(["agent", "inflow", "allocation"], rows))
+    if not verdict:
+        lines.append(f"VALIDATION FAILED: {verdict.reason}")
     _emit(record, args, lines)
-    return 0
+    return 0 if verdict else 2
 
 
 def _parse_axiom_list(text: str) -> tuple[Axiom, ...]:
@@ -458,6 +418,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+            raise ParameterError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
         return args.handler(args)
     except RiverShareError as exc:
         print(f"error: {exc}", file=sys.stderr)

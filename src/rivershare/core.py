@@ -8,16 +8,21 @@ two physical constraints: the whole aggregate inflow is distributed
 than has entered the river up to its last member (feasibility, because
 water only flows downstream).
 
-Every rule in this module is a linear map of the inflow profile, and every
-rule output satisfies both constraints by construction; construction
-re-validates them anyway.
+Every rule in this module is a member of one linear family, the retention
+rule: each non-terminal agent keeps a share of its own inflow and splits the
+rest equally among the agents downstream.  A `RuleSpec` names a rule and
+owns its text form (`label`, with `parse_rule` as the inverse) and its share
+vector (`shares(n)`); one kernel evaluates every rule from that vector.  Rule
+outputs satisfy both constraints by construction; construction re-validates
+them anyway.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 RELATIVE_TOLERANCE = 1e-9
@@ -55,14 +60,49 @@ def _as_floats(values: Iterable[float], what: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+class _FloatVector:
+    """Read-only sequence behaviour shared by the frozen float-vector types.
+
+    A subclass names the dataclass field that holds its tuple, as in
+    `class Allocation(_FloatVector, values="amounts")`, and its
+    `__post_init__` calls `_coerce` to store that field as finite floats.
+    The tuple is also kept under the common name `_values`, outside the
+    dataclass fields, so element access costs no more than the field's own.
+    """
+
+    def __init_subclass__(cls, values: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field = values
+
+    def _coerce(self, what: str) -> tuple[float, ...]:
+        values = _as_floats(getattr(self, self._field), what)
+        object.__setattr__(self, self._field, values)
+        object.__setattr__(self, "_values", values)
+        return values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, k: int) -> float:
+        return self._values[k]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    @property
+    def total(self) -> float:
+        return math.fsum(self._values)
+
+
 @dataclass(frozen=True)
-class InflowProfile:
+class InflowProfile(_FloatVector, values="inflows"):
     """Per-agent inflows, most upstream first.  Needs n >= 2, entries >= 0."""
 
     inflows: tuple[float, ...]
+    _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = _as_floats(self.inflows, "inflow")
+        values = self._coerce("inflow")
         if len(values) < 2:
             raise DimensionError(
                 f"an inflow profile needs at least two agents, got {len(values)}"
@@ -70,20 +110,19 @@ class InflowProfile:
         for k, v in enumerate(values):
             if v < 0.0:
                 raise RiverShareError(f"inflow at position {k} must be >= 0, got {v}")
-        object.__setattr__(self, "inflows", values)
-
-    def __len__(self) -> int:
-        return len(self.inflows)
-
-    def __getitem__(self, k: int) -> float:
-        return self.inflows[k]
-
-    def __iter__(self):
-        return iter(self.inflows)
+        # the entries are finite, so fsum either returns a finite total or
+        # raises on overflow
+        try:
+            total = math.fsum(values)
+        except OverflowError:
+            raise RiverShareError(
+                "total inflow is too large to represent as a float"
+            ) from None
+        object.__setattr__(self, "_total", total)
 
     @property
     def total(self) -> float:
-        return math.fsum(self.inflows)
+        return self._total
 
     def scaled(self, factor: float) -> "InflowProfile":
         if factor < 0:
@@ -106,30 +145,17 @@ def as_profile(e) -> InflowProfile:
 
 
 @dataclass(frozen=True)
-class Allocation:
+class Allocation(_FloatVector, values="amounts"):
     """Water rights per agent.  Produced by rules; validated against a profile."""
 
     amounts: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "amounts", _as_floats(self.amounts, "amount"))
-
-    def __len__(self) -> int:
-        return len(self.amounts)
-
-    def __getitem__(self, k: int) -> float:
-        return self.amounts[k]
-
-    def __iter__(self):
-        return iter(self.amounts)
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.amounts)
+        self._coerce("amount")
 
 
 @dataclass(frozen=True)
-class ObservedAllocation:
+class ObservedAllocation(_FloatVector, values="amounts"):
     """An observed division of the water, e.g. measured withdrawals.
 
     Unlike Allocation it carries no feasibility promise; observed behaviour
@@ -139,24 +165,10 @@ class ObservedAllocation:
     amounts: tuple[float, ...]
 
     def __post_init__(self):
-        values = _as_floats(self.amounts, "observed amount")
+        values = self._coerce("observed amount")
         for k, v in enumerate(values):
             if v < 0.0:
                 raise RiverShareError(f"observed amount at position {k} must be >= 0, got {v}")
-        object.__setattr__(self, "amounts", values)
-
-    def __len__(self) -> int:
-        return len(self.amounts)
-
-    def __getitem__(self, k: int) -> float:
-        return self.amounts[k]
-
-    def __iter__(self):
-        return iter(self.amounts)
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.amounts)
 
 
 def as_observed(z) -> ObservedAllocation:
@@ -203,11 +215,12 @@ def validate_allocation(e, x, tol: float | None = None) -> ValidationResult:
             f"non-wastefulness: allocated total {allocated} differs from inflow total {inflow}",
         )
     # water cannot flow upstream: every prefix is capped by what has entered
+    inflows = e.inflows
     prefix_x = 0.0
     prefix_e = 0.0
-    for k in range(len(e) - 1):
+    for k in range(len(inflows) - 1):
         prefix_x += amounts[k]
-        prefix_e += e[k]
+        prefix_e += inflows[k]
         if prefix_x > prefix_e + tol:
             return ValidationResult(
                 False,
@@ -220,61 +233,20 @@ def validate_allocation(e, x, tol: float | None = None) -> ValidationResult:
 def _finalize(e: InflowProfile, raw: list[float]) -> Allocation:
     # clamp float wobble in (-tol, 0) to exactly 0, then re-validate
     tol = tolerance_for(e.total)
-    cleaned = [0.0 if -tol < v < 0.0 else v for v in raw]
-    verdict = validate_allocation(e, cleaned, tol)
+    allocation = Allocation(tuple([0.0 if -tol < v < 0.0 else v for v in raw]))
+    verdict = validate_allocation(e, allocation, tol)
     if not verdict:
         raise AllocationError(f"rule produced an invalid allocation: {verdict.reason}")
-    return Allocation(tuple(cleaned))
+    return allocation
 
 
 # ---------------------------------------------------------------------------
 # allocation rules
 
 
-def _nt_raw(e: InflowProfile) -> list[float]:
-    return list(e.inflows)
-
-
-def _eft_raw(e: InflowProfile) -> list[float]:
-    # each inflow is handed over in full and split equally among the agents
-    # strictly downstream; the terminal agent also keeps its own inflow
-    n = len(e)
-    x = [0.0] * n
-    acc = 0.0
-    for i in range(1, n):
-        acc += e[i - 1] / (n - i)
-        x[i] = acc
-    x[n - 1] += e[n - 1]
-    return x
-
-
-def _shapley_raw(e: InflowProfile) -> list[float]:
-    # inflow j is split equally among agent j and everyone downstream
-    n = len(e)
-    x = []
-    acc = 0.0
-    for j in range(n):
-        acc += e[j] / (n - j)
-        x.append(acc)
-    return x
-
-
-def _ept_raw(e: InflowProfile) -> list[float]:
-    # each agent cuts its inflow into n-1 equal parts, passes one part to
-    # every downstream agent and keeps the parts matched to upstream agents
-    n = len(e)
-    x = [0.0] * n
-    upstream = 0.0
-    for i in range(n):
-        x[i] = (i * e[i] + upstream) / (n - 1)
-        upstream += e[i]
-    return x
-
-
 def no_transfer(e) -> Allocation:
     """Every agent keeps exactly its own inflow (absolute sovereignty)."""
-    e = as_profile(e)
-    return _finalize(e, _nt_raw(e))
+    return _NO_TRANSFER.apply(e)
 
 
 def egalitarian_full_transfer(e) -> Allocation:
@@ -283,14 +255,12 @@ def egalitarian_full_transfer(e) -> Allocation:
     The most upstream agent receives nothing; the terminal agent keeps its
     own inflow on top of the shares it receives.
     """
-    e = as_profile(e)
-    return _finalize(e, _eft_raw(e))
+    return _EGALITARIAN_FULL_TRANSFER.apply(e)
 
 
 def shapley(e) -> Allocation:
     """Each inflow is split equally among its owner and all downstream agents."""
-    e = as_profile(e)
-    return _finalize(e, _shapley_raw(e))
+    return _SHAPLEY.apply(e)
 
 
 def egalitarian_partial_transfer(e) -> Allocation:
@@ -299,37 +269,28 @@ def egalitarian_partial_transfer(e) -> Allocation:
     Agent i keeps i/(n-1) of its own inflow and receives 1/(n-1) of every
     upstream inflow.
     """
-    e = as_profile(e)
-    return _finalize(e, _ept_raw(e))
+    return _EGALITARIAN_PARTIAL_TRANSFER.apply(e)
 
 
-def _check_weight(weight: float, name: str) -> float:
+def _check_weight(weight: float, kind: RuleKind) -> float:
     weight = float(weight)
     if not (0.0 <= weight <= 1.0) or not math.isfinite(weight):
-        raise ParameterError(f"{name} must lie in [0, 1], got {weight}")
+        raise ParameterError(f"{kind.value} weight must lie in [0, 1], got {weight}")
     return weight
 
 
 def compromise(e, weight: float) -> Allocation:
     """Convex mix: `weight` on keeping own inflow, the rest on full transfer."""
-    e = as_profile(e)
-    w = _check_weight(weight, "compromise weight")
-    a = _nt_raw(e)
-    b = _eft_raw(e)
-    return _finalize(e, [w * ai + (1.0 - w) * bi for ai, bi in zip(a, b)])
+    return RuleSpec.compromise(weight).apply(e)
 
 
 def partial_compromise(e, weight: float) -> Allocation:
     """Convex mix: `weight` on keeping own inflow, the rest on partial transfer."""
-    e = as_profile(e)
-    w = _check_weight(weight, "partial compromise weight")
-    a = _nt_raw(e)
-    b = _ept_raw(e)
-    return _finalize(e, [w * ai + (1.0 - w) * bi for ai, bi in zip(a, b)])
+    return RuleSpec.partial_compromise(weight).apply(e)
 
 
 @dataclass(frozen=True)
-class RetentionShares:
+class RetentionShares(_FloatVector, values="shares"):
     """Per-agent retained fractions for the general rule family.
 
     Entry k is the fraction of its own inflow that non-terminal agent k
@@ -340,22 +301,12 @@ class RetentionShares:
     shares: tuple[float, ...]
 
     def __post_init__(self):
-        values = _as_floats(self.shares, "retention share")
+        values = self._coerce("retention share")
         if len(values) < 1:
             raise DimensionError("need at least one retention share (n >= 2)")
         for k, v in enumerate(values):
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"retention share at position {k} must lie in [0, 1], got {v}")
-        object.__setattr__(self, "shares", values)
-
-    def __len__(self) -> int:
-        return len(self.shares)
-
-    def __getitem__(self, k: int) -> float:
-        return self.shares[k]
-
-    def __iter__(self):
-        return iter(self.shares)
 
     @property
     def agent_count(self) -> int:
@@ -368,17 +319,16 @@ def as_retention(shares) -> RetentionShares:
     return RetentionShares(tuple(shares))
 
 
-def _retention_raw(e: InflowProfile, shares: RetentionShares) -> list[float]:
-    n = len(e)
-    x = [0.0] * n
+def _retention_raw(e: InflowProfile, shares: Sequence[float]) -> list[float]:
+    # the only rule kernel: `shares` holds one entry per non-terminal agent
+    inflows = e.inflows
+    n = len(inflows)
+    x = []
     incoming = 0.0  # equal split of everything released upstream of position i
-    for i in range(n):
-        if i == n - 1:
-            x[i] = e[i] + incoming
-        else:
-            a = shares[i]
-            x[i] = a * e[i] + incoming
-            incoming += (1.0 - a) * e[i] / (n - 1 - i)
+    for i, (v, a) in enumerate(zip(inflows, shares)):
+        x.append(a * v + incoming)
+        incoming += (1.0 - a) * v / (n - 1 - i)
+    x.append(inflows[-1] + incoming)
     return x
 
 
@@ -389,14 +339,7 @@ def retention_rule(e, shares) -> Allocation:
     equal parts to every agent downstream; the terminal agent keeps all it
     has.  All the named rules in this module are members of this family.
     """
-    e = as_profile(e)
-    shares = as_retention(shares)
-    if shares.agent_count != len(e):
-        raise DimensionError(
-            f"{len(shares)} retention shares imply {shares.agent_count} agents, "
-            f"but the profile has {len(e)}"
-        )
-    return _finalize(e, _retention_raw(e, shares))
+    return RuleSpec.retention_rule(shares).apply(e)
 
 
 def source(e) -> int | None:
@@ -414,17 +357,12 @@ def source(e) -> int | None:
 
 def shapley_shares(n: int) -> RetentionShares:
     """Retention shares under which the general family equals the Shapley rule."""
-    if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
-    return RetentionShares(tuple(1.0 / (n - k) for k in range(n - 1)))
+    return RetentionShares(RuleSpec.shapley().shares(n))
 
 
 def compromise_shares(n: int, weight: float) -> RetentionShares:
     """Constant retention shares, matching the compromise rule of that weight."""
-    if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
-    w = _check_weight(weight, "compromise weight")
-    return RetentionShares((w,) * (n - 1))
+    return RetentionShares(RuleSpec.compromise(weight).shares(n))
 
 
 def partial_compromise_shares(n: int, weight: float) -> RetentionShares:
@@ -433,12 +371,7 @@ def partial_compromise_shares(n: int, weight: float) -> RetentionShares:
     Retention rises linearly along the river: position k keeps
     1 - (1-weight) * (n-1-k)/(n-1).
     """
-    if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
-    w = _check_weight(weight, "partial compromise weight")
-    return RetentionShares(
-        tuple(1.0 - (1.0 - w) * (n - 1 - k) / (n - 1) for k in range(n - 1))
-    )
+    return RetentionShares(RuleSpec.partial_compromise(weight).shares(n))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +390,13 @@ class RuleKind(enum.Enum):
 
 _WEIGHTED_KINDS = (RuleKind.COMPROMISE, RuleKind.PARTIAL_COMPROMISE)
 
+# the parameterless rules that are endpoints of the weighted families
+_FAMILY_ENDPOINTS = {
+    RuleKind.NO_TRANSFER: (RuleKind.COMPROMISE, 1.0),
+    RuleKind.EGALITARIAN_FULL_TRANSFER: (RuleKind.COMPROMISE, 0.0),
+    RuleKind.EGALITARIAN_PARTIAL_TRANSFER: (RuleKind.PARTIAL_COMPROMISE, 0.0),
+}
+
 
 @dataclass(frozen=True)
 class RuleSpec:
@@ -470,7 +410,7 @@ class RuleSpec:
         if self.kind in _WEIGHTED_KINDS:
             if self.weight is None:
                 raise ParameterError(f"rule '{self.kind.value}' needs a weight in [0, 1]")
-            object.__setattr__(self, "weight", _check_weight(self.weight, "weight"))
+            object.__setattr__(self, "weight", _check_weight(self.weight, self.kind))
             if self.retention is not None:
                 raise ParameterError(f"rule '{self.kind.value}' takes no retention shares")
         elif self.kind is RuleKind.RETENTION:
@@ -518,8 +458,25 @@ class RuleSpec:
             return self.retention.agent_count
         return None
 
+    def shares(self, n: int) -> tuple[float, ...]:
+        """Retention shares under which the general rule is this rule for n agents.
+
+        nt and eft are compromise:1 and compromise:0, ept is partial:0, and
+        the Shapley rule keeps 1/(n-k) at position k.
+        """
+        if n < 2:
+            raise DimensionError(f"need n >= 2, got {n}")
+        if self.kind is not RuleKind.RETENTION:
+            return _named_shares(self.kind, self.weight, n)
+        if self.retention.agent_count != n:
+            raise DimensionError(
+                f"{len(self.retention)} retention shares imply {self.retention.agent_count} "
+                f"agents, but the profile has {n}"
+            )
+        return self.retention.shares
+
     def label(self) -> str:
-        """Round-trippable text form, e.g. 'nt' or 'compromise:0.5'."""
+        """Round-trippable text form, e.g. 'nt' or 'compromise:0.5'; see parse_rule."""
         if self.kind in _WEIGHTED_KINDS:
             return f"{self.kind.value}:{self.weight!r}"
         if self.kind is RuleKind.RETENTION:
@@ -528,16 +485,60 @@ class RuleSpec:
 
     def apply(self, e) -> Allocation:
         e = as_profile(e)
-        if self.kind is RuleKind.NO_TRANSFER:
-            return no_transfer(e)
-        if self.kind is RuleKind.EGALITARIAN_FULL_TRANSFER:
-            return egalitarian_full_transfer(e)
-        if self.kind is RuleKind.EGALITARIAN_PARTIAL_TRANSFER:
-            return egalitarian_partial_transfer(e)
-        if self.kind is RuleKind.SHAPLEY:
-            return shapley(e)
-        if self.kind is RuleKind.COMPROMISE:
-            return compromise(e, self.weight)
-        if self.kind is RuleKind.PARTIAL_COMPROMISE:
-            return partial_compromise(e, self.weight)
-        return retention_rule(e, self.retention)
+        return _finalize(e, _retention_raw(e, self.shares(len(e))))
+
+
+# the parameterless rules, built once for the module-level rule functions
+_NO_TRANSFER = RuleSpec.no_transfer()
+_EGALITARIAN_FULL_TRANSFER = RuleSpec.egalitarian_full_transfer()
+_EGALITARIAN_PARTIAL_TRANSFER = RuleSpec.egalitarian_partial_transfer()
+_SHAPLEY = RuleSpec.shapley()
+
+
+# the named rules are applied over and over at a handful of sizes, and
+# building the tuple costs as much as the kernel that consumes it; the bound
+# keeps the memory held to a few share vectors of the largest river seen
+@functools.lru_cache(maxsize=32)
+def _named_shares(kind: RuleKind, weight: float | None, n: int) -> tuple[float, ...]:
+    kind, weight = _FAMILY_ENDPOINTS.get(kind, (kind, weight))
+    if kind is RuleKind.COMPROMISE:
+        return (weight,) * (n - 1)
+    if kind is RuleKind.PARTIAL_COMPROMISE:
+        return tuple(1.0 - (1.0 - weight) * (n - 1 - k) / (n - 1) for k in range(n - 1))
+    return tuple(1.0 / (n - k) for k in range(n - 1))  # Shapley
+
+
+_RULE_GRAMMAR = "nt | eft | ept | shapley | compromise:<w> | partial:<w> | alpha:<a1,...>"
+
+
+def parse_rule(text: str) -> RuleSpec:
+    """Inverse of RuleSpec.label(); errors name the offending token.
+
+    Range checks are left to RuleSpec and RetentionShares.
+    """
+    head, sep, tail = text.strip().partition(":")
+    try:
+        kind = RuleKind(head.casefold())
+    except ValueError:
+        raise ParameterError(f"unknown rule {head!r}, expected one of: {_RULE_GRAMMAR}") from None
+    if kind in _WEIGHTED_KINDS:
+        try:
+            weight = float(tail)
+        except ValueError:
+            raise ParameterError(
+                f"{head}: expected a weight in [0, 1] after the colon, got {tail!r}"
+            ) from None
+        return RuleSpec(kind, weight=weight)
+    if kind is RuleKind.RETENTION:
+        if not tail:
+            raise ParameterError("alpha: expected comma-separated retention shares after the colon")
+        shares = []
+        for token in tail.split(","):
+            try:
+                shares.append(float(token))
+            except ValueError:
+                raise ParameterError(f"alpha: {token!r} is not a number") from None
+        return RuleSpec(kind, retention=shares)
+    if sep:
+        raise ParameterError(f"rule {head!r} takes no parameter, got {tail!r}")
+    return RuleSpec(kind)

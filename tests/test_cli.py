@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from rivershare import cli
 from rivershare.cli import main, parse_rule
-from rivershare.core import ParameterError, RuleKind
+from rivershare.core import ParameterError, RuleKind, RuleSpec, ValidationResult
 from rivershare.data_io import builtin_nile, dump_dataset
 from rivershare.analysis import Family, family_member
 
@@ -40,6 +42,14 @@ def test_parse_rule_round_trips_labels():
     alpha = parse_rule("alpha:0.25,0.5,1")
     assert tuple(alpha.retention) == (0.25, 0.5, 1.0)
     assert alpha.fixed_agent_count == 4
+    rng = random.Random(5)
+    for _ in range(200):
+        for spec in (
+            RuleSpec.compromise(rng.random()),
+            RuleSpec.partial_compromise(rng.random()),
+            RuleSpec.retention_rule([rng.random() for _ in range(rng.randint(1, 9))]),
+        ):
+            assert parse_rule(spec.label()) == spec
 
 
 @pytest.mark.parametrize(
@@ -135,6 +145,40 @@ def test_allocate_rejects_bad_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_allocate_overflowing_total_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "allocate", "--inflows", "1e308,1e308", "--rule", "shapley")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("allocate", "--inflows", "1,2", "--rule", "shapley"),
+        ("axioms", "--rule", "shapley", "--trials", "1"),
+        ("fit", "--dataset", "nile", "--family", "compromise"),
+        ("case-study",),
+    ],
+)
+def test_tolerance_must_be_finite_and_non_negative(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, "--tolerance", value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --tolerance") and len(err.splitlines()) == 1
+
+
+def test_allocate_failed_validation_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "validate_allocation", lambda *a, **k: ValidationResult(False, "forced"))
+    code, out, _ = run_cli(capsys, "allocate", "--inflows", "1,2", "--rule", "nt", "--json")
+    assert code == 2
+    assert json.loads(out)["outputs"]["valid"] is False
+    code, out, _ = run_cli(capsys, "allocate", "--inflows", "1,2", "--rule", "nt")
+    assert code == 2
+    assert "VALIDATION FAILED: forced" in out
 
 
 def test_usage_errors_exit_one(capsys):

@@ -327,6 +327,37 @@ def test_embedding_identities(values, weight):
     assert_close(retention_rule(e, (0.0,) * (n - 1)), egalitarian_full_transfer(e), tol)
 
 
+@given(profiles, st.floats(min_value=0.0, max_value=1.0), st.data())
+@settings(deadline=None)
+def test_every_rule_is_the_retention_rule_of_its_shares(values, weight, data):
+    e = tuple(values)
+    n = len(e)
+    alphas = data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n - 1, max_size=n - 1)
+    )
+    specs = [
+        RuleSpec.no_transfer(),
+        RuleSpec.egalitarian_full_transfer(),
+        RuleSpec.egalitarian_partial_transfer(),
+        RuleSpec.shapley(),
+        RuleSpec.compromise(weight),
+        RuleSpec.partial_compromise(weight),
+        RuleSpec.retention_rule(alphas),
+    ]
+    assert {spec.kind for spec in specs} == set(RuleKind)
+    for spec in specs:
+        assert spec.apply(e).amounts == retention_rule(e, spec.shares(n)).amounts, spec.label()
+
+
+@given(profiles)
+@settings(deadline=None)
+def test_family_endpoints_are_exact(values):
+    e = tuple(values)
+    assert compromise(e, 0.0) == egalitarian_full_transfer(e)
+    assert partial_compromise(e, 0.0) == egalitarian_partial_transfer(e)
+    assert compromise(e, 1.0) == no_transfer(e)
+
+
 def test_shapley_single_source_balance():
     # with a single positive inflow before the mouth, the owner's assignment
     # equals the mean of all downstream assignments
@@ -403,6 +434,16 @@ def test_non_finite_inflow_rejected():
         InflowProfile((1.0, math.nan))
     with pytest.raises(RiverShareError):
         InflowProfile((1.0, math.inf))
+
+
+def test_overflowing_total_inflow_rejected():
+    with pytest.raises(RiverShareError, match="too large"):
+        InflowProfile((1e308, 1e308))
+    # the stored total takes no part in equality or repr
+    e = InflowProfile((1.0, 2.0))
+    assert e.total == 3.0
+    assert e == InflowProfile((1, 2.0)) and hash(e) == hash(InflowProfile((1.0, 2.0)))
+    assert repr(e) == "InflowProfile(inflows=(1.0, 2.0))"
 
 
 @pytest.mark.parametrize("weight", [-0.1, 1.1, math.nan])
