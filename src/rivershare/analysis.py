@@ -7,6 +7,11 @@ allocations and clip the coefficient to [0, 1].  On top of the fit this
 module provides the distance profile along a family, its quadrature
 average, per-agent legitimacy intervals, and the embedded Nile basin case
 study with its reference checks.
+
+numpy is imported only when a distance integral is computed: by
+`integrate_distance`, and so by `nile_case_study`.  Importing this module,
+fitting, and the legitimacy intervals load no numpy.  Quadrature takes at
+most 1024 nodes (`_MAX_NODES`).
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     Allocation,
@@ -141,9 +144,23 @@ def distance_at(e, z, family, parameter: float) -> float:
     return _distance(member, z)
 
 
+#: Most Gauss-Legendre nodes a distance integral may use.  leggauss builds a
+#: count x count companion matrix, so the bound keeps memory and time small.
+_MAX_NODES = 1024
+
+
+def _check_nodes(nodes, most: int = _MAX_NODES) -> None:
+    if not isinstance(nodes, int) or nodes < 1:
+        raise ParameterError(f"nodes must be a positive integer, got {nodes!r}")
+    if nodes > most:
+        raise ParameterError(f"nodes must be at most {most}, got {nodes}")
+
+
 @lru_cache(maxsize=8)
 def _unit_interval_nodes(count: int):
     # Gauss-Legendre nodes mapped from (-1, 1) onto (0, 1)
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(count)
     return (nodes + 1.0) / 2.0, weights / 2.0
 
@@ -161,8 +178,9 @@ def integrate_distance(e, z, family, nodes: int = 64) -> float:
     family = as_family(family)
     if len(z) != len(e):
         raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
-    if not isinstance(nodes, int) or nodes < 1:
-        raise ParameterError(f"nodes must be a positive integer, got {nodes!r}")
+    _check_nodes(nodes)
+    import numpy as np
+
     t, w = _unit_interval_nodes(nodes)
     a = np.asarray(no_transfer(e), dtype=float)
     b = np.asarray(family_member(e, family, 0.0), dtype=float)
@@ -432,6 +450,14 @@ def nile_case_study(reporting_decimals: int | None = 1, nodes: int = 64) -> Case
     normalization instead, which moves the distance integrals (and the
     last digit of the fitted parameter) slightly off the reference values.
     """
+    if reporting_decimals is not None and (
+        not isinstance(reporting_decimals, int) or reporting_decimals < 0
+    ):
+        raise ParameterError(
+            f"reporting_decimals must be a non-negative integer or None, got {reporting_decimals!r}"
+        )
+    # the quadrature cross-check integrates with twice as many nodes
+    _check_nodes(nodes, most=_MAX_NODES // 2)
     dataset = builtin_nile()
     e = dataset.inflows
     exact = dataset.normalized_withdrawals()

@@ -38,6 +38,11 @@ from .core import (
 )
 from .data_io import BasinDataset, builtin_nile, read_dataset
 
+#: Largest river `axioms` generates: the order-preservation check is O(n^2).
+_MAX_AXIOM_AGENTS = 1000
+#: Most samples `fit --curve` writes; the CSV is built in memory.
+_MAX_CURVE_POINTS = 100_000
+
 
 def _parse_inflows(text: str) -> InflowProfile:
     values = []
@@ -176,6 +181,8 @@ def cmd_axioms(args) -> int:
         raise ParameterError(
             f"need 2 <= --min-agents <= --max-agents, got {args.min_agents}..{args.max_agents}"
         )
+    if args.max_agents > _MAX_AXIOM_AGENTS:
+        raise ParameterError(f"--max-agents must be at most {_MAX_AXIOM_AGENTS}, got {args.max_agents}")
     reports = run_axiom_suite(
         rule,
         axioms=axioms,
@@ -219,8 +226,6 @@ def cmd_axioms(args) -> int:
 
 
 def _write_curve(path: str, e, z, family: Family, points: int) -> None:
-    if points < 2:
-        raise ParameterError(f"--curve-points must be at least 2, got {points}")
     lines = ["parameter,distance"]
     for k in range(points):
         t = k / (points - 1)
@@ -234,6 +239,10 @@ def _write_curve(path: str, e, z, family: Family, points: int) -> None:
 
 def cmd_fit(args) -> int:
     family = as_family(args.family)
+    if args.curve is not None and not 2 <= args.curve_points <= _MAX_CURVE_POINTS:
+        raise ParameterError(
+            f"--curve-points must lie in [2, {_MAX_CURVE_POINTS}], got {args.curve_points}"
+        )
     dataset = _resolve_dataset(args.dataset)
     if not dataset.has_withdrawals:
         raise ParameterError(f"dataset {args.dataset!r} has no withdrawal column to fit against")

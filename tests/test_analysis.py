@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from rivershare import analysis
 from rivershare.analysis import (
     NILE_REFERENCE_TABLE,
     CaseStudyResult,
@@ -266,11 +267,22 @@ def test_integral_node_count_consistency():
         assert abs(coarse - fine) <= 1e-8
 
 
-def test_integral_rejects_bad_nodes():
-    with pytest.raises(ParameterError):
-        integrate_distance(NILE.inflows, NILE_Z, Family.COMPROMISE, nodes=0)
-    with pytest.raises(ParameterError):
-        integrate_distance(NILE.inflows, NILE_Z, Family.COMPROMISE, nodes=2.5)
+def test_integral_rejects_bad_nodes(forbid_node_rule):
+    # every count is checked before any node rule is built
+    for nodes in (0, 2.5, analysis._MAX_NODES + 1, 100_000_000):
+        with pytest.raises(ParameterError):
+            integrate_distance(NILE.inflows, NILE_Z, Family.COMPROMISE, nodes=nodes)
+
+
+def test_integral_accepts_the_largest_node_count(monkeypatch):
+    # served by a small real rule, so no 1024-node rule is built
+    small_rule = analysis._unit_interval_nodes(8)
+    requested = []
+    monkeypatch.setattr(
+        analysis, "_unit_interval_nodes", lambda count: requested.append(count) or small_rule
+    )
+    integrate_distance(NILE.inflows, NILE_Z, Family.COMPROMISE, nodes=analysis._MAX_NODES)
+    assert requested == [analysis._MAX_NODES]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +431,22 @@ def test_case_study_full_precision_variant():
         if check.name.startswith(("legitimacy:", "fit:compromise:parameter", "share:")):
             assert check.ok, check.name
     assert result.compromise_fit.parameter_star == pytest.approx(0.068, abs=0.001)
+
+
+@pytest.mark.parametrize(
+    "kwargs, fragment",
+    [
+        # the cross-check integrates with 2 * nodes, so half the integral's bound
+        ({"nodes": analysis._MAX_NODES // 2 + 1}, "nodes must be at most"),
+        ({"nodes": 100_000_000}, "nodes must be at most"),
+        ({"reporting_decimals": -3}, "reporting_decimals"),
+        ({"reporting_decimals": 1.5}, "reporting_decimals"),
+        ({"reporting_decimals": "1"}, "reporting_decimals"),
+    ],
+)
+def test_case_study_rejects_bad_parameters_up_front(forbid_node_rule, kwargs, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        nile_case_study(**kwargs)
 
 
 def test_case_study_is_deterministic_and_serializable():

@@ -250,9 +250,15 @@ def test_axioms_all_for_no_transfer(capsys):
         ("axioms", "--rule", "shapley", "--trials", "0"),
         ("axioms", "--rule", "shapley", "--min-agents", "5", "--max-agents", "3"),
         ("axioms", "--rule", "nope"),
+        ("axioms", "--rule", "shapley", "--max-agents", "100000"),
     ],
 )
-def test_axioms_rejects_bad_input(capsys, argv):
+def test_axioms_rejects_bad_input(capsys, monkeypatch, argv):
+    # every one of these is rejected before any instance is generated
+    def fail(*args, **kwargs):
+        raise AssertionError("axiom suite ran")
+
+    monkeypatch.setattr(cli, "run_axiom_suite", fail)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
@@ -333,12 +339,34 @@ def test_fit_writes_distance_curve(capsys, tmp_path):
         ("fit", "--dataset", "missing.csv", "--family", "compromise"),
         ("fit", "--dataset", "nile", "--family", "compromise", "--curve-points", "1",
          "--curve", "x.csv"),
+        ("fit", "--dataset", "nile", "--family", "compromise", "--curve-points", "1000000000",
+         "--curve", "x.csv"),
     ],
 )
-def test_fit_rejects_bad_input(capsys, argv):
+def test_fit_rejects_bad_input(capsys, monkeypatch, argv):
+    # every one of these is rejected before the dataset is fitted
+    def fail(*args, **kwargs):
+        raise AssertionError("dataset was fitted")
+
+    monkeypatch.setattr(cli, "fit_family", fail)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fit", "--dataset", "nile", "--family", "compromise", "--nodes", "100000000"),
+        ("case-study", "--nodes", "100000000"),
+        ("case-study", "--decimals", "-3"),
+    ],
+)
+def test_integral_inputs_are_bounded(capsys, forbid_node_rule, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_fit_requires_withdrawals(capsys, tmp_path):
@@ -385,6 +413,38 @@ def test_case_study_byte_identical_across_processes(tmp_path):
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout.decode())["outputs"]["all_ok"] is True
+
+
+_COLD_PATH_SCRIPT = """
+import sys
+
+import rivershare
+from rivershare.cli import main
+
+codes = [
+    main(["allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"]),
+    main(["axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20", "--json"]),
+    main(["allocate", "--inflows", "1,-2", "--rule", "nt"]),
+    main(["fit", "--dataset", "nile", "--family", "compromise", "--curve", sys.argv[1],
+          "--curve-points", "1000000000"]),
+]
+assert codes == [0, 0, 1, 1], codes
+assert "numpy" not in sys.modules, "numpy loaded without a distance integral"
+
+nile = rivershare.builtin_nile()
+rivershare.integrate_distance(
+    nile.inflows, nile.normalized_withdrawals(), rivershare.Family.COMPROMISE
+)
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_numpy_is_loaded_only_by_a_distance_integral(tmp_path):
+    argv = [sys.executable, "-c", _COLD_PATH_SCRIPT, str(tmp_path / "curve.csv")]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("ok\n")
 
 
 def test_dataset_round_trip_through_cli(capsys, tmp_path):
