@@ -42,6 +42,8 @@ from .data_io import BasinDataset, builtin_nile, read_dataset
 _MAX_AXIOM_AGENTS = 1000
 #: Most samples `fit --curve` writes; the CSV is built in memory.
 _MAX_CURVE_POINTS = 100_000
+#: Most random instances `axioms` checks per axiom.
+_MAX_TRIALS = 1_000_000
 
 
 def _parse_inflows(text: str) -> InflowProfile:
@@ -177,6 +179,8 @@ def cmd_axioms(args) -> int:
     axioms = _parse_axiom_list(args.axioms)
     if args.trials < 1:
         raise ParameterError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > _MAX_TRIALS:
+        raise ParameterError(f"--trials must be at most {_MAX_TRIALS}, got {args.trials}")
     if not 2 <= args.min_agents <= args.max_agents:
         raise ParameterError(
             f"need 2 <= --min-agents <= --max-agents, got {args.min_agents}..{args.max_agents}"
@@ -354,8 +358,19 @@ def cmd_case_study(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit code 1.
+
+    Subcommand parsers are built from the same class, so this holds for
+    every subcommand too.
+    """
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rivershare",
         description="Fair allocation of river water along a line of agents.",
     )

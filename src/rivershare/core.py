@@ -13,8 +13,10 @@ rule: each non-terminal agent keeps a share of its own inflow and splits the
 rest equally among the agents downstream.  A `RuleSpec` names a rule and
 owns its text form (`label`, with `parse_rule` as the inverse) and its share
 vector (`shares(n)`); one kernel evaluates every rule from that vector.  Rule
-outputs satisfy both constraints by construction; construction re-validates
-them anyway.
+outputs satisfy both constraints by construction and are still checked once,
+by the checker `validate_allocation` uses: one `min`, one `fsum` and one pass
+over the running sums accept a valid result, and the output becomes an
+`Allocation` without being converted or checked again.
 """
 
 from __future__ import annotations
@@ -74,10 +76,22 @@ class _FloatVector:
         super().__init_subclass__(**kwargs)
         cls._field = values
 
-    def _coerce(self, what: str) -> tuple[float, ...]:
-        values = _as_floats(getattr(self, self._field), what)
+    @classmethod
+    def _of_checked(cls, values: tuple[float, ...]):
+        """An instance holding `values`, a tuple of finite floats the caller
+        has already checked.  `__post_init__` does not run, so this is only
+        for a type whose one field is its vector."""
+        self = object.__new__(cls)
+        self._store(values)
+        return self
+
+    def _store(self, values: tuple[float, ...]) -> None:
         object.__setattr__(self, self._field, values)
         object.__setattr__(self, "_values", values)
+
+    def _coerce(self, what: str) -> tuple[float, ...]:
+        values = _as_floats(getattr(self, self._field), what)
+        self._store(values)
         return values
 
     def __len__(self) -> int:
@@ -102,6 +116,23 @@ class InflowProfile(_FloatVector, values="inflows"):
     _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # accept the common case in one pass of C builtins: a finite fsum
+        # means every entry is finite and the total does not overflow
+        items = tuple(self.inflows)
+        try:
+            values = tuple(map(float, items))
+            total = math.fsum(values)
+        except (TypeError, ValueError, OverflowError):
+            total = math.nan
+        if math.isfinite(total) and len(values) >= 2 and min(values) >= 0.0:
+            self._store(values)
+        else:
+            # something is off: the entry-by-entry checks name it
+            object.__setattr__(self, "inflows", items)
+            total = self._checked_total()
+        object.__setattr__(self, "_total", total)
+
+    def _checked_total(self) -> float:
         values = self._coerce("inflow")
         if len(values) < 2:
             raise DimensionError(
@@ -113,12 +144,11 @@ class InflowProfile(_FloatVector, values="inflows"):
         # the entries are finite, so fsum either returns a finite total or
         # raises on overflow
         try:
-            total = math.fsum(values)
+            return math.fsum(values)
         except OverflowError:
             raise RiverShareError(
                 "total inflow is too large to represent as a float"
             ) from None
-        object.__setattr__(self, "_total", total)
 
     @property
     def total(self) -> float:
@@ -127,6 +157,8 @@ class InflowProfile(_FloatVector, values="inflows"):
     def scaled(self, factor: float) -> "InflowProfile":
         if factor < 0:
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
+        if not math.isfinite(factor):
+            raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
         return InflowProfile(tuple(v * factor for v in self.inflows))
 
     def bumped(self, position: int, delta: float) -> "InflowProfile":
@@ -204,16 +236,24 @@ def validate_allocation(e, x, tol: float | None = None) -> ValidationResult:
         )
     if tol is None:
         tol = tolerance_for(e.total)
-    for k, v in enumerate(amounts):
-        if v < -tol:
-            return ValidationResult(False, f"negative amount {v} at position {k}")
+    reason = _violation(e, amounts, tol)
+    return ValidationResult(reason is None, reason)
+
+
+def _violation(e: InflowProfile, amounts: tuple[float, ...], tol: float) -> str | None:
+    """The first constraint that `amounts` violates against `e`, or None.
+
+    The checks run in the order negative amount, non-wastefulness,
+    feasibility.  `amounts` must be finite.
+    """
+    if min(amounts) < -tol:
+        for k, v in enumerate(amounts):
+            if v < -tol:
+                return f"negative amount {v} at position {k}"
     allocated = math.fsum(amounts)
     inflow = e.total
     if abs(allocated - inflow) > tol:
-        return ValidationResult(
-            False,
-            f"non-wastefulness: allocated total {allocated} differs from inflow total {inflow}",
-        )
+        return f"non-wastefulness: allocated total {allocated} differs from inflow total {inflow}"
     # water cannot flow upstream: every prefix is capped by what has entered
     inflows = e.inflows
     prefix_x = 0.0
@@ -222,22 +262,25 @@ def validate_allocation(e, x, tol: float | None = None) -> ValidationResult:
         prefix_x += amounts[k]
         prefix_e += inflows[k]
         if prefix_x > prefix_e + tol:
-            return ValidationResult(
-                False,
+            return (
                 f"cumulative feasibility at position {k}: "
-                f"first {k + 1} agents get {prefix_x} but only {prefix_e} has entered",
+                f"first {k + 1} agents get {prefix_x} but only {prefix_e} has entered"
             )
-    return ValidationResult(True)
+    return None
 
 
 def _finalize(e: InflowProfile, raw: list[float]) -> Allocation:
-    # clamp float wobble in (-tol, 0) to exactly 0, then re-validate
     tol = tolerance_for(e.total)
-    allocation = Allocation(tuple([0.0 if -tol < v < 0.0 else v for v in raw]))
-    verdict = validate_allocation(e, allocation, tol)
-    if not verdict:
-        raise AllocationError(f"rule produced an invalid allocation: {verdict.reason}")
-    return allocation
+    if min(raw) < 0.0:
+        # clamp float wobble in (-tol, 0) to exactly 0
+        raw = [0.0 if -tol < v < 0.0 else v for v in raw]
+    amounts = tuple(raw)
+    if not all(map(math.isfinite, amounts)):
+        _as_floats(amounts, "amount")  # raises, naming the first bad entry
+    reason = _violation(e, amounts, tol)
+    if reason is not None:
+        raise AllocationError(f"rule produced an invalid allocation: {reason}")
+    return Allocation._of_checked(amounts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivershare import cli
 from rivershare.cli import main, parse_rule
@@ -182,12 +186,18 @@ def test_allocate_failed_validation_exits_two(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_one(capsys):
-    assert main([]) == 1
-    capsys.readouterr()
-    assert main(["allocate"]) == 1  # missing --rule
-    capsys.readouterr()
-    assert main(["frobnicate"]) == 1
-    capsys.readouterr()
+    for argv in [
+        (),
+        ("allocate",),  # missing --rule
+        ("frobnicate",),
+        ("allocate", "--rule", "nt", "--inflows"),  # missing value
+        ("axioms", "--rule", "shapley", "--trials", "x"),
+        ("allocate", "--rule", "nt", "--inflows", "1,2", "--bogus"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_version_and_help_exit_zero(capsys):
@@ -251,6 +261,8 @@ def test_axioms_all_for_no_transfer(capsys):
         ("axioms", "--rule", "shapley", "--min-agents", "5", "--max-agents", "3"),
         ("axioms", "--rule", "nope"),
         ("axioms", "--rule", "shapley", "--max-agents", "100000"),
+        ("axioms", "--rule", "shapley", "--trials", "100000000000000000000"),
+        ("axioms", "--rule", "shapley", "--trials", "1000001"),
     ],
 )
 def test_axioms_rejects_bad_input(capsys, monkeypatch, argv):
@@ -262,6 +274,14 @@ def test_axioms_rejects_bad_input(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_axioms_accepts_the_largest_trial_count(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_axiom_suite", lambda rule, **kwargs: calls.append(kwargs) or [])
+    code, _, err = run_cli(capsys, "axioms", "--rule", "shapley", "--trials", "1000000")
+    assert code == 0 and err == ""
+    assert calls[0]["trials"] == 1_000_000
 
 
 def test_axioms_json_is_deterministic(capsys):
@@ -458,3 +478,124 @@ def test_dataset_round_trip_through_cli(capsys, tmp_path):
         json.loads(from_file)["outputs"]["allocation"]
         == json.loads(from_builtin)["outputs"]["allocation"]
     )
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole command line
+
+
+_RULES = (
+    ["nt", "shapley", "compromise:0.5", "partial:0.25", "alpha:0.5,0.5"],
+    ["sharpley", "compromise:2", "alpha:x", ""],
+)
+_TOLERANCES = (["1e-9", "0"], ["-1", "nan", "x"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_grammar(tmp_path_factory):
+    """Flags per subcommand, each with its good and its bad values.
+
+    Every accepted value keeps the work small (at most 5 trials on rivers
+    of at most 10 agents, at most 64 quadrature nodes), and every path a
+    command may write to lies in a temporary directory.  A flag that takes
+    no value maps to None.
+    """
+    root = tmp_path_factory.mktemp("fuzz")
+    basin = root / "basin.csv"
+    basin.write_text("agent,inflow,withdrawal\nup,3,1\nmid,2,2\ndown,1,3\n", encoding="utf-8")
+    plain = root / "plain.csv"
+    plain.write_text("agent,inflow\na,1\nb,2\n", encoding="utf-8")
+    broken = root / "broken.csv"
+    broken.write_text("agent,inflow\na,1\nb,-2\n", encoding="utf-8")
+    folder = root / "folder.csv"
+    folder.mkdir()
+    datasets = (
+        ["nile", str(basin), str(plain)],
+        ["missing.csv", str(broken), str(folder), "x.txt"],
+    )
+    return {
+        "allocate": {
+            "--rule": _RULES,
+            "--inflows": (["50,30,10,10", "1,2", "0,0,0"], ["1,-2", "x", "1e308,1e308", "5", ""]),
+            "--dataset": datasets,
+            "--tolerance": _TOLERANCES,
+            "--json": None,
+        },
+        "axioms": {
+            "--rule": _RULES,
+            "--axioms": (["all", "balance", "scale-invariance,balance"], ["fairness"]),
+            "--trials": (["1", "3", "5"], ["0", "-1", "x", "100000000000000000000"]),
+            "--seed": (["0", "7"], ["x"]),
+            "--min-agents": (["2", "3"], ["0", "x"]),
+            "--max-agents": (["2", "5", "10"], ["100000", "x"]),
+            "--strict-impartiality": None,
+            "--tolerance": _TOLERANCES,
+            "--json": None,
+        },
+        "fit": {
+            "--dataset": datasets,
+            "--family": (["compromise", "partial"], ["shapley"]),
+            "--nodes": (["8", "64"], ["0", "1025", "100000000", "x"]),
+            "--curve": ([str(root / "curve.csv")], [str(root / "no-such-dir" / "curve.csv")]),
+            "--curve-points": (["2", "11"], ["1", "1000000000", "x"]),
+            "--tolerance": _TOLERANCES,
+            "--json": None,
+        },
+        "case-study": {
+            "--decimals": (["1", "0"], ["-3", "x"]),
+            "--full-precision": None,
+            "--nodes": (["8", "64"], ["0", "513", "x"]),
+            "--tolerance": _TOLERANCES,
+            "--json": None,
+        },
+    }
+
+
+# the flags each command needs, one flag drawn from each group; `axioms`
+# always gets `--trials`, since its default of 1000 is too slow here
+_REQUIRED = {
+    "allocate": (("--rule",), ("--inflows", "--dataset")),
+    "axioms": (("--rule",), ("--trials",)),
+    "fit": (("--dataset",), ("--family",)),
+}
+
+
+@st.composite
+def _argv(draw, grammar):
+    command = draw(st.sampled_from([*grammar] * 4 + ["frobnicate", "--version", "--help"]))
+    flags = grammar.get(command, {})
+    every_flag = sorted({flag for options in grammar.values() for flag in options} | {"--bogus"})
+
+    def value(flag):
+        good, bad = flags[flag]
+        return draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad))
+
+    argv = [command]
+    for group in _REQUIRED.get(command, ()):
+        # now and then a required flag is left out, but never `--trials`
+        if group == ("--trials",) or draw(st.integers(0, 9)):
+            flag = draw(st.sampled_from(group))
+            argv += [flag, value(flag)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        # mostly this command's own flags, now and then any flag at all
+        pool = sorted(flags) if flags and draw(st.integers(0, 7)) else every_flag
+        flag = draw(st.sampled_from(pool))
+        argv.append(flag)
+        if flags.get(flag) is not None and draw(st.integers(0, 9)):  # now and then the value is missing
+            argv.append(value(flag))
+    return argv
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=120)
+def test_fuzzed_command_lines_keep_the_exit_code_contract(fuzz_grammar, data):
+    argv = data.draw(_argv(fuzz_grammar), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    else:
+        assert err == ""

@@ -10,12 +10,14 @@ around.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rivershare import core
 from rivershare import (
     Allocation,
     AllocationError,
@@ -413,6 +415,165 @@ def test_validate_allocation_tolerates_float_wobble():
 def test_validate_allocation_length_mismatch():
     with pytest.raises(DimensionError):
         validate_allocation((1, 1), (1, 0, 0))
+
+
+def validate_by_loop(e, amounts, tol=None):
+    """The position-by-position check `validate_allocation` used to run.
+
+    Kept as the reference for the single checker that now serves both
+    `validate_allocation` and rule output.
+    """
+    e = InflowProfile(tuple(e))
+    if tol is None:
+        tol = tolerance_for(e.total)
+    for k, v in enumerate(amounts):
+        if v < -tol:
+            return False, f"negative amount {v} at position {k}"
+    allocated = math.fsum(amounts)
+    inflow = e.total
+    if abs(allocated - inflow) > tol:
+        return (
+            False,
+            f"non-wastefulness: allocated total {allocated} differs from inflow total {inflow}",
+        )
+    inflows = e.inflows
+    prefix_x = 0.0
+    prefix_e = 0.0
+    for k in range(len(inflows) - 1):
+        prefix_x += amounts[k]
+        prefix_e += inflows[k]
+        if prefix_x > prefix_e + tol:
+            return (
+                False,
+                f"cumulative feasibility at position {k}: "
+                f"first {k + 1} agents get {prefix_x} but only {prefix_e} has entered",
+            )
+    return True, None
+
+
+@st.composite
+def checked_allocations(draw):
+    """A profile, an allocation near or across the constraint boundaries, a tolerance.
+
+    Inflows span magnitudes 1e-6 to 1e6 with a quarter of them zero.  The
+    allocation starts as a retention-rule output, then one entry is nudged
+    by a multiple of the tolerance, made negative, or moved upstream.
+    """
+    n = draw(st.integers(min_value=2, max_value=100))
+    magnitude = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    e = InflowProfile(
+        tuple(0.0 if rng.random() < 0.25 else rng.uniform(0.0, magnitude) for _ in range(n))
+    )
+    shares = [rng.random() for _ in range(n - 1)]
+    x = list(retention_rule(e, shares))
+    tol = draw(st.sampled_from([None, 0.0, tolerance_for(e.total), 1e-3 * magnitude]))
+    step = tol or tolerance_for(e.total)
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    m = draw(st.integers(min_value=0, max_value=n - 1))
+    factor = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+    how = draw(st.sampled_from(["nudge", "negative", "upstream", "none"]))
+    if how == "nudge":
+        x[k] += factor * step
+    elif how == "negative":
+        moved = x[k] + abs(factor) * step
+        x[k] -= moved
+        x[m] += moved
+    elif how == "upstream":
+        upstream, downstream = min(k, m), max(k, m)
+        moved = draw(st.sampled_from([abs(factor) * step, x[downstream] / 2, x[downstream]]))
+        x[upstream] += moved
+        x[downstream] -= moved
+    return e, tuple(x), tol
+
+
+@given(checked_allocations())
+@settings(deadline=None, max_examples=300)
+def test_validation_agrees_with_the_position_loop(case):
+    e, amounts, tol = case
+    verdict = validate_allocation(e, amounts, tol)
+    assert (verdict.ok, verdict.reason) == validate_by_loop(e, amounts, tol)
+
+
+_BAD_RULE_OUTPUTS = [
+    ([1.0, math.nan, 5.0], RiverShareError, "amount at position 1 must be finite, got nan"),
+    ([1.0, 2.0, math.inf], RiverShareError, "amount at position 2 must be finite, got inf"),
+    ([-1.0, math.nan, 7.0], RiverShareError, "amount at position 1 must be finite, got nan"),
+    (
+        [-1.0, 4.0, 3.0],
+        AllocationError,
+        "rule produced an invalid allocation: negative amount -1.0 at position 0",
+    ),
+    (
+        [1.0, 2.0, 2.0],
+        AllocationError,
+        "rule produced an invalid allocation: "
+        "non-wastefulness: allocated total 5.0 differs from inflow total 6.0",
+    ),
+    (
+        [2.0, 1.0, 3.0],
+        AllocationError,
+        "rule produced an invalid allocation: "
+        "cumulative feasibility at position 0: first 1 agents get 2.0 but only 1.0 has entered",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw,error,message", _BAD_RULE_OUTPUTS)
+def test_invalid_rule_output_is_rejected_with_its_reason(monkeypatch, raw, error, message):
+    monkeypatch.setattr(core, "_retention_raw", lambda e, shares: list(raw))
+    with pytest.raises(error) as caught:
+        shapley((1.0, 2.0, 3.0))
+    assert str(caught.value) == message
+    assert type(caught.value) is error
+
+
+def test_rule_output_wobble_is_clamped(monkeypatch):
+    monkeypatch.setattr(core, "_retention_raw", lambda e, shares: [-1e-20, 3.0, 3.0])
+    x = shapley((1.0, 2.0, 3.0))
+    assert x == Allocation((0.0, 3.0, 3.0))
+    assert x.amounts == (0.0, 3.0, 3.0) and list(x) == [0.0, 3.0, 3.0] and len(x) == 3
+    assert hash(x) == hash(Allocation((0.0, 3.0, 3.0)))
+    assert repr(x) == "Allocation(amounts=(0.0, 3.0, 3.0))"
+
+
+def _falling_profile():
+    yield 1.0
+    yield -2.0
+
+
+@pytest.mark.parametrize(
+    "inflows,error,message",
+    [
+        (_falling_profile(), RiverShareError, "inflow at position 1 must be >= 0, got -2.0"),
+        (("1", "nan"), RiverShareError, "inflow at position 1 must be finite, got 'nan'"),
+        ((2.0, -1), RiverShareError, "inflow at position 1 must be >= 0, got -1.0"),
+        ((1e308, 1e308), RiverShareError, "total inflow is too large to represent as a float"),
+        ((5.0,), DimensionError, "an inflow profile needs at least two agents, got 1"),
+        ((math.nan, "x"), RiverShareError, "inflow at position 0 must be finite, got nan"),
+        ((math.inf, -math.inf), RiverShareError, "inflow at position 0 must be finite, got inf"),
+        ((1.0, "x"), ValueError, "could not convert string to float: 'x'"),
+    ],
+)
+def test_inflow_profile_messages(inflows, error, message):
+    with pytest.raises(error) as caught:
+        InflowProfile(inflows)
+    assert str(caught.value) == message
+    assert type(caught.value) is error
+
+
+def test_inflow_profile_accepts_any_iterable_of_numbers():
+    e = InflowProfile(v for v in ("1", 2, 3.5))
+    assert e.inflows == (1.0, 2.0, 3.5) and e.total == 6.5
+    assert all(type(v) is float for v in e)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_scaled_rejects_a_non_finite_factor(factor):
+    with pytest.raises(ParameterError, match="scale factor must be finite and >= 0"):
+        InflowProfile((1.0, 2.0)).scaled(factor)
+    with pytest.raises(ParameterError, match=r"scale factor must be >= 0, got -inf"):
+        InflowProfile((1.0, 2.0)).scaled(-math.inf)
 
 
 # ---------------------------------------------------------------------------
