@@ -148,11 +148,18 @@ def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
     )
 
 
-def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexample | None:
-    e = as_profile(e)
+def _inflow_increase(delta) -> float:
     delta = float(delta)
     if delta <= 0:
         raise ParameterError(f"inflow increase must be > 0, got {delta}")
+    if not math.isfinite(delta):
+        raise ParameterError(f"inflow increase must be finite, got {delta}")
+    return delta
+
+
+def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexample | None:
+    e = as_profile(e)
+    delta = _inflow_increase(delta)
     bumped = e.bumped(position, delta)
     if tol is None:
         tol = tolerance_for(bumped.total)
@@ -181,9 +188,7 @@ def _downstream_detail(
     rule: RuleSpec, e, position, delta, tol=None, strict=False
 ) -> Counterexample | None:
     e = as_profile(e)
-    delta = float(delta)
-    if delta <= 0:
-        raise ParameterError(f"inflow increase must be > 0, got {delta}")
+    delta = _inflow_increase(delta)
     if not 0 <= position < len(e):
         raise DimensionError(f"position {position} out of range for n={len(e)}")
     if not strict and not _tail_is_constant(e, position):
@@ -230,7 +235,6 @@ def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
 def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
     # e must have its only positive inflow at `position` (a non-terminal agent)
     e = as_profile(e)
-    n = len(e)
     if tol is None:
         tol = tolerance_for(e.total)
     x = rule.apply(e)

@@ -13,10 +13,12 @@ rule: each non-terminal agent keeps a share of its own inflow and splits the
 rest equally among the agents downstream.  A `RuleSpec` names a rule and
 owns its text form (`label`, with `parse_rule` as the inverse) and its share
 vector (`shares(n)`); one kernel evaluates every rule from that vector.  Rule
-outputs satisfy both constraints by construction and are still checked once,
-by the checker `validate_allocation` uses: one `min`, one `fsum` and one pass
-over the running sums accept a valid result, and the output becomes an
-`Allocation` without being converted or checked again.
+outputs satisfy both constraints by construction and are still checked, in
+the same pass that builds them: the kernel's loop keeps the feasibility
+prefix sums, and one `min` and one `fsum` of the result finish the check.  A
+valid result becomes an `Allocation` without being converted or checked
+again; any other goes through the checker `validate_allocation` uses, which
+names the first violated constraint.
 """
 
 from __future__ import annotations
@@ -159,15 +161,32 @@ class InflowProfile(_FloatVector, values="inflows"):
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
         if not math.isfinite(factor):
             raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
-        return InflowProfile(tuple(v * factor for v in self.inflows))
+        return _derived_profile(tuple(v * factor for v in self.inflows), f"scale factor {factor}")
 
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
         if not 0 <= position < len(self.inflows):
             raise DimensionError(f"position {position} out of range for n={len(self)}")
+        if not math.isfinite(delta):
+            raise ParameterError(f"delta must be finite, got {delta}")
         values = list(self.inflows)
         values[position] += delta
-        return InflowProfile(tuple(values))
+        return _derived_profile(tuple(values), f"delta {delta} at position {position}")
+
+
+def _derived_profile(values: tuple[float, ...], cause: str) -> InflowProfile:
+    """The profile of `values`, made from a valid profile by the finite
+    change that `cause` names.
+
+    The old entries and the change were finite, so a rejected profile with
+    no negative entry overflowed, and the error names the change.
+    """
+    try:
+        return InflowProfile(values)
+    except RiverShareError:
+        if min(values) >= 0.0:
+            raise ParameterError(f"{cause} makes the inflows overflow") from None
+        raise
 
 
 def as_profile(e) -> InflowProfile:
@@ -270,6 +289,7 @@ def _violation(e: InflowProfile, amounts: tuple[float, ...], tol: float) -> str 
 
 
 def _finalize(e: InflowProfile, raw: list[float]) -> Allocation:
+    """Accept or reject a rule output that the kernel's one pass did not accept."""
     tol = tolerance_for(e.total)
     if min(raw) < 0.0:
         # clamp float wobble in (-tol, 0) to exactly 0
@@ -362,17 +382,41 @@ def as_retention(shares) -> RetentionShares:
     return RetentionShares(tuple(shares))
 
 
-def _retention_raw(e: InflowProfile, shares: Sequence[float]) -> list[float]:
-    # the only rule kernel: `shares` holds one entry per non-terminal agent
+def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
+    """The only rule kernel: the retention rule of `shares` on `e`, checked.
+
+    `shares` holds one entry per non-terminal agent.  The loop that builds
+    the allocation also runs the feasibility prefix sums, with the same
+    additions in the same order as `_violation`.  A result is accepted when
+    no prefix was infeasible, no entry is negative and the total is within
+    tolerance; a finite `fsum` also means every entry is finite.  Anything
+    else goes to `_finalize`, which clamps, checks again and names the fault.
+    """
     inflows = e.inflows
-    n = len(inflows)
+    total = e._total
+    tol = tolerance_for(total)
     x = []
-    incoming = 0.0  # equal split of everything released upstream of position i
-    for i, (v, a) in enumerate(zip(inflows, shares)):
-        x.append(a * v + incoming)
-        incoming += (1.0 - a) * v / (n - 1 - i)
+    incoming = 0.0  # this agent's equal parts of everything released upstream
+    prefix_x = 0.0
+    prefix_e = 0.0
+    feasible = True
+    for v, a, downstream in zip(inflows, shares, range(len(inflows) - 1, 0, -1)):
+        xi = a * v + incoming
+        x.append(xi)
+        incoming += (1.0 - a) * v / downstream
+        prefix_x += xi
+        prefix_e += v
+        if prefix_x > prefix_e + tol:
+            feasible = False
     x.append(inflows[-1] + incoming)
-    return x
+    if feasible and min(x) >= 0.0 and abs(math.fsum(x) - total) <= tol:
+        # `Allocation._of_checked`, inlined on the path every rule call takes
+        amounts = tuple(x)
+        allocation = object.__new__(Allocation)
+        object.__setattr__(allocation, "amounts", amounts)
+        object.__setattr__(allocation, "_values", amounts)
+        return allocation
+    return _finalize(e, x)
 
 
 def retention_rule(e, shares) -> Allocation:
@@ -528,7 +572,10 @@ class RuleSpec:
 
     def apply(self, e) -> Allocation:
         e = as_profile(e)
-        return _finalize(e, _retention_raw(e, self.shares(len(e))))
+        if self.retention is None:
+            # a valid profile has n >= 2, the one check `shares` would add
+            return _retention_kernel(e, _named_shares(self.kind, self.weight, len(e.inflows)))
+        return _retention_kernel(e, self.shares(len(e.inflows)))
 
 
 # the parameterless rules, built once for the module-level rule functions

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -66,6 +67,22 @@ class TestUpstreamInvariance:
     def test_position_out_of_range(self):
         with pytest.raises(DimensionError):
             check_upstream_invariance(RuleSpec.shapley(), (1, 2), 5, 1.0)
+
+
+@pytest.mark.parametrize("check", [check_upstream_invariance, check_downstream_impartiality])
+@pytest.mark.parametrize(
+    "e,position,delta,message",
+    [
+        ((1, 2, 3), 1, math.nan, "inflow increase must be finite, got nan"),
+        ((1, 2, 3), 1, math.inf, "inflow increase must be finite, got inf"),
+        ((1, 2, 3), 1, -math.inf, "inflow increase must be > 0, got -inf"),
+        ((1e308, 2, 2), 0, 1e308, "delta 1e+308 at position 0 makes the inflows overflow"),
+    ],
+)
+def test_inflow_increase_is_checked_up_front(check, e, position, delta, message):
+    with pytest.raises(ParameterError) as caught:
+        check(RuleSpec.shapley(), e, position, delta)
+    assert str(caught.value) == message
 
 
 class TestDownstreamImpartiality:

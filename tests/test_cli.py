@@ -5,9 +5,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,13 @@ from rivershare.cli import main, parse_rule
 from rivershare.core import ParameterError, RuleKind, RuleSpec, ValidationResult
 from rivershare.data_io import builtin_nile, dump_dataset
 from rivershare.analysis import Family, family_member
+
+
+def run_child(argv, **kwargs):
+    """Run `argv` in a fresh interpreter that imports this checkout's package."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def run_cli(capsys, *argv):
@@ -429,8 +438,8 @@ def test_case_study_full_precision_exits_two(capsys):
 
 def test_case_study_byte_identical_across_processes(tmp_path):
     argv = [sys.executable, "-m", "rivershare.cli", "case-study", "--json"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    first = run_child(argv, check=True)
+    second = run_child(argv, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout.decode())["outputs"]["all_ok"] is True
 
@@ -462,7 +471,7 @@ print("ok")
 
 def test_numpy_is_loaded_only_by_a_distance_integral(tmp_path):
     argv = [sys.executable, "-c", _COLD_PATH_SCRIPT, str(tmp_path / "curve.csv")]
-    done = subprocess.run(argv, capture_output=True, text=True)
+    done = run_child(argv, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("ok\n")
 

@@ -521,7 +521,8 @@ _BAD_RULE_OUTPUTS = [
 
 @pytest.mark.parametrize("raw,error,message", _BAD_RULE_OUTPUTS)
 def test_invalid_rule_output_is_rejected_with_its_reason(monkeypatch, raw, error, message):
-    monkeypatch.setattr(core, "_retention_raw", lambda e, shares: list(raw))
+    # the kernel hands every output it does not accept to `_finalize`
+    monkeypatch.setattr(core, "_retention_kernel", lambda e, shares: core._finalize(e, list(raw)))
     with pytest.raises(error) as caught:
         shapley((1.0, 2.0, 3.0))
     assert str(caught.value) == message
@@ -529,12 +530,124 @@ def test_invalid_rule_output_is_rejected_with_its_reason(monkeypatch, raw, error
 
 
 def test_rule_output_wobble_is_clamped(monkeypatch):
-    monkeypatch.setattr(core, "_retention_raw", lambda e, shares: [-1e-20, 3.0, 3.0])
+    monkeypatch.setattr(
+        core, "_retention_kernel", lambda e, shares: core._finalize(e, [-1e-20, 3.0, 3.0])
+    )
     x = shapley((1.0, 2.0, 3.0))
     assert x == Allocation((0.0, 3.0, 3.0))
     assert x.amounts == (0.0, 3.0, 3.0) and list(x) == [0.0, 3.0, 3.0] and len(x) == 3
     assert hash(x) == hash(Allocation((0.0, 3.0, 3.0)))
     assert repr(x) == "Allocation(amounts=(0.0, 3.0, 3.0))"
+
+
+
+def retention_by_two_steps(e, shares):
+    """The plain kernel list the rules built before `_finalize` checked it.
+
+    Kept as the reference for `core._retention_kernel`, which runs the
+    feasibility prefix sums in the loop that builds the allocation.
+    """
+    inflows = e.inflows
+    n = len(inflows)
+    x = []
+    incoming = 0.0
+    for i, (v, a) in enumerate(zip(inflows, shares)):
+        x.append(a * v + incoming)
+        incoming += (1.0 - a) * v / (n - 1 - i)
+    x.append(inflows[-1] + incoming)
+    return x
+
+
+def _outcome(make):
+    """The bit pattern of an allocation, or the type and message it raised."""
+    try:
+        return tuple(v.hex() for v in make())
+    except RiverShareError as caught:
+        return type(caught), str(caught)
+
+
+@st.composite
+def river_profiles(draw):
+    """Inflows of magnitude 1e-6 to 1e6 for 2 to 100 agents, a quarter of them zero."""
+    n = draw(st.integers(min_value=2, max_value=100))
+    magnitude = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return InflowProfile(
+        tuple(0.0 if rng.random() < 0.25 else rng.uniform(0.0, magnitude) for _ in range(n))
+    )
+
+
+@given(river_profiles(), st.floats(min_value=0.0, max_value=1.0), st.data())
+@settings(deadline=None, max_examples=200)
+def test_one_pass_rules_match_the_two_step_reference(e, weight, data):
+    n = len(e)
+    alphas = data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n - 1, max_size=n - 1)
+    )
+    specs = [
+        RuleSpec.no_transfer(),
+        RuleSpec.egalitarian_full_transfer(),
+        RuleSpec.egalitarian_partial_transfer(),
+        RuleSpec.shapley(),
+        RuleSpec.compromise(weight),
+        RuleSpec.partial_compromise(weight),
+        RuleSpec.retention_rule(alphas),
+    ]
+    assert {spec.kind for spec in specs} == set(RuleKind)
+    for spec in specs:
+        reference = core._finalize(e, retention_by_two_steps(e, spec.shares(n)))
+        assert _outcome(lambda: spec.apply(e)) == _outcome(lambda: reference), spec.label()
+
+
+@st.composite
+def injected_outputs(draw):
+    """A profile and unchecked shares whose retention output sits near a boundary.
+
+    Shares of 1 up to position k make every prefix before k exactly feasible,
+    so a share at k moves x[k] by a multiple of the tolerance: above the
+    prefix bound or below zero.  The kernel conserves water, so an output
+    that misses the total is made by moving the profile's cached total by a
+    multiple of the tolerance instead.  A NaN or infinite share makes the
+    output non-finite.
+    """
+    e = draw(river_profiles())
+    n = len(e)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    shares = [rng.random() for _ in range(n - 1)]
+    how = draw(st.sampled_from(["prefix", "below zero", "total", "non-finite", "none"]))
+    c = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+    positive = [k for k in range(n - 1) if e[k] > 0.0]
+    if how in ("prefix", "below zero", "non-finite") and positive:
+        k = draw(st.sampled_from(positive))
+        shares[:k] = [1.0] * k
+        tol = tolerance_for(e.total)
+        if how == "prefix":
+            shares[k] = 1.0 + c * tol / e[k]
+        elif how == "below zero":
+            shares[k] = -abs(c) * tol / e[k]
+        else:
+            shares[k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif how == "total":
+        total = e.total + c * tolerance_for(e.total)
+        object.__setattr__(e, "_total", total)
+    return e, shares
+
+
+@given(injected_outputs())
+@settings(deadline=None, max_examples=300)
+def test_one_pass_check_agrees_with_finalize(case):
+    e, shares = case
+    raw = retention_by_two_steps(e, shares)
+    reference = _outcome(lambda: core._finalize(e, list(raw)))
+    fallbacks = []
+    finalize = core._finalize
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_finalize", lambda e, x: fallbacks.append(x) or finalize(e, x))
+        assert _outcome(lambda: core._retention_kernel(e, shares)) == reference
+    # only an output that needs a clamp or fails a check leaves the one pass
+    clean = isinstance(reference[0], str) and min(raw) >= 0.0
+    bits = [[v.hex() for v in x] for x in fallbacks]
+    assert bits == ([] if clean else [[v.hex() for v in raw]])
 
 
 def _falling_profile():
@@ -574,6 +687,32 @@ def test_scaled_rejects_a_non_finite_factor(factor):
         InflowProfile((1.0, 2.0)).scaled(factor)
     with pytest.raises(ParameterError, match=r"scale factor must be >= 0, got -inf"):
         InflowProfile((1.0, 2.0)).scaled(-math.inf)
+
+
+@pytest.mark.parametrize(
+    "inflows,derive,error,message",
+    [
+        ((1.0, 2.0), lambda e: e.scaled(1e308), ParameterError,
+         "scale factor 1e+308 makes the inflows overflow"),
+        ((1e308, 0.5e308), lambda e: e.scaled(1.5), ParameterError,
+         "scale factor 1.5 makes the inflows overflow"),
+        ((1e308, 1.0), lambda e: e.bumped(0, 1e308), ParameterError,
+         "delta 1e+308 at position 0 makes the inflows overflow"),
+        ((1e308, 0.7e308), lambda e: e.bumped(1, 0.5e308), ParameterError,
+         "delta 5e+307 at position 1 makes the inflows overflow"),
+        ((1.0, 2.0), lambda e: e.bumped(0, math.nan), ParameterError,
+         "delta must be finite, got nan"),
+        ((1.0, 2.0), lambda e: e.bumped(1, -math.inf), ParameterError,
+         "delta must be finite, got -inf"),
+        ((1.0, 2.0), lambda e: e.bumped(0, -5.0), RiverShareError,
+         "inflow at position 0 must be >= 0, got -4.0"),
+    ],
+)
+def test_derived_profile_errors_name_the_argument(inflows, derive, error, message):
+    with pytest.raises(error) as caught:
+        derive(InflowProfile(inflows))
+    assert str(caught.value) == message
+    assert type(caught.value) is error
 
 
 # ---------------------------------------------------------------------------
