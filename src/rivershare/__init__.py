@@ -3,129 +3,97 @@
 Allocation rules, executable fairness axioms with randomized checking,
 least-squares fitting of rule families to observed withdrawals, and a
 command line front end.
+
+Importing the package loads none of its submodules.  Each public name below
+is imported from its submodule on first access, so a program pays only for
+the parts it uses.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .core import (
-    Allocation,
-    AllocationError,
-    DimensionError,
-    InflowProfile,
-    ObservedAllocation,
-    ParameterError,
-    RetentionShares,
-    RiverShareError,
-    RuleKind,
-    RuleSpec,
-    ValidationResult,
-    as_observed,
-    as_profile,
-    as_retention,
-    compromise,
-    compromise_shares,
-    egalitarian_full_transfer,
-    egalitarian_partial_transfer,
-    no_transfer,
-    partial_compromise,
-    partial_compromise_shares,
-    retention_rule,
-    shapley,
-    shapley_shares,
-    source,
-    tolerance_for,
-    validate_allocation,
-)
-from .axioms import (
-    Axiom,
-    AxiomReport,
-    Counterexample,
-    HypothesisNotMet,
-    find_counterexample,
-    run_axiom_suite,
-)
-from .analysis import (
-    CaseStudyResult,
-    Family,
-    FitResult,
-    Legitimacy,
-    LegitimacyEntry,
-    LegitimacyReport,
-    ReferenceCheck,
-    distance_at,
-    family_member,
-    fit_family,
-    integrate_distance,
-    legitimacy_bounds,
-    nile_case_study,
-    shares_of_total,
-)
-from .data_io import (
-    BasinDataset,
-    DatasetError,
-    builtin_nile,
-    dump_dataset,
-    load_dataset,
-    normalize_withdrawals,
-    read_dataset,
-)
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "core": (
+        "Allocation",
+        "AllocationError",
+        "DimensionError",
+        "InflowProfile",
+        "ObservedAllocation",
+        "ParameterError",
+        "RetentionShares",
+        "RiverShareError",
+        "RuleKind",
+        "RuleSpec",
+        "ValidationResult",
+        "as_observed",
+        "as_profile",
+        "as_retention",
+        "compromise",
+        "compromise_shares",
+        "egalitarian_full_transfer",
+        "egalitarian_partial_transfer",
+        "no_transfer",
+        "partial_compromise",
+        "partial_compromise_shares",
+        "retention_rule",
+        "shapley",
+        "shapley_shares",
+        "source",
+        "tolerance_for",
+        "validate_allocation",
+    ),
+    "axioms": (
+        "Axiom",
+        "AxiomReport",
+        "Counterexample",
+        "HypothesisNotMet",
+        "find_counterexample",
+        "run_axiom_suite",
+    ),
+    "analysis": (
+        "CaseStudyResult",
+        "Family",
+        "FitResult",
+        "Legitimacy",
+        "LegitimacyEntry",
+        "LegitimacyReport",
+        "ReferenceCheck",
+        "distance_at",
+        "family_member",
+        "fit_family",
+        "integrate_distance",
+        "legitimacy_bounds",
+        "nile_case_study",
+        "shares_of_total",
+    ),
+    "data_io": (
+        "BasinDataset",
+        "DatasetError",
+        "builtin_nile",
+        "dump_dataset",
+        "load_dataset",
+        "normalize_withdrawals",
+        "read_dataset",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Allocation",
-    "AllocationError",
-    "Axiom",
-    "AxiomReport",
-    "BasinDataset",
-    "CaseStudyResult",
-    "Counterexample",
-    "DatasetError",
-    "DimensionError",
-    "Family",
-    "FitResult",
-    "HypothesisNotMet",
-    "InflowProfile",
-    "Legitimacy",
-    "LegitimacyEntry",
-    "LegitimacyReport",
-    "ObservedAllocation",
-    "ParameterError",
-    "ReferenceCheck",
-    "RetentionShares",
-    "RiverShareError",
-    "RuleKind",
-    "RuleSpec",
-    "ValidationResult",
-    "as_observed",
-    "as_profile",
-    "as_retention",
-    "builtin_nile",
-    "compromise",
-    "compromise_shares",
-    "distance_at",
-    "dump_dataset",
-    "egalitarian_full_transfer",
-    "egalitarian_partial_transfer",
-    "family_member",
-    "find_counterexample",
-    "fit_family",
-    "integrate_distance",
-    "legitimacy_bounds",
-    "load_dataset",
-    "nile_case_study",
-    "no_transfer",
-    "normalize_withdrawals",
-    "partial_compromise",
-    "partial_compromise_shares",
-    "read_dataset",
-    "retention_rule",
-    "run_axiom_suite",
-    "shapley",
-    "shapley_shares",
-    "shares_of_total",
-    "source",
-    "tolerance_for",
-    "validate_allocation",
-    "__version__",
-]
+__all__ = sorted(_SUBMODULE) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # `rivershare.core` after a bare `import rivershare`
+        return import_module(f"{__name__}.{name}")
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE})

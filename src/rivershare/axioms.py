@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     InflowProfile,
     ParameterError,
     RuleSpec,
+    _Record,
     as_profile,
     as_retention,
     source,
@@ -55,15 +55,20 @@ class HypothesisNotMet(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """A concrete instance on which a rule violates an axiom."""
 
-    axiom: Axiom
-    rule: str
-    inputs: tuple[tuple[str, object], ...]
-    allocations: tuple[tuple[str, tuple[float, ...]], ...]
-    violation: str
+    __slots__ = _fields = ("axiom", "rule", "inputs", "allocations", "violation")
+
+    def __init__(
+        self,
+        axiom: Axiom,
+        rule: str,
+        inputs: tuple[tuple[str, object], ...],
+        allocations: tuple[tuple[str, tuple[float, ...]], ...],
+        violation: str,
+    ):
+        self._set_fields(axiom, rule, inputs, allocations, violation)
 
     def to_dict(self) -> dict:
         return {
@@ -75,22 +80,27 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Tally of one rule checked against one axiom over many instances."""
 
-    axiom: Axiom
-    rule: str
-    trials: int
-    violations: int
-    rng_seed: int
-    first_counterexample: Counterexample | None = None
+    __slots__ = _fields = (
+        "axiom", "rule", "trials", "violations", "rng_seed", "first_counterexample",
+    )
 
-    def __post_init__(self):
-        if not 0 <= self.violations <= self.trials:
+    def __init__(
+        self,
+        axiom: Axiom,
+        rule: str,
+        trials: int,
+        violations: int,
+        rng_seed: int,
+        first_counterexample: Counterexample | None = None,
+    ):
+        if not 0 <= violations <= trials:
             raise ValueError("violations must lie in [0, trials]")
-        if (self.first_counterexample is None) != (self.violations == 0):
+        if (first_counterexample is None) != (violations == 0):
             raise ValueError("counterexample must be present exactly when violations > 0")
+        self._set_fields(axiom, rule, trials, violations, rng_seed, first_counterexample)
 
     @property
     def passed(self) -> bool:
@@ -127,8 +137,10 @@ def _first_mismatch(xs, ys, tol):
 def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
     e = as_profile(e)
     gamma = float(gamma)
-    if gamma <= 0 or not math.isfinite(gamma):
+    if gamma <= 0:
         raise ParameterError(f"scale factor must be > 0, got {gamma}")
+    if not math.isfinite(gamma):
+        raise ParameterError(f"scale factor must be finite, got {gamma}")
     scaled = e.scaled(gamma)
     if tol is None:
         tol = tolerance_for(max(e.total, scaled.total))

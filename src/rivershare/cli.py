@@ -6,28 +6,24 @@ timestamps, so identical invocations are byte-identical).  Exit codes:
 0 on success, 1 on parse or validation errors, 2 when a requested check
 fails (an allocation that fails validation, an axiom violation, or a
 case-study reference outside tolerance).
+
+A subcommand runs the modules it uses when it first uses them: `allocate`,
+and a usage error, run neither `axioms` nor `analysis`, and only the
+commands that compute a distance integral load numpy.  This holds however
+the CLI is started: `python -m rivershare.cli`, the `rivershare` script, or
+`main()` called from Python.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import __version__
-from .analysis import (
-    Family,
-    as_family,
-    distance_at,
-    fit_family,
-    integrate_distance,
-    legitimacy_bounds,
-    nile_case_study,
-)
-from .axioms import Axiom, run_axiom_suite
 from .core import (
     _RULE_GRAMMAR,
     InflowProfile,
@@ -37,6 +33,26 @@ from .core import (
     validate_allocation,
 )
 from .data_io import BasinDataset, builtin_nile, read_dataset
+
+
+def _run_on_first_use(name: str):
+    """The module `name`, whose code runs on its first attribute access.
+
+    It is registered in `sys.modules` at once, so a later import of `name`,
+    or a lookup there, finds this same module.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+axioms = _run_on_first_use("rivershare.axioms")
+analysis = _run_on_first_use("rivershare.analysis")
 
 #: Largest river `axioms` generates: the order-preservation check is O(n^2).
 _MAX_AXIOM_AGENTS = 1000
@@ -74,30 +90,21 @@ def _load_profile(args) -> tuple[BasinDataset | None, InflowProfile, tuple[str, 
     raise ParameterError("one of --inflows or --dataset is required")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Everything needed to replay one invocation, JSON-serializable."""
-
-    command: str
-    inputs: dict
-    outputs: dict
-    version: str = __version__
-    seed: int | None = None
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "version": self.version,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+def run_record(command: str, inputs: dict, outputs: dict, seed: int | None = None) -> str:
+    """Everything needed to replay one invocation, as key-sorted JSON text."""
+    payload = {
+        "command": command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "version": __version__,
+        "seed": seed,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _emit(record: RunRecord, args, human_lines) -> None:
+def _emit(record: str, args, human_lines) -> None:
     if args.json:
-        print(record.to_json())
+        print(record)
     else:
         for line in human_lines:
             print(line)
@@ -132,8 +139,8 @@ def cmd_allocate(args) -> int:
         )
     allocation = rule.apply(e)
     verdict = validate_allocation(e, allocation, tol=args.tolerance)
-    record = RunRecord(
-        command="allocate",
+    record = run_record(
+        "allocate",
         inputs={
             "rule": rule.label(),
             "inflows": list(e),
@@ -160,23 +167,23 @@ def cmd_allocate(args) -> int:
     return 0 if verdict else 2
 
 
-def _parse_axiom_list(text: str) -> tuple[Axiom, ...]:
+def _parse_axiom_list(text: str) -> tuple[axioms.Axiom, ...]:
     if text.strip().casefold() == "all":
-        return tuple(Axiom)
-    axioms = []
+        return tuple(axioms.Axiom)
+    chosen = []
     for token in text.split(","):
         name = token.strip().casefold()
         try:
-            axioms.append(Axiom(name))
+            chosen.append(axioms.Axiom(name))
         except ValueError:
-            legal = ", ".join(a.value for a in Axiom)
+            legal = ", ".join(a.value for a in axioms.Axiom)
             raise ParameterError(f"unknown axiom {token.strip()!r}, expected all or any of: {legal}") from None
-    return tuple(axioms)
+    return tuple(chosen)
 
 
 def cmd_axioms(args) -> int:
     rule = parse_rule(args.rule)
-    axioms = _parse_axiom_list(args.axioms)
+    chosen = _parse_axiom_list(args.axioms)
     if args.trials < 1:
         raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     if args.trials > _MAX_TRIALS:
@@ -187,9 +194,9 @@ def cmd_axioms(args) -> int:
         )
     if args.max_agents > _MAX_AXIOM_AGENTS:
         raise ParameterError(f"--max-agents must be at most {_MAX_AXIOM_AGENTS}, got {args.max_agents}")
-    reports = run_axiom_suite(
+    reports = axioms.run_axiom_suite(
         rule,
-        axioms=axioms,
+        axioms=chosen,
         trials=args.trials,
         seed=args.seed,
         n_range=(args.min_agents, args.max_agents),
@@ -197,11 +204,11 @@ def cmd_axioms(args) -> int:
         tol=args.tolerance,
     )
     violations = sum(r.violations for r in reports)
-    record = RunRecord(
-        command="axioms",
+    record = run_record(
+        "axioms",
         inputs={
             "rule": rule.label(),
-            "axioms": [a.value for a in axioms],
+            "axioms": [a.value for a in chosen],
             "trials": args.trials,
             "agents": [args.min_agents, args.max_agents],
             "strict_impartiality": args.strict_impartiality,
@@ -229,11 +236,11 @@ def cmd_axioms(args) -> int:
     return 0 if violations == 0 else 2
 
 
-def _write_curve(path: str, e, z, family: Family, points: int) -> None:
+def _write_curve(path: str, e, z, family: analysis.Family, points: int) -> None:
     lines = ["parameter,distance"]
     for k in range(points):
         t = k / (points - 1)
-        lines.append(f"{t!r},{distance_at(e, z, family, t)!r}")
+        lines.append(f"{t!r},{analysis.distance_at(e, z, family, t)!r}")
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -242,7 +249,7 @@ def _write_curve(path: str, e, z, family: Family, points: int) -> None:
 
 
 def cmd_fit(args) -> int:
-    family = as_family(args.family)
+    family = analysis.as_family(args.family)
     if args.curve is not None and not 2 <= args.curve_points <= _MAX_CURVE_POINTS:
         raise ParameterError(
             f"--curve-points must lie in [2, {_MAX_CURVE_POINTS}], got {args.curve_points}"
@@ -252,13 +259,13 @@ def cmd_fit(args) -> int:
         raise ParameterError(f"dataset {args.dataset!r} has no withdrawal column to fit against")
     e = dataset.inflows
     z = dataset.normalized_withdrawals()
-    fit = fit_family(e, z, family)
-    integral = integrate_distance(e, z, family, nodes=args.nodes)
-    legitimacy = legitimacy_bounds(e, z, family, names=dataset.names, tol=args.tolerance)
+    fit = analysis.fit_family(e, z, family)
+    integral = analysis.integrate_distance(e, z, family, nodes=args.nodes)
+    legitimacy = analysis.legitimacy_bounds(e, z, family, names=dataset.names, tol=args.tolerance)
     if args.curve is not None:
         _write_curve(args.curve, e, z, family, args.curve_points)
-    record = RunRecord(
-        command="fit",
+    record = run_record(
+        "fit",
         inputs={
             "dataset": args.dataset,
             "family": family.value,
@@ -303,9 +310,9 @@ def cmd_fit(args) -> int:
 
 def cmd_case_study(args) -> int:
     decimals = None if args.full_precision else args.decimals
-    result = nile_case_study(reporting_decimals=decimals, nodes=args.nodes)
-    record = RunRecord(
-        command="case-study",
+    result = analysis.nile_case_study(reporting_decimals=decimals, nodes=args.nodes)
+    record = run_record(
+        "case-study",
         inputs={"reporting_decimals": decimals, "nodes": args.nodes},
         outputs=result.to_dict(),
     )
@@ -393,24 +400,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(allocate)
     allocate.set_defaults(handler=cmd_allocate)
 
-    axioms = commands.add_parser("axioms", help="randomized axiom verification for a rule")
-    axioms.add_argument("--rule", required=True, help=f"rule spec: {_RULE_GRAMMAR}")
-    axioms.add_argument(
+    suite = commands.add_parser("axioms", help="randomized axiom verification for a rule")
+    suite.add_argument("--rule", required=True, help=f"rule spec: {_RULE_GRAMMAR}")
+    suite.add_argument(
         "--axioms",
         default="all",
         help="comma-separated axiom names, or 'all'",
     )
-    axioms.add_argument("--trials", type=int, default=1000, help="random instances per axiom")
-    axioms.add_argument("--seed", type=int, default=0, help="base seed for the trial generator")
-    axioms.add_argument("--min-agents", type=int, default=2)
-    axioms.add_argument("--max-agents", type=int, default=10)
-    axioms.add_argument(
+    suite.add_argument("--trials", type=int, default=1000, help="random instances per axiom")
+    suite.add_argument("--seed", type=int, default=0, help="base seed for the trial generator")
+    suite.add_argument("--min-agents", type=int, default=2)
+    suite.add_argument("--max-agents", type=int, default=10)
+    suite.add_argument(
         "--strict-impartiality",
         action="store_true",
         help="require strict equality in the downstream impartiality check",
     )
-    common(axioms)
-    axioms.set_defaults(handler=cmd_axioms)
+    common(suite)
+    suite.set_defaults(handler=cmd_axioms)
 
     fit = commands.add_parser("fit", help="fit a rule family to observed withdrawals")
     fit.add_argument("--dataset", required=True, help="'nile' or a path to a dataset with withdrawals")

@@ -19,6 +19,10 @@ prefix sums, and one `min` and one `fsum` of the result finish the check.  A
 valid result becomes an `Allocation` without being converted or checked
 again; any other goes through the checker `validate_allocation` uses, which
 names the first violated constraint.
+
+The value types here, in `data_io` and in `axioms` are immutable records on
+one `__slots__` base, `_Record`, rather than dataclasses, so that importing
+the package does not import `dataclasses` and, through it, `inspect`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 RELATIVE_TOLERANCE = 1e-9
@@ -64,37 +67,95 @@ def _as_floats(values: Iterable[float], what: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-class _FloatVector:
-    """Read-only sequence behaviour shared by the frozen float-vector types.
+class _Record:
+    """Base of the package's immutable values: a `__slots__` class whose
+    public fields are named in `_fields`.
 
-    A subclass names the dataclass field that holds its tuple, as in
-    `class Allocation(_FloatVector, values="amounts")`, and its
-    `__post_init__` calls `_coerce` to store that field as finite floats.
-    The tuple is also kept under the common name `_values`, outside the
-    dataclass fields, so element access costs no more than the field's own.
+    Two records are equal when they are of the same class and their fields
+    are equal, and equal records hash alike; the repr lists the fields by
+    name.  Assigning or deleting an attribute raises AttributeError, so a
+    subclass's `__init__` stores its fields with `_set_fields` (the vector
+    types, built on every rule call, call `object.__setattr__` directly).
+    Pickling and copying save every slot, including any kept outside
+    `_fields` (such as a cached total), and restore them without running
+    `__init__`.
     """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values) -> None:
+        """Store `values` in `_fields` order; for the `__init__` of a type
+        built too rarely for the loop to matter."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for cls in self.__class__.__mro__
+            for name in cls.__dict__.get("__slots__", ())
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+class _FloatVector(_Record):
+    """Read-only sequence behaviour shared by the immutable float-vector types.
+
+    A subclass names its one field, as in
+    `class Allocation(_FloatVector, values="amounts")`.  That field is an
+    alias of the `_values` slot, so the tuple is stored once and both names
+    read it at slot speed.  `__init__` stores finite floats there; equality
+    and hashing compare that tuple directly.
+    """
+
+    __slots__ = ("_values",)
 
     def __init_subclass__(cls, values: str, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._field = values
+        setattr(cls, values, _FloatVector.__dict__["_values"])
+        cls._fields = (values,)
 
     @classmethod
     def _of_checked(cls, values: tuple[float, ...]):
         """An instance holding `values`, a tuple of finite floats the caller
-        has already checked.  `__post_init__` does not run, so this is only
-        for a type whose one field is its vector."""
+        has already checked.  `__init__` does not run, so this is only for a
+        type whose one slot is its vector."""
         self = object.__new__(cls)
-        self._store(values)
+        object.__setattr__(self, "_values", values)
         return self
 
-    def _store(self, values: tuple[float, ...]) -> None:
-        object.__setattr__(self, self._field, values)
-        object.__setattr__(self, "_values", values)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
 
-    def _coerce(self, what: str) -> tuple[float, ...]:
-        values = _as_floats(getattr(self, self._field), what)
-        self._store(values)
-        return values
+    def __hash__(self) -> int:
+        return hash(self._values)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -110,47 +171,25 @@ class _FloatVector:
         return math.fsum(self._values)
 
 
-@dataclass(frozen=True)
 class InflowProfile(_FloatVector, values="inflows"):
     """Per-agent inflows, most upstream first.  Needs n >= 2, entries >= 0."""
 
-    inflows: tuple[float, ...]
-    _total: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("_total",)
 
-    def __post_init__(self):
+    def __init__(self, inflows: Iterable[float]):
         # accept the common case in one pass of C builtins: a finite fsum
         # means every entry is finite and the total does not overflow
-        items = tuple(self.inflows)
+        items = tuple(inflows)
         try:
             values = tuple(map(float, items))
             total = math.fsum(values)
         except (TypeError, ValueError, OverflowError):
             total = math.nan
-        if math.isfinite(total) and len(values) >= 2 and min(values) >= 0.0:
-            self._store(values)
-        else:
+        if not (math.isfinite(total) and len(values) >= 2 and min(values) >= 0.0):
             # something is off: the entry-by-entry checks name it
-            object.__setattr__(self, "inflows", items)
-            total = self._checked_total()
+            values, total = _checked_inflows(items)
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_total", total)
-
-    def _checked_total(self) -> float:
-        values = self._coerce("inflow")
-        if len(values) < 2:
-            raise DimensionError(
-                f"an inflow profile needs at least two agents, got {len(values)}"
-            )
-        for k, v in enumerate(values):
-            if v < 0.0:
-                raise RiverShareError(f"inflow at position {k} must be >= 0, got {v}")
-        # the entries are finite, so fsum either returns a finite total or
-        # raises on overflow
-        try:
-            return math.fsum(values)
-        except OverflowError:
-            raise RiverShareError(
-                "total inflow is too large to represent as a float"
-            ) from None
 
     @property
     def total(self) -> float:
@@ -174,19 +213,41 @@ class InflowProfile(_FloatVector, values="inflows"):
         return _derived_profile(tuple(values), f"delta {delta} at position {position}")
 
 
+def _checked_inflows(items: tuple) -> tuple[tuple[float, ...], float]:
+    """The inflows and total of `items`, checked entry by entry, so that an
+    error names the first bad entry."""
+    values = _as_floats(items, "inflow")
+    if len(values) < 2:
+        raise DimensionError(
+            f"an inflow profile needs at least two agents, got {len(values)}"
+        )
+    for k, v in enumerate(values):
+        if v < 0.0:
+            raise RiverShareError(f"inflow at position {k} must be >= 0, got {v}")
+    # the entries are finite, so fsum either returns a finite total or
+    # raises on overflow
+    try:
+        return values, math.fsum(values)
+    except OverflowError:
+        raise RiverShareError(
+            "total inflow is too large to represent as a float"
+        ) from None
+
+
 def _derived_profile(values: tuple[float, ...], cause: str) -> InflowProfile:
     """The profile of `values`, made from a valid profile by the finite
     change that `cause` names.
 
-    The old entries and the change were finite, so a rejected profile with
-    no negative entry overflowed, and the error names the change.
+    The old entries and the change were finite, so a rejected profile
+    either has a negative entry or overflowed, and the error names the
+    change.
     """
     try:
         return InflowProfile(values)
     except RiverShareError:
         if min(values) >= 0.0:
             raise ParameterError(f"{cause} makes the inflows overflow") from None
-        raise
+        raise ParameterError(f"{cause} makes the inflow negative") from None
 
 
 def as_profile(e) -> InflowProfile:
@@ -195,17 +256,15 @@ def as_profile(e) -> InflowProfile:
     return InflowProfile(tuple(e))
 
 
-@dataclass(frozen=True)
 class Allocation(_FloatVector, values="amounts"):
     """Water rights per agent.  Produced by rules; validated against a profile."""
 
-    amounts: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        self._coerce("amount")
+    def __init__(self, amounts: Iterable[float]):
+        object.__setattr__(self, "_values", _as_floats(amounts, "amount"))
 
 
-@dataclass(frozen=True)
 class ObservedAllocation(_FloatVector, values="amounts"):
     """An observed division of the water, e.g. measured withdrawals.
 
@@ -213,13 +272,14 @@ class ObservedAllocation(_FloatVector, values="amounts"):
     may well violate it.  Entries must be non-negative.
     """
 
-    amounts: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = self._coerce("observed amount")
+    def __init__(self, amounts: Iterable[float]):
+        values = _as_floats(amounts, "observed amount")
         for k, v in enumerate(values):
             if v < 0.0:
                 raise RiverShareError(f"observed amount at position {k} must be >= 0, got {v}")
+        object.__setattr__(self, "_values", values)
 
 
 def as_observed(z) -> ObservedAllocation:
@@ -230,12 +290,13 @@ def as_observed(z) -> ObservedAllocation:
     return ObservedAllocation(tuple(z))
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(_Record):
     """Boolean verdict plus the first violated constraint, if any."""
 
-    ok: bool
-    reason: str | None = None
+    __slots__ = _fields = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str | None = None):
+        self._set_fields(ok, reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -352,7 +413,6 @@ def partial_compromise(e, weight: float) -> Allocation:
     return RuleSpec.partial_compromise(weight).apply(e)
 
 
-@dataclass(frozen=True)
 class RetentionShares(_FloatVector, values="shares"):
     """Per-agent retained fractions for the general rule family.
 
@@ -361,15 +421,16 @@ class RetentionShares(_FloatVector, values="shares"):
     terminal agent always keeps everything, so only n-1 entries are stored.
     """
 
-    shares: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = self._coerce("retention share")
+    def __init__(self, shares: Iterable[float]):
+        values = _as_floats(shares, "retention share")
         if len(values) < 1:
             raise DimensionError("need at least one retention share (n >= 2)")
         for k, v in enumerate(values):
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"retention share at position {k} must lie in [0, 1], got {v}")
+        object.__setattr__(self, "_values", values)
 
     @property
     def agent_count(self) -> int:
@@ -411,10 +472,8 @@ def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
     x.append(inflows[-1] + incoming)
     if feasible and min(x) >= 0.0 and abs(math.fsum(x) - total) <= tol:
         # `Allocation._of_checked`, inlined on the path every rule call takes
-        amounts = tuple(x)
         allocation = object.__new__(Allocation)
-        object.__setattr__(allocation, "amounts", amounts)
-        object.__setattr__(allocation, "_values", amounts)
+        object.__setattr__(allocation, "_values", tuple(x))
         return allocation
     return _finalize(e, x)
 
@@ -485,30 +544,33 @@ _FAMILY_ENDPOINTS = {
 }
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(_Record):
     """A rule plus its parameters, as a value that can be stored and applied."""
 
-    kind: RuleKind
-    weight: float | None = None
-    retention: RetentionShares | None = None
+    __slots__ = _fields = ("kind", "weight", "retention")
 
-    def __post_init__(self):
-        if self.kind in _WEIGHTED_KINDS:
-            if self.weight is None:
-                raise ParameterError(f"rule '{self.kind.value}' needs a weight in [0, 1]")
-            object.__setattr__(self, "weight", _check_weight(self.weight, self.kind))
-            if self.retention is not None:
-                raise ParameterError(f"rule '{self.kind.value}' takes no retention shares")
-        elif self.kind is RuleKind.RETENTION:
-            if self.retention is None:
+    def __init__(
+        self,
+        kind: RuleKind,
+        weight: float | None = None,
+        retention: RetentionShares | None = None,
+    ):
+        if kind in _WEIGHTED_KINDS:
+            if weight is None:
+                raise ParameterError(f"rule '{kind.value}' needs a weight in [0, 1]")
+            weight = _check_weight(weight, kind)
+            if retention is not None:
+                raise ParameterError(f"rule '{kind.value}' takes no retention shares")
+        elif kind is RuleKind.RETENTION:
+            if retention is None:
                 raise ParameterError("rule 'alpha' needs retention shares")
-            object.__setattr__(self, "retention", as_retention(self.retention))
-            if self.weight is not None:
+            retention = as_retention(retention)
+            if weight is not None:
                 raise ParameterError("rule 'alpha' takes no scalar weight")
         else:
-            if self.weight is not None or self.retention is not None:
-                raise ParameterError(f"rule '{self.kind.value}' takes no parameters")
+            if weight is not None or retention is not None:
+                raise ParameterError(f"rule '{kind.value}' takes no parameters")
+        self._set_fields(kind, weight, retention)
 
     @classmethod
     def no_transfer(cls) -> "RuleSpec":

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -21,6 +20,7 @@ from .core import (
     InflowProfile,
     ObservedAllocation,
     RiverShareError,
+    _Record,
 )
 
 
@@ -28,36 +28,35 @@ class DatasetError(RiverShareError):
     """A dataset is malformed; the message points at the offending row."""
 
 
-@dataclass(frozen=True)
-class BasinDataset:
+class BasinDataset(_Record):
     """Named agents along one river with inflows and optional withdrawals."""
 
-    names: tuple[str, ...]
-    inflows: InflowProfile
-    withdrawals: tuple[float, ...] | None = None
-    units: str = "km³/year"
+    __slots__ = _fields = ("names", "inflows", "withdrawals", "units")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.inflows):
-            raise DimensionError(
-                f"{len(self.names)} names for {len(self.inflows)} inflows"
-            )
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        inflows: InflowProfile,
+        withdrawals: tuple[float, ...] | None = None,
+        units: str = "km³/year",
+    ):
+        if len(names) != len(inflows):
+            raise DimensionError(f"{len(names)} names for {len(inflows)} inflows")
         seen = set()
-        for name in self.names:
+        for name in names:
             if not name:
                 raise DatasetError("agent names must be non-empty")
             if name in seen:
                 raise DatasetError(f"duplicate agent name {name!r}")
             seen.add(name)
-        if self.withdrawals is not None:
-            object.__setattr__(self, "withdrawals", tuple(float(v) for v in self.withdrawals))
-            if len(self.withdrawals) != len(self.inflows):
-                raise DimensionError(
-                    f"{len(self.withdrawals)} withdrawals for {len(self.inflows)} inflows"
-                )
-            for k, v in enumerate(self.withdrawals):
+        if withdrawals is not None:
+            withdrawals = tuple(float(v) for v in withdrawals)
+            if len(withdrawals) != len(inflows):
+                raise DimensionError(f"{len(withdrawals)} withdrawals for {len(inflows)} inflows")
+            for k, v in enumerate(withdrawals):
                 if not math.isfinite(v) or v < 0.0:
                     raise DatasetError(f"withdrawal at position {k} must be finite and >= 0, got {v}")
+        self._set_fields(names, inflows, withdrawals, units)
 
     def __len__(self) -> int:
         return len(self.inflows)

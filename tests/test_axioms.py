@@ -53,6 +53,21 @@ class TestScaleInvariance:
             check_scale_invariance(RuleSpec.shapley(), (1, 2), -1.0)
 
 
+@pytest.mark.parametrize(
+    "gamma,message",
+    [
+        (math.nan, "scale factor must be finite, got nan"),
+        (math.inf, "scale factor must be finite, got inf"),
+        (-math.inf, "scale factor must be > 0, got -inf"),
+        (0, "scale factor must be > 0, got 0.0"),
+    ],
+)
+def test_scale_factor_is_checked_up_front(gamma, message):
+    with pytest.raises(ParameterError) as caught:
+        check_scale_invariance(RuleSpec.shapley(), (1, 2, 3), gamma)
+    assert str(caught.value) == message
+
+
 class TestUpstreamInvariance:
     def test_full_transfer_ignores_downstream_bump(self):
         assert check_upstream_invariance(RuleSpec.egalitarian_full_transfer(), (1, 1, 1, 1), 2, 5.0)

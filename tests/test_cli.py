@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rivershare import cli
+from rivershare import analysis, axioms, cli
 from rivershare.cli import main, parse_rule
 from rivershare.core import ParameterError, RuleKind, RuleSpec, ValidationResult
 from rivershare.data_io import builtin_nile, dump_dataset
@@ -279,7 +279,7 @@ def test_axioms_rejects_bad_input(capsys, monkeypatch, argv):
     def fail(*args, **kwargs):
         raise AssertionError("axiom suite ran")
 
-    monkeypatch.setattr(cli, "run_axiom_suite", fail)
+    monkeypatch.setattr(axioms, "run_axiom_suite", fail)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
@@ -287,7 +287,7 @@ def test_axioms_rejects_bad_input(capsys, monkeypatch, argv):
 
 def test_axioms_accepts_the_largest_trial_count(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "run_axiom_suite", lambda rule, **kwargs: calls.append(kwargs) or [])
+    monkeypatch.setattr(axioms, "run_axiom_suite", lambda rule, **kwargs: calls.append(kwargs) or [])
     code, _, err = run_cli(capsys, "axioms", "--rule", "shapley", "--trials", "1000000")
     assert code == 0 and err == ""
     assert calls[0]["trials"] == 1_000_000
@@ -377,7 +377,7 @@ def test_fit_rejects_bad_input(capsys, monkeypatch, argv):
     def fail(*args, **kwargs):
         raise AssertionError("dataset was fitted")
 
-    monkeypatch.setattr(cli, "fit_family", fail)
+    monkeypatch.setattr(analysis, "fit_family", fail)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
@@ -474,6 +474,93 @@ def test_numpy_is_loaded_only_by_a_distance_integral(tmp_path):
     done = run_child(argv, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("ok\n")
+
+
+_IMPORT_CONTRACT_SCRIPT = """
+import runpy
+import sys
+import types
+
+import rivershare
+
+
+def run(*argv):
+    # what `python -m rivershare.cli ...` runs, in this interpreter
+    sys.argv = ["rivershare", *argv]
+    try:
+        runpy.run_module("rivershare.cli", run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+
+
+def ran(*names):
+    # the CLI registers `axioms` and `analysis` as lazy modules, whose class
+    # becomes types.ModuleType when their code runs
+    return [name for name in names if type(sys.modules.get(name)) is types.ModuleType]
+
+
+early = [name for name in sys.modules if name.startswith("rivershare.")]
+assert not early, f"import rivershare loaded {early}"
+unlisted = sorted(set(rivershare.__all__) - set(dir(rivershare)))
+assert not unlisted, unlisted
+assert rivershare.data_io.builtin_nile is rivershare.builtin_nile
+
+# what the `rivershare` script runs
+from rivershare.cli import main
+
+codes = [
+    main(["allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"]),
+    main(["allocate", "--inflows", "1,-2", "--rule", "nt"]),
+]
+assert codes == [0, 1], codes
+lazy = ran("dataclasses", "inspect", "numpy", "rivershare.axioms", "rivershare.analysis")
+assert not lazy, f"the script's allocate ran {lazy}"
+
+codes = [
+    run("allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"),
+    run("allocate", "--dataset", "nile", "--rule", "compromise:0.5", "--json"),
+    run("allocate", "--inflows", "1,-2", "--rule", "nt"),
+    run("frobnicate", "--json"),
+]
+assert codes == [0, 0, 1, 1], codes
+lazy = ran("dataclasses", "inspect", "numpy", "rivershare.axioms", "rivershare.analysis")
+assert not lazy, f"allocate ran {lazy}"
+
+assert run("axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20", "--json") == 0
+assert ran("rivershare.axioms")
+lazy = ran("dataclasses", "numpy", "rivershare.analysis")
+assert not lazy, f"axioms ran {lazy}"
+
+# a lazy module runs when a caller first reads from it
+assert sys.modules["rivershare.analysis"].fit_family is rivershare.fit_family
+assert ran("rivershare.analysis")
+
+namespace = {}
+exec("from rivershare import *", namespace)
+missing = [name for name in rivershare.__all__ if name not in namespace]
+assert not missing, missing
+print("ok")
+"""
+
+
+def test_each_command_imports_only_what_it_runs():
+    done = run_child([sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT], text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("ok\n")
+
+
+def test_package_names_resolve_lazily():
+    import rivershare
+
+    assert rivershare.RuleSpec is RuleSpec
+    assert rivershare.Family is Family
+    assert rivershare.run_axiom_suite is axioms.run_axiom_suite
+    assert "RuleSpec" in dir(rivershare) and "__version__" in rivershare.__all__
+    with pytest.raises(AttributeError, match="has no attribute 'cli_main'"):
+        rivershare.cli_main
+    from rivershare import axioms as submodule, core
+
+    assert submodule is axioms and core.RuleSpec is RuleSpec
 
 
 def test_dataset_round_trip_through_cli(capsys, tmp_path):

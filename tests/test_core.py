@@ -704,8 +704,8 @@ def test_scaled_rejects_a_non_finite_factor(factor):
          "delta must be finite, got nan"),
         ((1.0, 2.0), lambda e: e.bumped(1, -math.inf), ParameterError,
          "delta must be finite, got -inf"),
-        ((1.0, 2.0), lambda e: e.bumped(0, -5.0), RiverShareError,
-         "inflow at position 0 must be >= 0, got -4.0"),
+        ((1.0, 2.0), lambda e: e.bumped(0, -5.0), ParameterError,
+         "delta -5.0 at position 0 makes the inflow negative"),
     ],
 )
 def test_derived_profile_errors_name_the_argument(inflows, derive, error, message):
@@ -713,6 +713,11 @@ def test_derived_profile_errors_name_the_argument(inflows, derive, error, messag
         derive(InflowProfile(inflows))
     assert str(caught.value) == message
     assert type(caught.value) is error
+
+
+def test_a_negative_delta_that_keeps_the_inflow_non_negative_is_valid():
+    assert InflowProfile((1.0, 2.0)).bumped(1, -2.0) == InflowProfile((1.0, 0.0))
+    assert InflowProfile((3.0, 2.0)).bumped(0, -1.5).total == 3.5
 
 
 # ---------------------------------------------------------------------------

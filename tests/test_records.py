@@ -1,0 +1,180 @@
+"""The value contract of the package's immutable record types.
+
+Each record compares equal to an equal record of its own type and to
+nothing else, hashes like its equals, prints as `Type(field=value, ...)`,
+refuses assignment and deletion, and survives pickle and copy unchanged.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from rivershare.axioms import Axiom, AxiomReport, Counterexample
+from rivershare.core import (
+    Allocation,
+    InflowProfile,
+    ObservedAllocation,
+    RetentionShares,
+    RuleSpec,
+    ValidationResult,
+)
+from rivershare.data_io import BasinDataset
+
+
+def _counterexample(violation="agent 0 gains 0.5"):
+    return Counterexample(
+        Axiom.BALANCE,
+        "shapley",
+        (("e", (1.0, 2.0)), ("position", 0)),
+        (("on e", (1.5, 1.5)),),
+        violation,
+    )
+
+
+_COUNTEREXAMPLE_REPR = (
+    "Counterexample(axiom=<Axiom.BALANCE: 'balance'>, rule='shapley', "
+    "inputs=(('e', (1.0, 2.0)), ('position', 0)), allocations=(('on e', (1.5, 1.5)),), "
+    "violation='agent 0 gains 0.5')"
+)
+
+# (make, make a different value of the same type, field names, repr of make())
+RECORDS = {
+    "InflowProfile": (
+        lambda: InflowProfile((1.0, 2.5, 0.0)),
+        lambda: InflowProfile((1.0, 2.5, 0.5)),
+        ("inflows",),
+        "InflowProfile(inflows=(1.0, 2.5, 0.0))",
+    ),
+    "Allocation": (
+        lambda: Allocation((1, 2.5)),
+        lambda: Allocation((2.5, 1)),
+        ("amounts",),
+        "Allocation(amounts=(1.0, 2.5))",
+    ),
+    "ObservedAllocation": (
+        lambda: ObservedAllocation((0.5, 1.5)),
+        lambda: ObservedAllocation((0.5, 1.25)),
+        ("amounts",),
+        "ObservedAllocation(amounts=(0.5, 1.5))",
+    ),
+    "RetentionShares": (
+        lambda: RetentionShares((0.25, 1)),
+        lambda: RetentionShares((0.25,)),
+        ("shares",),
+        "RetentionShares(shares=(0.25, 1.0))",
+    ),
+    "ValidationResult": (
+        lambda: ValidationResult(False, "forced"),
+        lambda: ValidationResult(True),
+        ("ok", "reason"),
+        "ValidationResult(ok=False, reason='forced')",
+    ),
+    "RuleSpec": (
+        lambda: RuleSpec.retention_rule([0.5, 1]),
+        lambda: RuleSpec.compromise(0.5),
+        ("kind", "weight", "retention"),
+        "RuleSpec(kind=<RuleKind.RETENTION: 'alpha'>, weight=None, "
+        "retention=RetentionShares(shares=(0.5, 1.0)))",
+    ),
+    "BasinDataset": (
+        lambda: BasinDataset(("A", "B"), InflowProfile((3.0, 1.0)), (1, 2)),
+        lambda: BasinDataset(("A", "B"), InflowProfile((3.0, 1.0))),
+        ("names", "inflows", "withdrawals", "units"),
+        "BasinDataset(names=('A', 'B'), inflows=InflowProfile(inflows=(3.0, 1.0)), "
+        "withdrawals=(1.0, 2.0), units='km³/year')",
+    ),
+    "Counterexample": (
+        _counterexample,
+        lambda: _counterexample("agent 1 gains 0.5"),
+        ("axiom", "rule", "inputs", "allocations", "violation"),
+        _COUNTEREXAMPLE_REPR,
+    ),
+    "AxiomReport": (
+        lambda: AxiomReport(Axiom.BALANCE, "shapley", 10, 1, 7, _counterexample()),
+        lambda: AxiomReport(Axiom.BALANCE, "shapley", 10, 0, 7),
+        ("axiom", "rule", "trials", "violations", "rng_seed", "first_counterexample"),
+        "AxiomReport(axiom=<Axiom.BALANCE: 'balance'>, rule='shapley', trials=10, "
+        f"violations=1, rng_seed=7, first_counterexample={_COUNTEREXAMPLE_REPR})",
+    ),
+}
+
+record_types = pytest.mark.parametrize("name", list(RECORDS))
+
+
+@record_types
+def test_equal_records_are_equal_and_hash_alike(name):
+    make, different, _, _ = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != different() and not a == different()
+    assert len({a, b, different()}) == 2
+
+
+@record_types
+def test_records_differ_from_other_types_and_tuples(name):
+    make, _, fields, _ = RECORDS[name]
+    record = make()
+    assert record != tuple(getattr(record, field) for field in fields)
+    assert record != getattr(record, fields[0])
+    for other_name, (other_make, _, _, _) in RECORDS.items():
+        if other_name != name:
+            assert record != other_make()
+    assert Allocation((1.0, 2.0)) != ObservedAllocation((1.0, 2.0))
+    assert InflowProfile((1.0, 2.0)) != Allocation((1.0, 2.0))
+
+
+@record_types
+def test_repr_lists_the_fields(name):
+    make, _, _, text = RECORDS[name]
+    assert repr(make()) == text
+
+
+@record_types
+def test_fields_cannot_be_assigned_or_deleted(name):
+    make, _, fields, _ = RECORDS[name]
+    record = make()
+    before = repr(record)
+    for field in fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(record, field)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        record.extra = 1
+    assert repr(record) == before
+
+
+@record_types
+def test_pickle_and_copy_round_trip(name):
+    make, _, fields, _ = RECORDS[name]
+    record = make()
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+        for field in fields:
+            assert getattr(twin, field) == getattr(record, field)
+
+
+def test_copies_keep_the_vector_behaviour():
+    e = InflowProfile((16.8, 16.2, 17.6, 65.3, 0.0))
+    x = Allocation((1.0, 2.5))
+    for e2, x2 in [
+        (copy.copy(e), copy.copy(x)),
+        (copy.deepcopy(e), copy.deepcopy(x)),
+        (pickle.loads(pickle.dumps(e)), pickle.loads(pickle.dumps(x))),
+    ]:
+        assert e2.total == e.total == 115.9
+        assert len(e2) == 5 and e2[3] == 65.3 and list(e2) == list(e)
+        assert e2.scaled(2.0) == e.scaled(2.0)
+        assert x2.total == 3.5 and tuple(x2) == (1.0, 2.5)
