@@ -111,12 +111,11 @@ def fit_family(e, z, family) -> FitResult:
     direction = [ai - bi for ai, bi in zip(a, b)]
     gram = math.fsum(d * d for d in direction)
     if math.sqrt(gram) <= tolerance_for(e.total):
-        member = family_member(e, family, 0.0)
         return FitResult(
             family=family,
             parameter_star=0.0,
-            fitted_allocation=member,
-            residual_distance=_distance(member, z),
+            fitted_allocation=b,
+            residual_distance=_distance(b, z),
             clipped=False,
             unconstrained_parameter=None,
             degenerate=True,

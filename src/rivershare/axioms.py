@@ -7,8 +7,18 @@ so that hypotheses are satisfied by construction rather than by rejection
 sampling, and `find_counterexample` searches a small adversarial library
 before falling back to random search.
 
-All randomness is derived from string-seeded generators keyed by
-(seed, rule, axiom, trial), which keeps runs reproducible across processes.
+The random stream is a contract: the same arguments give the same
+instances, verdicts and counterexamples in every process.  A suite keeps
+one `random.Random` and reseeds it before each trial with the key string
+`f"{seed}|{label}|{axiom}|{trial}|{attempt}"`, where label is the rule's
+`label()`, axiom the axiom's value, and attempt counts the trial's
+regenerations (0 unless a drawn instance missed the axiom's hypothesis).
+The random phase of `find_counterexample` reseeds its one generator with
+`f"{seed}|find|{label}|{axiom}|{trial}"`.
+Every draw is `_below(rng, n)`, the rejection sampling behind `randrange`,
+`randint` and `choice`, or `rng.random()`; a uniform draw on [a, b) is
+written out as `a + (b - a) * rng.random()`, which is what `uniform`
+computes.  The golden tests in tests/test_axioms.py pin this stream.
 """
 
 from __future__ import annotations
@@ -146,8 +156,8 @@ def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
         tol = tolerance_for(max(e.total, scaled.total))
     base = rule.apply(e)
     left = rule.apply(scaled)
-    right = [gamma * v for v in base]
-    bad = _first_mismatch(left, right, tol)
+    right = [gamma * v for v in base.amounts]
+    bad = _first_mismatch(left.amounts, right, tol)
     if bad is None:
         return None
     k, a, b = bad
@@ -178,7 +188,7 @@ def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexa
     base = rule.apply(e)
     after = rule.apply(bumped)
     # extra water entering at `position` must not change anybody upstream
-    bad = _first_mismatch(base[:position], after[:position], tol)
+    bad = _first_mismatch(base.amounts[:position], after.amounts[:position], tol)
     if bad is None:
         return None
     k, a, b = bad
@@ -210,7 +220,9 @@ def _downstream_detail(
         tol = tolerance_for(bumped.total)
     base = rule.apply(e)
     after = rule.apply(bumped)
-    gains = [after[k] - base[k] for k in range(position + 1, len(e))]
+    gains = [
+        a - b for a, b in zip(after.amounts[position + 1 :], base.amounts[position + 1 :])
+    ]
     for k, g in enumerate(gains[1:], start=position + 2):
         if abs(g - gains[0]) > tol:
             return Counterexample(
@@ -229,17 +241,19 @@ def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
     if tol is None:
         tol = tolerance_for(e.total)
     x = rule.apply(e)
-    n = len(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if e[i] >= e[j] and x[i] < x[j] - tol:
+    inflows = e.inflows
+    amounts = x.amounts
+    n = len(inflows)
+    for i, (ei, xi) in enumerate(zip(inflows, amounts)):
+        for j, ej, xj in zip(range(i + 1, n), inflows[i + 1 :], amounts[i + 1 :]):
+            if ei >= ej and xi < xj - tol:
                 return Counterexample(
                     Axiom.ORDER_PRESERVATION,
                     rule.label(),
-                    (("e", e.inflows),),
-                    (("allocation", x.amounts),),
-                    f"inflows e[{i}]={e[i]} >= e[{j}]={e[j]} "
-                    f"but assignments x[{i}]={x[i]} < x[{j}]={x[j]}",
+                    (("e", inflows),),
+                    (("allocation", amounts),),
+                    f"inflows e[{i}]={ei} >= e[{j}]={ej} "
+                    f"but assignments x[{i}]={xi} < x[{j}]={xj}",
                 )
     return None
 
@@ -252,7 +266,7 @@ def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
     x = rule.apply(e)
     downstream = x.amounts[position + 1 :]
     mean = math.fsum(downstream) / len(downstream)
-    kept = x[position]
+    kept = x.amounts[position]
     if shape is Axiom.PROGRESSIVITY:
         ok = kept <= mean + tol
         relation = "<="
@@ -407,81 +421,94 @@ def check_equal_treatment_upstream_total(rule: RuleSpec, e, other, position, tol
 
 
 # ---------------------------------------------------------------------------
-# randomized instance generation
+# randomized instance generation (the module docstring states the stream)
 
 
 _MAGNITUDE = 1e6
 
 
-def _random_profile(rng: random.Random, n: int, magnitude=_MAGNITUDE) -> InflowProfile:
-    style = rng.randrange(4)
+def _below(rng: random.Random, n: int) -> int:
+    """`rng.randrange(n)` for an int n >= 1: the same bits, drawn directly.
+
+    Like `randrange`, it draws n.bit_length() bits (3 for n = 4) and draws
+    again while the result is n or more.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _random_values(rng: random.Random, n: int) -> list[float]:
+    style = _below(rng, 4)
+    random_ = rng.random
     if style == 0:
-        values = [rng.uniform(0.0, magnitude) for _ in range(n)]
-    elif style == 1:
-        values = [rng.uniform(0.0, magnitude) if rng.random() < 0.4 else 0.0 for _ in range(n)]
-    elif style == 2:
-        values = [float(rng.randrange(0, 1000)) for _ in range(n)]
+        return [_MAGNITUDE * random_() for _ in range(n)]
+    if style == 1:
+        return [_MAGNITUDE * random_() if random_() < 0.4 else 0.0 for _ in range(n)]
+    if style == 2:
+        return [float(_below(rng, 1000)) for _ in range(n)]
+    return [random_() for _ in range(n)]
+
+
+def _positive(rng: random.Random) -> float:
+    """A draw on [1e-6, 1e6), as `rng.uniform(1e-6, 1e6)` computes it."""
+    return 1e-6 + (_MAGNITUDE - 1e-6) * rng.random()
+
+
+def _build_instance(axiom: Axiom, rng: random.Random, fixed_n, n_range) -> tuple:
+    """One random `axiom` instance: the checker's arguments after the rule.
+
+    `fixed_n` is the rule's pinned agent count; when it is None the count
+    is drawn from `n_range`.
+    """
+    if fixed_n is None:
+        lo, hi = n_range
+        n = lo + _below(rng, hi - lo + 1)
     else:
-        values = [rng.random() for _ in range(n)]
-    return InflowProfile(tuple(values))
-
-
-def _pick_n(rule: RuleSpec, rng: random.Random, n_range) -> int:
-    if rule.fixed_agent_count is not None:
-        return rule.fixed_agent_count
-    lo, hi = n_range
-    return rng.randint(lo, hi)
-
-
-def _build_instance(axiom: Axiom, rule: RuleSpec, rng: random.Random, n_range) -> dict:
-    n = _pick_n(rule, rng, n_range)
+        n = fixed_n
+    random_ = rng.random
     if axiom is Axiom.SCALE_INVARIANCE:
-        return {"e": _random_profile(rng, n), "gamma": 10.0 ** rng.uniform(-3.0, 3.0)}
+        e = InflowProfile(_random_values(rng, n))
+        return e, 10.0 ** (-3.0 + 6.0 * random_())
     if axiom is Axiom.UPSTREAM_INVARIANCE:
-        return {
-            "e": _random_profile(rng, n),
-            "position": rng.randint(1, n - 1),
-            "delta": rng.uniform(1e-6, _MAGNITUDE),
-        }
+        e = InflowProfile(_random_values(rng, n))
+        return e, 1 + _below(rng, n - 1), _positive(rng)
     if axiom is Axiom.DOWNSTREAM_IMPARTIALITY:
-        position = rng.randint(0, n - 2)
-        head = [rng.uniform(0.0, _MAGNITUDE) for _ in range(position + 1)]
-        tail_value = rng.choice([0.0, rng.uniform(0.0, _MAGNITUDE)])
-        values = head + [tail_value] * (n - position - 1)
-        return {
-            "e": InflowProfile(tuple(values)),
-            "position": position,
-            "delta": rng.uniform(1e-6, _MAGNITUDE),
-        }
+        position = _below(rng, n - 1)
+        values = [_MAGNITUDE * random_() for _ in range(position + 1)]
+        # choice([0.0, uniform(0, M)]) drew the uniform before the index
+        drawn = _MAGNITUDE * random_()
+        tail_value = drawn if _below(rng, 2) else 0.0
+        values += [tail_value] * (n - position - 1)
+        return InflowProfile(values), position, _positive(rng)
     if axiom is Axiom.ORDER_PRESERVATION:
-        e = _random_profile(rng, n)
-        if rng.random() < 0.5:
+        values = _random_values(rng, n)
+        if random_() < 0.5:
             # descending inflows constrain every pair of agents
-            e = InflowProfile(tuple(sorted(e.inflows, reverse=True)))
-        return {"e": e}
+            values.sort(reverse=True)
+        return (InflowProfile(values),)
     if axiom in _SOURCE_SHAPES:
-        position = rng.randint(0, n - 2)
+        position = _below(rng, n - 1)
         values = [0.0] * n
-        values[position] = rng.uniform(1e-6, _MAGNITUDE)
-        return {"e": InflowProfile(tuple(values)), "position": position, "shape": axiom}
+        values[position] = _positive(rng)
+        return InflowProfile(values), position, axiom
     if axiom is Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS:
-        v = rng.uniform(1e-6, _MAGNITUDE)
+        v = _positive(rng)
 
         def with_source(position):
             values = [0.0] * position + [v]
-            values += [rng.uniform(0.0, _MAGNITUDE) for _ in range(n - position - 1)]
-            return InflowProfile(tuple(values))
+            values += [_MAGNITUDE * random_() for _ in range(n - position - 1)]
+            return InflowProfile(values)
 
-        return {
-            "e": with_source(rng.randint(0, n - 2)),
-            "other": with_source(rng.randint(0, n - 2)),
-        }
+        return with_source(_below(rng, n - 1)), with_source(_below(rng, n - 1))
     if axiom is Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW:
-        position = rng.randint(0, n - 1)
-        own = rng.uniform(0.0, _MAGNITUDE)
-        head1 = [rng.uniform(0.0, _MAGNITUDE) for _ in range(position)]
+        position = _below(rng, n)
+        own = _MAGNITUDE * random_()
+        head1 = [_MAGNITUDE * random_() for _ in range(position)]
         target = math.fsum(head1)
-        head2 = [rng.uniform(0.0, _MAGNITUDE) for _ in range(position)]
+        head2 = [_MAGNITUDE * random_() for _ in range(position)]
         current = math.fsum(head2)
         if current > 0.0:
             head2 = [v * (target / current) for v in head2]
@@ -489,10 +516,10 @@ def _build_instance(axiom: Axiom, rule: RuleSpec, rng: random.Random, n_range) -
             head2 = list(head1)  # cannot rescale an all-zero block
 
         def complete(head):
-            tail = [rng.uniform(0.0, _MAGNITUDE) for _ in range(n - position - 1)]
-            return InflowProfile(tuple(head + [own] + tail))
+            tail = [_MAGNITUDE * random_() for _ in range(n - position - 1)]
+            return InflowProfile(head + [own] + tail)
 
-        return {"e": complete(head1), "other": complete(head2), "position": position}
+        return complete(head1), complete(head2), position
     raise ParameterError(f"unknown axiom {axiom!r}")
 
 
@@ -509,11 +536,15 @@ _DETAIL_CHECKERS = {
 }
 
 
-def _run_one(axiom, rule, instance, tol, strict_impartiality):
-    checker = _DETAIL_CHECKERS[axiom]
+def _checker(axiom: Axiom, tol, strict_impartiality):
+    """The detail checker of `axiom`, and the arguments that follow an
+    instance in each call to it."""
     if axiom is Axiom.DOWNSTREAM_IMPARTIALITY:
-        return checker(rule, tol=tol, strict=strict_impartiality, **instance)
-    return checker(rule, tol=tol, **instance)
+        return _downstream_detail, (tol, strict_impartiality)
+    try:
+        return _DETAIL_CHECKERS[axiom], (tol,)
+    except (KeyError, TypeError):
+        raise ParameterError(f"unknown axiom {axiom!r}") from None
 
 
 def run_axiom_suite(
@@ -541,18 +572,22 @@ def run_axiom_suite(
         raise ParameterError(f"invalid agent count range {n_range}")
     reports = []
     label = rule.label()
+    fixed_n = rule.fixed_agent_count
+    rng = random.Random()
     for axiom in Axiom:
         if axiom not in requested:
             continue
+        checker, trailing = _checker(axiom, tol, strict_impartiality)
+        key = f"{seed}|{label}|{axiom.value}|"
         violations = 0
         first = None
         for trial in range(trials):
             counterexample = None
             for attempt in range(64):
-                rng = random.Random(f"{seed}|{label}|{axiom.value}|{trial}|{attempt}")
-                instance = _build_instance(axiom, rule, rng, n_range)
+                rng.seed(f"{key}{trial}|{attempt}")
+                instance = _build_instance(axiom, rng, fixed_n, n_range)
                 try:
-                    counterexample = _run_one(axiom, rule, instance, tol, strict_impartiality)
+                    counterexample = checker(rule, *instance, *trailing)
                 except HypothesisNotMet:
                     continue  # regenerate; conforming generators make this rare
                 break
@@ -590,7 +625,7 @@ def _library_profiles(n: int) -> list[InflowProfile]:
     return out
 
 
-def _directed_instances(axiom: Axiom, rule: RuleSpec, n_range) -> Iterable[dict]:
+def _directed_instances(axiom: Axiom, rule: RuleSpec, n_range) -> Iterable[tuple]:
     if rule.fixed_agent_count is not None:
         sizes = [rule.fixed_agent_count]
     else:
@@ -601,36 +636,36 @@ def _directed_instances(axiom: Axiom, rule: RuleSpec, n_range) -> Iterable[dict]
         if axiom is Axiom.SCALE_INVARIANCE:
             for e in profiles:
                 for gamma in (0.5, 2.0, 10.0):
-                    yield {"e": e, "gamma": gamma}
+                    yield e, gamma
         elif axiom is Axiom.UPSTREAM_INVARIANCE:
             for e in profiles:
                 for position in range(1, n):
-                    yield {"e": e, "position": position, "delta": 1.0}
+                    yield e, position, 1.0
         elif axiom is Axiom.DOWNSTREAM_IMPARTIALITY:
             for e in profiles:
                 for position in range(n - 1):
                     if _tail_is_constant(e, position):
-                        yield {"e": e, "position": position, "delta": 1.0}
+                        yield e, position, 1.0
         elif axiom is Axiom.ORDER_PRESERVATION:
             for e in profiles:
-                yield {"e": e}
+                yield (e,)
         elif axiom in _SOURCE_SHAPES:
             for position in range(n - 1):
                 values = [0.0] * n
                 values[position] = 1.0
-                yield {"e": InflowProfile(tuple(values)), "position": position, "shape": axiom}
+                yield InflowProfile(tuple(values)), position, axiom
         elif axiom is Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS:
             units = _library_profiles(n)[: n - 1]  # unit inflows at non-terminal spots
             for a, e in enumerate(units):
                 for b, other in enumerate(units):
                     if a != b:
-                        yield {"e": e, "other": other}
+                        yield e, other
         elif axiom is Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW:
             units = _library_profiles(n)[:n]
             for a in range(n - 1):
                 for b in range(a + 1, n - 1):
                     for position in range(b + 1, n):
-                        yield {"e": units[a], "other": units[b], "position": position}
+                        yield units[a], units[b], position
         else:
             raise ParameterError(f"unknown axiom {axiom!r}")
 
@@ -651,19 +686,22 @@ def find_counterexample(
     stress cases for these rules; the random phase reuses the suite
     generators.  Returns None when nothing is found.
     """
+    checker, trailing = _checker(axiom, tol, strict_impartiality)
     for instance in _directed_instances(axiom, rule, n_range):
         try:
-            found = _run_one(axiom, rule, instance, tol, strict_impartiality)
+            found = checker(rule, *instance, *trailing)
         except HypothesisNotMet:
             continue
         if found is not None:
             return found
-    label = rule.label()
+    key = f"{seed}|find|{rule.label()}|{axiom.value}|"
+    fixed_n = rule.fixed_agent_count
+    rng = random.Random()
     for trial in range(random_trials):
-        rng = random.Random(f"{seed}|find|{label}|{axiom.value}|{trial}")
-        instance = _build_instance(axiom, rule, rng, n_range)
+        rng.seed(f"{key}{trial}")
+        instance = _build_instance(axiom, rng, fixed_n, n_range)
         try:
-            found = _run_one(axiom, rule, instance, tol, strict_impartiality)
+            found = checker(rule, *instance, *trailing)
         except HypothesisNotMet:
             continue
         if found is not None:

@@ -5,7 +5,9 @@ as a single JSON document with `--json` (full precision, key-sorted, no
 timestamps, so identical invocations are byte-identical).  Exit codes:
 0 on success, 1 on parse or validation errors, 2 when a requested check
 fails (an allocation that fails validation, an axiom violation, or a
-case-study reference outside tolerance).
+case-study reference outside tolerance).  A standard output closed by its
+reader, as in `rivershare axioms ... | head -1`, is an error too: one
+`error:` line on stderr and exit 1, with no traceback.
 
 A subcommand runs the modules it uses when it first uses them: `allocate`,
 and a usage error, run neither `axioms` nor `analysis`, and only the
@@ -20,6 +22,7 @@ import argparse
 import importlib.util
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -443,6 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: send what is left nowhere, so that the
+        # interpreter's own flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
+    return code
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

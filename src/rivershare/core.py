@@ -200,7 +200,7 @@ class InflowProfile(_FloatVector, values="inflows"):
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
         if not math.isfinite(factor):
             raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
-        return _derived_profile(tuple(v * factor for v in self.inflows), f"scale factor {factor}")
+        return _derived_profile(tuple(v * factor for v in self.inflows), "scale factor {}", factor)
 
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
@@ -210,7 +210,7 @@ class InflowProfile(_FloatVector, values="inflows"):
             raise ParameterError(f"delta must be finite, got {delta}")
         values = list(self.inflows)
         values[position] += delta
-        return _derived_profile(tuple(values), f"delta {delta} at position {position}")
+        return _derived_profile(tuple(values), "delta {} at position {}", delta, position)
 
 
 def _checked_inflows(items: tuple) -> tuple[tuple[float, ...], float]:
@@ -234,17 +234,19 @@ def _checked_inflows(items: tuple) -> tuple[tuple[float, ...], float]:
         ) from None
 
 
-def _derived_profile(values: tuple[float, ...], cause: str) -> InflowProfile:
+def _derived_profile(values: tuple[float, ...], cause: str, *args) -> InflowProfile:
     """The profile of `values`, made from a valid profile by the finite
-    change that `cause` names.
+    change that `cause.format(*args)` names.
 
     The old entries and the change were finite, so a rejected profile
     either has a negative entry or overflowed, and the error names the
-    change.
+    change.  The name is formatted only then, so a valid result pays for no
+    float formatting.
     """
     try:
         return InflowProfile(values)
     except RiverShareError:
+        cause = cause.format(*args)
         if min(values) >= 0.0:
             raise ParameterError(f"{cause} makes the inflows overflow") from None
         raise ParameterError(f"{cause} makes the inflow negative") from None

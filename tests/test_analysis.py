@@ -172,6 +172,15 @@ def test_fit_degenerate_when_endpoints_coincide():
         assert fit.parameter_star == 0.0
         assert fit.unconstrained_parameter is None
         assert fit.residual_distance == 0.0
+        assert fit.fitted_allocation == family_member(e, family, 0.0)
+    # water entering only at the mouth stays there under every member
+    e = InflowProfile((0.0, 0.0, 5.0))
+    z = ObservedAllocation((1.0, 1.0, 3.0))
+    for family in Family:
+        fit = fit_family(e, z, family)
+        assert fit.degenerate
+        assert fit.fitted_allocation == family_member(e, family, 0.0)
+        assert fit.residual_distance == distance_at(e, z, family, 0.0) == math.sqrt(6.0)
 
 
 def test_fit_dimension_mismatch():

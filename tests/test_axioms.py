@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from rivershare.axioms import (
     Axiom,
     AxiomReport,
     HypothesisNotMet,
+    _below,
     check_downstream_impartiality,
     check_equal_treatment_source,
     check_equal_treatment_upstream_total,
@@ -28,6 +30,7 @@ from rivershare.core import (
     ParameterError,
     RetentionShares,
     RuleSpec,
+    parse_rule,
     retention_rule,
     shapley_shares,
     tolerance_for,
@@ -374,3 +377,111 @@ class TestFindCounterexample:
     def test_no_find_for_satisfied_axiom(self):
         assert find_counterexample(RuleSpec.no_transfer(), Axiom.ORDER_PRESERVATION, random_trials=300) is None
         assert find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, random_trials=300) is None
+
+
+# ---------------------------------------------------------------------------
+# golden stream
+#
+# A fixed matrix of suites and searches, pinned by SHA-256: the key-sorted
+# JSON of the reports and counterexamples, and every profile the rule was
+# applied to, in order.  The digests are those of generators that drew with
+# `random.Random`'s own randrange, randint, choice and uniform, so they hold
+# `_below` and the written-out uniform draws to the stdlib stream; a change
+# to how instances are drawn, built or checked moves them.  The explicit
+# tol of 1e-12 turns float noise into violations, so even the clean suites'
+# counts depend on every value.
+
+GOLDEN_RULES = (
+    "nt",
+    "shapley",
+    "compromise:0.5",
+    "partial:0.3",
+    "alpha:0.9,0.1,0.5,0.3,0.25,0.75,0.0",
+)
+GOLDEN_SUITES = (  # (n_range, strict_impartiality, tol)
+    ((2, 10), False, None),
+    ((2, 40), False, None),
+    ((2, 40), True, None),
+    ((2, 40), False, 1e-12),
+)
+GOLDEN_SUITE_DIGESTS = (
+    "ed161ac52d23a11d3cbc53ed13973c8c4c2a10e2c99eea615187feb9263c229c",
+    "32d9714ec40f5241d991c79bbf91a7a6158d3325a3c76d69d7c034e621cfa29b",
+)
+GOLDEN_FIND_DIGESTS = (
+    "399b9d54791c7358d3d2ad9ed6068591434de8786ce6e744e14faad4dab075c6",
+    "c6a9e8101af664d4cd9bb7e56cef102b132936d3f20a2f768f91332e8130ffc5",
+)
+
+
+class _RecordingRule:
+    """A rule that hashes every profile it is applied to, in order."""
+
+    def __init__(self, rule: RuleSpec):
+        self._rule = rule
+        self.fixed_agent_count = rule.fixed_agent_count
+        self.applied = hashlib.sha256()
+
+    def label(self) -> str:
+        return self._rule.label()
+
+    def apply(self, e):
+        self.applied.update(repr(e.inflows).encode())
+        return self._rule.apply(e)
+
+
+def _json_digest(records) -> str:
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def test_golden_suite_stream():
+    records = []
+    applied = hashlib.sha256()
+    for label in GOLDEN_RULES:
+        for n_range, strict, tol in GOLDEN_SUITES:
+            rule = _RecordingRule(parse_rule(label))
+            reports = run_axiom_suite(
+                rule, list(Axiom), 40, seed=2024, n_range=n_range,
+                strict_impartiality=strict, tol=tol,
+            )
+            records.append([report.to_dict() for report in reports])
+            applied.update(rule.applied.digest())
+    assert (_json_digest(records), applied.hexdigest()) == GOLDEN_SUITE_DIGESTS
+
+
+def test_golden_find_stream():
+    records = []
+    applied = hashlib.sha256()
+    for label in GOLDEN_RULES:
+        for axiom in Axiom:
+            for tol, strict in ((None, False), (1e-12, True)):
+                rule = _RecordingRule(parse_rule(label))
+                found = find_counterexample(
+                    rule, axiom, seed=9, random_trials=60, tol=tol, strict_impartiality=strict
+                )
+                records.append(None if found is None else found.to_dict())
+                applied.update(rule.applied.digest())
+    assert (_json_digest(records), applied.hexdigest()) == GOLDEN_FIND_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "rule,axiom,violations",
+    [
+        (RuleSpec.shapley(), Axiom.ORDER_PRESERVATION, 1802),
+        (RuleSpec.compromise(0.5), Axiom.BALANCE, 1363),
+        (RuleSpec.egalitarian_full_transfer(), Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW, 1139),
+        (RuleSpec.shapley(), Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS, 1409),
+    ],
+)
+def test_golden_violation_counts(rule, axiom, violations):
+    # the four pairs the acceptance gate expects a counterexample for
+    (report,) = run_axiom_suite(rule, [axiom], 2000, seed=42)
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 1000, 2**31])
+def test_below_draws_what_randrange_draws(n):
+    ours, theirs = random.Random(f"below|{n}"), random.Random(f"below|{n}")
+    for _ in range(200):
+        assert _below(ours, n) == theirs.randrange(n)
+    assert ours.getstate() == theirs.getstate()

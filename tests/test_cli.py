@@ -26,7 +26,8 @@ def run_child(argv, **kwargs):
     """Run `argv` in a fresh interpreter that imports this checkout's package."""
     source = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def run_cli(capsys, *argv):
@@ -442,6 +443,35 @@ def test_case_study_byte_identical_across_processes(tmp_path):
     second = run_child(argv, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout.decode())["outputs"]["all_ok"] is True
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("axioms", "--rule", "shapley", "--trials", "200"),
+        ("allocate", "--inflows", "1,2", "--rule", "nt", "--json"),
+    ],
+)
+def test_closed_stdout_is_one_error_line(monkeypatch, argv, unbuffered):
+    # buffered, the failure surfaces at the final flush; unbuffered, at the
+    # first print
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        done = run_child(
+            [sys.executable, "-m", "rivershare.cli", *argv],
+            capture_output=False, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["error: standard output was closed"]
 
 
 _COLD_PATH_SCRIPT = """
