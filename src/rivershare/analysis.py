@@ -8,6 +8,12 @@ module provides the distance profile along a family, its quadrature
 average, per-agent legitimacy intervals, and the embedded Nile basin case
 study with its reference checks.
 
+The two endpoints of a family are built once per profile object: the last
+profile's segments are kept, so fits, integrals, legitimacy intervals and
+distance curves over the same profile apply each endpoint rule once between
+them.  `distance_at` reads the member at t off the segment, as
+B + t(A - B), instead of applying the family's rule.
+
 numpy is imported only when a distance integral is computed: by
 `integrate_distance`, and so by `nile_case_study`.  Importing this module,
 fitting, and the legitimacy intervals load no numpy.  Quadrature takes at
@@ -25,10 +31,12 @@ from typing import Sequence
 from .core import (
     Allocation,
     DimensionError,
+    InflowProfile,
     ObservedAllocation,
     ParameterError,
     RuleKind,
     RuleSpec,
+    _check_weight,
     as_observed,
     as_profile,
     no_transfer,
@@ -65,7 +73,36 @@ def family_member(e, family, parameter: float) -> Allocation:
 
 
 def _distance(x: Sequence[float], z: Sequence[float]) -> float:
-    return math.sqrt(math.fsum((a - b) * (a - b) for a, b in zip(x, z)))
+    return math.sqrt(math.fsum([(a - b) * (a - b) for a, b in zip(x, z)]))
+
+
+#: The segments of the last profile, as (profile, A, {family: segment}).
+#: The key is the profile object, never an equal one: equal profiles need
+#: not be bit-identical (-0.0 == 0.0), and holding the profile keeps its id
+#: from being reused.  Every update replaces the whole tuple in one
+#: assignment, so a reader never sees a half-built entry.
+_last_segments: tuple = (None, None, {})
+
+
+def _segment(e: InflowProfile, family: Family) -> tuple:
+    """The family's segment on `e`: (A, B, D, gram).
+
+    A is the no-transfer allocation, B the family's full-transfer endpoint
+    (both `Allocation`s), D the tuple A - B and gram the fsum of D squared.
+    """
+    global _last_segments
+    profile, a, segments = _last_segments
+    if profile is e:
+        segment = segments.get(family)
+        if segment is not None:
+            return segment
+    else:
+        a, segments = no_transfer(e), {}
+    b = family_member(e, family, 0.0)
+    direction = tuple([ai - bi for ai, bi in zip(a.amounts, b.amounts)])
+    segment = (a, b, direction, math.fsum([d * d for d in direction]))
+    _last_segments = (e, a, {**segments, family: segment})
+    return segment
 
 
 @dataclass(frozen=True)
@@ -106,10 +143,7 @@ def fit_family(e, z, family) -> FitResult:
     family = as_family(family)
     if len(z) != len(e):
         raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
-    a = no_transfer(e)
-    b = family_member(e, family, 0.0)
-    direction = [ai - bi for ai, bi in zip(a, b)]
-    gram = math.fsum(d * d for d in direction)
+    _, b, direction, gram = _segment(e, family)
     if math.sqrt(gram) <= tolerance_for(e.total):
         return FitResult(
             family=family,
@@ -120,7 +154,7 @@ def fit_family(e, z, family) -> FitResult:
             unconstrained_parameter=None,
             degenerate=True,
         )
-    raw = math.fsum((zi - bi) * d for zi, bi, d in zip(z, b, direction)) / gram
+    raw = math.fsum([(zi - bi) * d for zi, bi, d in zip(z.amounts, b.amounts, direction)]) / gram
     t = min(1.0, max(0.0, raw))
     member = family_member(e, family, t)
     return FitResult(
@@ -134,13 +168,19 @@ def fit_family(e, z, family) -> FitResult:
 
 
 def distance_at(e, z, family, parameter: float) -> float:
-    """Euclidean distance from the observation to the family at `parameter`."""
+    """Euclidean distance from the observation to the family at `parameter`.
+
+    The member at t is read off the segment as B + t(A - B), which can
+    differ from `family_member` in the last bit; at t = 0 it is B exactly.
+    """
     e = as_profile(e)
     z = as_observed(z)
     if len(z) != len(e):
         raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
-    member = family_member(e, family, parameter)
-    return _distance(member, z)
+    family = as_family(family)
+    t = _check_weight(parameter, RuleKind(family.value))
+    _, b, direction, _ = _segment(e, family)
+    return _distance([bi + t * d for bi, d in zip(b.amounts, direction)], z.amounts)
 
 
 #: Most Gauss-Legendre nodes a distance integral may use.  leggauss builds a
@@ -181,9 +221,10 @@ def integrate_distance(e, z, family, nodes: int = 64) -> float:
     import numpy as np
 
     t, w = _unit_interval_nodes(nodes)
-    a = np.asarray(no_transfer(e), dtype=float)
-    b = np.asarray(family_member(e, family, 0.0), dtype=float)
-    zz = np.asarray(tuple(z), dtype=float)
+    a, b, _, _ = _segment(e, family)
+    a = np.asarray(a.amounts, dtype=float)
+    b = np.asarray(b.amounts, dtype=float)
+    zz = np.asarray(z.amounts, dtype=float)
     offsets = (b - zz)[None, :] + np.outer(t, a - b)
     norms = np.sqrt((offsets * offsets).sum(axis=1))
     return float(w @ norms)
@@ -261,14 +302,13 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
             raise DimensionError(f"{len(names)} names for {len(e)} agents")
     if tol is None:
         tol = tolerance_for(max(e.total, z.total))
-    a = no_transfer(e)
-    b = family_member(e, family, 0.0)
+    a, b, _, _ = _segment(e, family)
     entries = []
-    for i, name in enumerate(names):
-        lower, upper = min(a[i], b[i]), max(a[i], b[i])
-        if z[i] < lower - tol:
+    for i, (name, ai, bi, zi) in enumerate(zip(names, a.amounts, b.amounts, z.amounts)):
+        lower, upper = min(ai, bi), max(ai, bi)
+        if zi < lower - tol:
             kind = Legitimacy.BELOW_LOWER
-        elif z[i] > upper + tol:
+        elif zi > upper + tol:
             kind = Legitimacy.ABOVE_UPPER
         else:
             kind = Legitimacy.LEGITIMATE
@@ -278,7 +318,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
                 position=i,
                 lower=lower,
                 upper=upper,
-                observed=z[i],
+                observed=zi,
                 classification=kind,
             )
         )

@@ -378,6 +378,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; let a closed stdout under --help or
+        # --version reach `main` as the BrokenPipeError it is
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

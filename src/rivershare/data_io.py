@@ -254,13 +254,23 @@ def dump_dataset(dataset: BasinDataset, format: str) -> str:
                 writer.writerow([name, repr(inflow)])
         return buffer.getvalue()
     if fmt == "json":
-        agents = []
-        for k, name in enumerate(dataset.names):
-            entry: dict = {"name": name, "inflow": dataset.inflows[k]}
-            if dataset.has_withdrawals:
-                entry["withdrawal"] = dataset.withdrawals[k]
-            agents.append(entry)
-        return json.dumps({"agents": agents}, indent=2) + "\n"
+        # the bytes of json.dumps({"agents": [...]}, indent=2), written
+        # directly: with an indent json.dumps never uses its C encoder
+        quote = json.encoder.encode_basestring_ascii
+        if dataset.has_withdrawals:
+            agents = [
+                f'    {{\n      "name": {quote(name)},\n      "inflow": {inflow!r},\n'
+                f'      "withdrawal": {withdrawal!r}\n    }}'
+                for name, inflow, withdrawal in zip(
+                    dataset.names, dataset.inflows.inflows, dataset.withdrawals
+                )
+            ]
+        else:
+            agents = [
+                f'    {{\n      "name": {quote(name)},\n      "inflow": {inflow!r}\n    }}'
+                for name, inflow in zip(dataset.names, dataset.inflows.inflows)
+            ]
+        return '{\n  "agents": [\n' + ",\n".join(agents) + "\n  ]\n}\n"
     raise DatasetError(f"unknown dataset format {format!r}, expected csv or json")
 
 

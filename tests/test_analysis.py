@@ -1,8 +1,10 @@
 """Tests for family fitting, distance quadrature, legitimacy, case study.
 
 The fit is checked against a dense grid search and the quadrature against
-an adaptive Simpson refinement, both written directly from the definitions
-rather than through the library's closed forms.
+an adaptive Simpson refinement and the closed-form integral, all written
+directly from the definitions rather than through the library's closed
+forms.  Per-call endpoint, fit, integral and legitimacy formulas are kept
+here as references for the family segment the library shares between calls.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivershare import analysis
 from rivershare.analysis import (
@@ -38,8 +42,9 @@ from rivershare.core import (
     egalitarian_full_transfer,
     egalitarian_partial_transfer,
     no_transfer,
+    tolerance_for,
 )
-from rivershare.data_io import builtin_nile
+from rivershare.data_io import builtin_nile, normalize_withdrawals
 
 NILE = builtin_nile()
 NILE_Z = ObservedAllocation((5.4, 0.7, 0.7, 28.1, 81.0))
@@ -84,6 +89,38 @@ def simpson_integral(e, z, family, target=1e-10):
         previous = estimate
         panels *= 2
     return previous
+
+
+def closed_form_integral(e, z, family):
+    """The integral over [0, 1] of |B - z + t(A - B)|, in closed form.
+
+    With u = B - z and d = A - B the integrand is sqrt(a t^2 + b t + c),
+    a = |d|^2, b = 2 u.d, c = |u|^2.  Around its minimizer t0 = -b / 2a it
+    is sqrt(a s^2 + h^2) with s = t - t0, and h is the perpendicular
+    distance |u + t0 d|, taken from the vector so that z near the line
+    stays accurate.  The antiderivative of sqrt(a s^2 + h^2) is
+    (s sqrt(a s^2 + h^2) + (h^2 / sqrt(a)) asinh(sqrt(a) s / h)) / 2.
+    """
+    a_end = tuple(no_transfer(e))
+    if family is Family.COMPROMISE:
+        b_end = tuple(egalitarian_full_transfer(e))
+    else:
+        b_end = tuple(egalitarian_partial_transfer(e))
+    u = [bi - zi for bi, zi in zip(b_end, z)]
+    d = [ai - bi for ai, bi in zip(a_end, b_end)]
+    a = math.fsum(di * di for di in d)
+    if a == 0.0:
+        return math.sqrt(math.fsum(ui * ui for ui in u))
+    t0 = -math.fsum(ui * di for ui, di in zip(u, d)) / a
+    h = math.sqrt(math.fsum((ui + t0 * di) ** 2 for ui, di in zip(u, d)))
+    r = math.sqrt(a)
+
+    def antiderivative(s):
+        if h == 0.0:
+            return r * s * abs(s) / 2.0
+        return (s * math.hypot(r * s, h) + h * h / r * math.asinh(r * s / h)) / 2.0
+
+    return antiderivative(1.0 - t0) - antiderivative(-t0)
 
 
 def random_case(rng):
@@ -294,6 +331,41 @@ def test_integral_accepts_the_largest_node_count(monkeypatch):
     assert requested == [analysis._MAX_NODES]
 
 
+def test_integral_matches_closed_form_on_nile():
+    expected = {Family.COMPROMISE: 46.52833, Family.PARTIAL_COMPROMISE: 78.27168}
+    for family in Family:
+        exact = closed_form_integral(NILE.inflows, NILE_Z, family)
+        assert exact == pytest.approx(expected[family], abs=1e-5)
+        assert integrate_distance(NILE.inflows, NILE_Z, family) == pytest.approx(exact, rel=1e-12)
+
+
+def test_integral_matches_closed_form_on_random_basins():
+    # basins drawn as the fit-basins benchmark draws them: a tenth of the
+    # inflows zero, withdrawals uniform and rescaled to the total inflow.
+    # Where z lies close to the family's line the profile has a sharp kink
+    # that 64 nodes resolve only to ~1e-7 relative (basin 284 here, n = 5,
+    # compromise: 6.9e-8; about one family-basin in 4000 misses 1e-10);
+    # 256 nodes resolve every one of them
+    rng = random.Random(8080)
+    for k in range(520):
+        n = (5, 10, 30, 100)[k % 4]
+        e = InflowProfile(tuple(0.0 if rng.random() < 0.1 else rng.uniform(0.0, 100.0) for _ in range(n)))
+        z = normalize_withdrawals(e, tuple(rng.uniform(0.01, 100.0) for _ in range(n)))
+        for family in Family:
+            exact = closed_form_integral(e, z, family)
+            assert integrate_distance(e, z, family, nodes=256) == pytest.approx(exact, rel=1e-10)
+            assert integrate_distance(e, z, family) == pytest.approx(exact, rel=1e-6)
+
+
+def test_integral_matches_closed_form_on_a_point_segment():
+    # water entering only at the mouth: both endpoints coincide, gram = 0
+    e = InflowProfile((0.0, 0.0, 5.0))
+    z = ObservedAllocation((1.0, 1.0, 3.0))
+    for family in Family:
+        assert closed_form_integral(e, z, family) == math.sqrt(6.0)
+        assert integrate_distance(e, z, family) == closed_form_integral(e, z, family)
+
+
 # ---------------------------------------------------------------------------
 # legitimacy
 
@@ -359,6 +431,124 @@ def test_legitimacy_boundary_tolerance():
 def test_legitimacy_name_length_mismatch():
     with pytest.raises(DimensionError):
         legitimacy_bounds(NILE.inflows, NILE_Z, Family.COMPROMISE, names=("a", "b"))
+
+
+# ---------------------------------------------------------------------------
+# one segment per profile, against the per-call formulas it replaced
+
+
+def reference_distance(x, z):
+    return math.sqrt(math.fsum((a - b) * (a - b) for a, b in zip(x, z)))
+
+
+def reference_endpoints(e, family):
+    return no_transfer(e), family_member(e, family, 0.0)
+
+
+def reference_fit(e, z, family):
+    a, b = reference_endpoints(e, family)
+    direction = [ai - bi for ai, bi in zip(a, b)]
+    gram = math.fsum(d * d for d in direction)
+    if math.sqrt(gram) <= tolerance_for(e.total):
+        return FitResult(family, 0.0, b, reference_distance(b, z), False, None, degenerate=True)
+    raw = math.fsum((zi - bi) * d for zi, bi, d in zip(z, b, direction)) / gram
+    t = min(1.0, max(0.0, raw))
+    member = family_member(e, family, t)
+    return FitResult(family, t, member, reference_distance(member, z), t != raw, raw)
+
+
+def reference_integral(e, z, family, nodes=64):
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    a, b = (np.asarray(v, dtype=float) for v in reference_endpoints(e, family))
+    zz = np.asarray(tuple(z), dtype=float)
+    offsets = (b - zz)[None, :] + np.outer(t, a - b)
+    return float(w @ np.sqrt((offsets * offsets).sum(axis=1)))
+
+
+def reference_legitimacy(e, z, family):
+    a, b = reference_endpoints(e, family)
+    tol = tolerance_for(max(e.total, z.total))
+    entries = []
+    for i in range(len(e)):
+        lower, upper = min(a[i], b[i]), max(a[i], b[i])
+        if z[i] < lower - tol:
+            kind = Legitimacy.BELOW_LOWER
+        elif z[i] > upper + tol:
+            kind = Legitimacy.ABOVE_UPPER
+        else:
+            kind = Legitimacy.LEGITIMATE
+        entries.append(analysis.LegitimacyEntry(f"agent {i}", i, lower, upper, z[i], kind))
+    return analysis.LegitimacyReport(family, tuple(entries))
+
+
+def exact(value) -> str:
+    """A key that tells every float bit pattern apart, -0.0 from 0.0 too."""
+    if hasattr(value, "to_dict"):
+        return json.dumps(value.to_dict())
+    return repr(value)
+
+
+@st.composite
+def scaled_basins(draw):
+    """n 2-100 at one magnitude in 1e-6..1e6, a quarter of the inflows zero."""
+    n = draw(st.integers(2, 100))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    entry = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0)).map(
+        lambda p: 0.0 if p[0] == 0 else p[1] * scale
+    )
+    e = InflowProfile(tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+    z = ObservedAllocation(tuple(draw(st.lists(st.floats(0.0, scale), min_size=n, max_size=n))))
+    return e, z, draw(st.sampled_from(Family))
+
+
+@settings(deadline=None)
+@given(basin=scaled_basins(), t=st.floats(0.0, 1.0))
+def test_segment_matches_the_per_call_formulas(basin, t):
+    e, z, family = basin
+    # the first call builds the segment, the rest read it
+    assert exact(fit_family(e, z, family)) == exact(reference_fit(e, z, family))
+    assert exact(integrate_distance(e, z, family)) == exact(reference_integral(e, z, family))
+    assert exact(legitimacy_bounds(e, z, family)) == exact(reference_legitimacy(e, z, family))
+    assert distance_at(e, z, family, 0.0) == reference_distance(family_member(e, family, 0.0), z)
+    for s in (t, 1.0):
+        gap = distance_at(e, z, family, s) - reference_distance(family_member(e, family, s), z)
+        assert abs(gap) <= 1e-15 * (e.total + z.total)
+
+
+def test_segment_memo_is_keyed_on_the_profile_object(monkeypatch):
+    values = (0.0, 3.0, 1.5, 0.0, 2.0)
+    first = InflowProfile(values)
+    equal = InflowProfile(values)
+    signed = InflowProfile((-0.0,) + values[1:])
+    assert first == equal == signed
+    observations = (
+        ObservedAllocation((1.0, 2.0, 0.5, 1.0, 2.0)),
+        ObservedAllocation((0.0, 0.0, 6.5, 0.0, 0.0)),
+    )
+    calls = [
+        (call, e, z, family)
+        for call in (
+            fit_family,
+            integrate_distance,
+            legitimacy_bounds,
+            lambda e, z, family: distance_at(e, z, family, 0.0),
+            lambda e, z, family: distance_at(e, z, family, 0.375),
+            lambda e, z, family: distance_at(e, z, family, 1.0),
+        )
+        for e in (first, equal, signed)
+        for z in observations
+        for family in Family
+    ]
+    random.Random(31).shuffle(calls)
+    warm = []
+    for call, e, z, family in calls:
+        warm.append(exact(call(e, z, family)))
+        # an equal profile that is another object misses the memo
+        assert analysis._last_segments[0] is e
+    for (call, e, z, family), result in zip(calls, warm):
+        monkeypatch.setattr(analysis, "_last_segments", (None, None, {}))
+        assert exact(call(e, z, family)) == result
 
 
 # ---------------------------------------------------------------------------

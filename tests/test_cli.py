@@ -451,11 +451,14 @@ def test_case_study_byte_identical_across_processes(tmp_path):
     [
         ("axioms", "--rule", "shapley", "--trials", "200"),
         ("allocate", "--inflows", "1,2", "--rule", "nt", "--json"),
+        ("--help",),
+        ("--version",),
+        ("allocate", "--help"),
     ],
 )
 def test_closed_stdout_is_one_error_line(monkeypatch, argv, unbuffered):
     # buffered, the failure surfaces at the final flush; unbuffered, at the
-    # first print
+    # first print, which for --help and --version is argparse's own write
     if unbuffered:
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     else:

@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rivershare.core import DimensionError, InflowProfile, ObservedAllocation
 from rivershare.data_io import (
@@ -238,6 +238,60 @@ def test_round_trip_property(names, seed, with_w, fmt, data):
     assert back.names == ds.names
     assert tuple(back.inflows) == tuple(ds.inflows)
     assert back.withdrawals == ds.withdrawals
+
+
+def reference_json(ds: BasinDataset) -> str:
+    """The JSON dump as the standard library's encoder writes it."""
+    agents = []
+    for k, name in enumerate(ds.names):
+        entry = {"name": name, "inflow": ds.inflows[k]}
+        if ds.has_withdrawals:
+            entry["withdrawal"] = ds.withdrawals[k]
+        agents.append(entry)
+    return json.dumps({"agents": agents}, indent=2) + "\n"
+
+
+# names that need escaping: quotes, backslashes, control characters,
+# non-ASCII and astral characters, mixed with plain ones
+_awkward_name = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\r '),
+        st.characters(min_codepoint=0x80, max_codepoint=0xFFFF),
+        st.characters(min_codepoint=0x10000),
+        st.characters(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _amounts(n: int):
+    # the largest entries keep n of them from overflowing the total
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e308 / n]),
+        st.integers(0, 2**53).map(float),
+        st.floats(min_value=0.0, max_value=1e308 / n),
+    )
+    return st.lists(value, min_size=n, max_size=n)
+
+
+@settings(deadline=None)
+@given(names=st.lists(_awkward_name, min_size=2, max_size=8, unique=True), with_w=st.booleans(), data=st.data())
+def test_json_dump_is_the_standard_encoding(names, with_w, data):
+    n = len(names)
+    inflows = InflowProfile(tuple(data.draw(_amounts(n))))
+    withdrawals = tuple(data.draw(_amounts(n))) if with_w else None
+    ds = BasinDataset(names=tuple(names), inflows=inflows, withdrawals=withdrawals)
+    text = dump_dataset(ds, "json")
+    assert text == reference_json(ds)
+    back = load_dataset(text, "json")
+    assert back == ds
+    assert dump_dataset(back, "json") == text
+
+
+@pytest.mark.parametrize("ds", [builtin_nile(), AWKWARD, load_dataset(GOOD_CSV_NO_W, "csv")])
+def test_json_dump_of_fixed_datasets_is_the_standard_encoding(ds):
+    assert dump_dataset(ds, "json") == reference_json(ds)
 
 
 # ---------------------------------------------------------------------------
