@@ -14,16 +14,16 @@ distance curves over the same profile apply each endpoint rule once between
 them.  `distance_at` reads the member at t off the segment, as
 B + t(A - B), instead of applying the family's rule.
 
-numpy is imported only when a distance integral is computed: by
-`integrate_distance`, and so by `nile_case_study`.  Importing this module,
-fitting, and the legitimacy intervals load no numpy.  Quadrature takes at
-most 1024 nodes (`_MAX_NODES`).
+The distance integral is read off the same segment: along it the distance
+to z is a hyperbola in t, so each Gauss-Legendre node costs one `hypot`
+whatever the number of agents.  The nodes and weights are computed here in
+pure Python, so the module needs nothing beyond the standard library.
+Quadrature takes at most 1024 nodes (`_MAX_NODES`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -37,6 +37,7 @@ from .core import (
     RuleKind,
     RuleSpec,
     _check_weight,
+    _Record,
     as_observed,
     as_profile,
     no_transfer,
@@ -105,17 +106,28 @@ def _segment(e: InflowProfile, family: Family) -> tuple:
     return segment
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Record):
     """Least-squares projection of an observation onto a rule family."""
 
-    family: Family
-    parameter_star: float
-    fitted_allocation: Allocation
-    residual_distance: float
-    clipped: bool
-    unconstrained_parameter: float | None
-    degenerate: bool = False
+    __slots__ = _fields = (
+        "family", "parameter_star", "fitted_allocation", "residual_distance",
+        "clipped", "unconstrained_parameter", "degenerate",
+    )
+
+    def __init__(
+        self,
+        family: Family,
+        parameter_star: float,
+        fitted_allocation: Allocation,
+        residual_distance: float,
+        clipped: bool,
+        unconstrained_parameter: float | None,
+        degenerate: bool = False,
+    ):
+        self._set_fields(
+            family, parameter_star, fitted_allocation, residual_distance,
+            clipped, unconstrained_parameter, degenerate,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -183,34 +195,72 @@ def distance_at(e, z, family, parameter: float) -> float:
     return _distance([bi + t * d for bi, d in zip(b.amounts, direction)], z.amounts)
 
 
-#: Most Gauss-Legendre nodes a distance integral may use.  leggauss builds a
-#: count x count companion matrix, so the bound keeps memory and time small.
+#: Most Gauss-Legendre nodes a distance integral may use.  Building a rule
+#: evaluates the count-term recurrence about twice per root, so the work
+#: grows as count^2: about 0.1 s at this bound on a 2-core x86 VM.
 _MAX_NODES = 1024
 
 
 def _check_nodes(nodes, most: int = _MAX_NODES) -> None:
-    if not isinstance(nodes, int) or nodes < 1:
+    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1:
         raise ParameterError(f"nodes must be a positive integer, got {nodes!r}")
     if nodes > most:
         raise ParameterError(f"nodes must be at most {most}, got {nodes}")
 
 
 @lru_cache(maxsize=8)
-def _unit_interval_nodes(count: int):
-    # Gauss-Legendre nodes mapped from (-1, 1) onto (0, 1)
-    import numpy as np
+def _unit_interval_nodes(count: int) -> tuple[tuple[float, float], ...]:
+    """The `count`-point Gauss-Legendre rule on (0, 1), as (node, weight)
+    pairs in increasing node order.
 
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+    The nodes are the roots x of the Legendre polynomial P_count, mapped
+    from (-1, 1).  Each root in [0, 1) is found by Newton's method on the
+    three-term recurrence, starting from Tricomi's asymptotic estimate; the
+    rule is symmetric, so the other half is its mirror image.  The weight of
+    x is 1 / ((1 - x^2) P'(x)^2), half the weight on (-1, 1), with 1 - x^2
+    taken as (1 - x)(1 + x).  The weights are then scaled to sum to one,
+    which moves each by a few units in the last place.
+    """
+    n = count
+    # P_j = a_j x P_(j-1) - b_j P_(j-2)
+    steps = [((2 * j - 1) / j, (j - 1) / j) for j in range(2, n + 1)]
+    nodes = [0.0] * n
+    weights = [0.0] * n
+    for k in range((n + 1) // 2):
+        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.cos(math.pi * (k + 0.75) / (n + 0.5))
+        for _ in range(8):
+            p0, p1 = 1.0, x
+            for a, b in steps:
+                p0, p1 = p1, a * x * p1 - b * p0
+            derivative = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+            step = p1 / derivative
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        nodes[k] = (1.0 - x) / 2.0
+        nodes[n - 1 - k] = (1.0 + x) / 2.0
+        weights[k] = weights[n - 1 - k] = 1.0 / ((1.0 - x) * (1.0 + x) * derivative * derivative)
+    total = math.fsum(weights)
+    return tuple([(t, w / total) for t, w in zip(nodes, weights)])
 
 
 def integrate_distance(e, z, family, nodes: int = 64) -> float:
     """Average distance from z over the whole family, times one.
 
     Quadrature of the distance profile over the unit parameter interval
-    with `nodes`-point Gauss-Legendre.  The profile is convex with one
-    kink at most, so 64 nodes already agree with 128 to well below 1e-8
-    on well-scaled data.
+    with `nodes`-point Gauss-Legendre.  With u = B - z and D = A - B the
+    profile is |u + tD| = |D| hypot(t - t0, h / |D|), where t0 is the
+    parameter nearest z and h = |u + t0 D| the distance there, so the rule
+    costs one `hypot` per node after three passes over the agents.  When
+    the endpoints coincide the profile is the constant |u|, returned as is.
+
+    The profile is convex with one kink at most.  Where z lies close to
+    the family's line the kink is sharp: on basins of 5 to 100 agents with
+    random withdrawals, 64 nodes stayed within 7.5e-7 of the closed-form
+    integral, relative, but about one family-basin in 4000 missed 1e-10;
+    256 nodes stayed within 1e-13.  Where z lies on the line (h = 0, as
+    for any normalized two-agent observation) the kink is a corner, and
+    64 nodes can be off by a few parts in 10^4.
     """
     e = as_profile(e)
     z = as_observed(z)
@@ -218,16 +268,16 @@ def integrate_distance(e, z, family, nodes: int = 64) -> float:
     if len(z) != len(e):
         raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
     _check_nodes(nodes)
-    import numpy as np
-
-    t, w = _unit_interval_nodes(nodes)
-    a, b, _, _ = _segment(e, family)
-    a = np.asarray(a.amounts, dtype=float)
-    b = np.asarray(b.amounts, dtype=float)
-    zz = np.asarray(z.amounts, dtype=float)
-    offsets = (b - zz)[None, :] + np.outer(t, a - b)
-    norms = np.sqrt((offsets * offsets).sum(axis=1))
-    return float(w @ norms)
+    _, b, direction, gram = _segment(e, family)
+    u = [bi - zi for bi, zi in zip(b.amounts, z.amounts)]
+    if gram == 0.0:
+        return math.sqrt(math.fsum([ui * ui for ui in u]))
+    t0 = -math.fsum([ui * d for ui, d in zip(u, direction)]) / gram
+    length = math.sqrt(gram)
+    height = math.hypot(*[ui + t0 * d for ui, d in zip(u, direction)]) / length
+    hypot = math.hypot
+    rule = _unit_interval_nodes(nodes)
+    return length * math.fsum([w * hypot(t - t0, height) for t, w in rule])
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +290,38 @@ class Legitimacy(Enum):
     ABOVE_UPPER = "above-upper"
 
 
-@dataclass(frozen=True)
-class LegitimacyEntry:
-    agent: str
-    position: int
-    lower: float
-    upper: float
-    observed: float
-    classification: Legitimacy
+class LegitimacyEntry(_Record):
+    """One agent's observed amount against its family interval.
+
+    One is built per agent, so the fields share one tuple slot and are read
+    through properties: a single store per entry instead of six.
+    """
+
+    __slots__ = ("_values",)
+    _fields = ("agent", "position", "lower", "upper", "observed", "classification")
+
+    def __init__(
+        self,
+        agent: str,
+        position: int,
+        lower: float,
+        upper: float,
+        observed: float,
+        classification: Legitimacy,
+    ):
+        object.__setattr__(
+            self, "_values", (agent, position, lower, upper, observed, classification)
+        )
+
+    agent = property(lambda self: self._values[0])
+    position = property(lambda self: self._values[1])
+    lower = property(lambda self: self._values[2])
+    upper = property(lambda self: self._values[3])
+    observed = property(lambda self: self._values[4])
+    classification = property(lambda self: self._values[5])
+
+    def _key(self) -> tuple:
+        return self._values
 
     def to_dict(self) -> dict:
         return {
@@ -260,10 +334,13 @@ class LegitimacyEntry:
         }
 
 
-@dataclass(frozen=True)
-class LegitimacyReport:
-    family: Family
-    entries: tuple[LegitimacyEntry, ...]
+class LegitimacyReport(_Record):
+    """Every agent's legitimacy entry for one family."""
+
+    __slots__ = _fields = ("family", "entries")
+
+    def __init__(self, family: Family, entries: tuple[LegitimacyEntry, ...]):
+        self._set_fields(family, entries)
 
     @property
     def classifications(self) -> tuple[Legitimacy, ...]:
@@ -312,16 +389,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
             kind = Legitimacy.ABOVE_UPPER
         else:
             kind = Legitimacy.LEGITIMATE
-        entries.append(
-            LegitimacyEntry(
-                agent=name,
-                position=i,
-                lower=lower,
-                upper=upper,
-                observed=zi,
-                classification=kind,
-            )
-        )
+        entries.append(LegitimacyEntry(name, i, lower, upper, zi, kind))
     return LegitimacyReport(family=family, entries=tuple(entries))
 
 
@@ -375,15 +443,13 @@ _TABLE_TOLERANCE = 0.01
 _QUADRATURE_CONSISTENCY = 1e-8
 
 
-@dataclass(frozen=True)
-class ReferenceCheck:
+class ReferenceCheck(_Record):
     """One computed statistic next to its reference value."""
 
-    name: str
-    expected: object
-    actual: object
-    tolerance: float | None
-    ok: bool
+    __slots__ = _fields = ("name", "expected", "actual", "tolerance", "ok")
+
+    def __init__(self, name: str, expected, actual, tolerance: float | None, ok: bool):
+        self._set_fields(name, expected, actual, tolerance, ok)
 
     def to_dict(self) -> dict:
         expected = self.expected
@@ -416,28 +482,44 @@ def _exact_check(name: str, expected, actual) -> ReferenceCheck:
     )
 
 
-@dataclass(frozen=True)
-class CaseStudyResult:
+class CaseStudyResult(_Record):
     """Everything the Nile analysis produces, with its reference checks."""
 
-    names: tuple[str, ...]
-    inflows: tuple[float, ...]
-    withdrawals: tuple[float, ...]
-    observed: tuple[float, ...]
-    observed_exact: tuple[float, ...]
-    reporting_decimals: int | None
-    table: tuple[tuple[str, tuple[float, ...]], ...]
-    compromise_fit: FitResult
-    partial_fit: FitResult
-    compromise_integral: float
-    partial_integral: float
-    compromise_integral_fine: float
-    partial_integral_fine: float
-    compromise_legitimacy: LegitimacyReport
-    partial_legitimacy: LegitimacyReport
-    inflow_shares: tuple[float, ...]
-    observed_shares: tuple[float, ...]
-    checks: tuple[ReferenceCheck, ...]
+    __slots__ = _fields = (
+        "names", "inflows", "withdrawals", "observed", "observed_exact",
+        "reporting_decimals", "table", "compromise_fit", "partial_fit",
+        "compromise_integral", "partial_integral", "compromise_integral_fine",
+        "partial_integral_fine", "compromise_legitimacy", "partial_legitimacy",
+        "inflow_shares", "observed_shares", "checks",
+    )
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        inflows: tuple[float, ...],
+        withdrawals: tuple[float, ...],
+        observed: tuple[float, ...],
+        observed_exact: tuple[float, ...],
+        reporting_decimals: int | None,
+        table: tuple[tuple[str, tuple[float, ...]], ...],
+        compromise_fit: FitResult,
+        partial_fit: FitResult,
+        compromise_integral: float,
+        partial_integral: float,
+        compromise_integral_fine: float,
+        partial_integral_fine: float,
+        compromise_legitimacy: LegitimacyReport,
+        partial_legitimacy: LegitimacyReport,
+        inflow_shares: tuple[float, ...],
+        observed_shares: tuple[float, ...],
+        checks: tuple[ReferenceCheck, ...],
+    ):
+        self._set_fields(
+            names, inflows, withdrawals, observed, observed_exact, reporting_decimals,
+            table, compromise_fit, partial_fit, compromise_integral, partial_integral,
+            compromise_integral_fine, partial_integral_fine, compromise_legitimacy,
+            partial_legitimacy, inflow_shares, observed_shares, checks,
+        )
 
     @property
     def all_ok(self) -> bool:
@@ -490,7 +572,9 @@ def nile_case_study(reporting_decimals: int | None = 1, nodes: int = 64) -> Case
     last digit of the fitted parameter) slightly off the reference values.
     """
     if reporting_decimals is not None and (
-        not isinstance(reporting_decimals, int) or reporting_decimals < 0
+        not isinstance(reporting_decimals, int)
+        or isinstance(reporting_decimals, bool)
+        or reporting_decimals < 0
     ):
         raise ParameterError(
             f"reporting_decimals must be a non-negative integer or None, got {reporting_decimals!r}"

@@ -10,8 +10,8 @@ reader, as in `rivershare axioms ... | head -1`, is an error too: one
 `error:` line on stderr and exit 1, with no traceback.
 
 A subcommand runs the modules it uses when it first uses them: `allocate`,
-and a usage error, run neither `axioms` nor `analysis`, and only the
-commands that compute a distance integral load numpy.  This holds however
+and a usage error, run neither `axioms` nor `analysis`; `axioms` runs only
+`axioms`, and `fit` and `case-study` only `analysis`.  This holds however
 the CLI is started: `python -m rivershare.cli`, the `rivershare` script, or
 `main()` called from Python.
 """

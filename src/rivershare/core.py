@@ -20,9 +20,10 @@ valid result becomes an `Allocation` without being converted or checked
 again; any other goes through the checker `validate_allocation` uses, which
 names the first violated constraint.
 
-The value types here, in `data_io` and in `axioms` are immutable records on
-one `__slots__` base, `_Record`, rather than dataclasses, so that importing
-the package does not import `dataclasses` and, through it, `inspect`.
+The value types here, in `data_io`, in `axioms` and in `analysis` are
+immutable records on one `__slots__` base, `_Record`, rather than
+dataclasses, so that importing the package does not import `dataclasses`
+and, through it, `inspect`.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ from rivershare import analysis
 def forbid_node_rule(monkeypatch):
     """Fail any test that builds a Gauss-Legendre rule.
 
-    Bound checks on `nodes` are tested with counts whose rule would need an
-    enormous count x count matrix, so the rule must never be requested.
+    Bound checks on `nodes` are tested with counts whose rule would take far
+    too long to build, so the rule must never be requested.
     """
 
     def fail(count):

@@ -1,10 +1,11 @@
 """Tests for family fitting, distance quadrature, legitimacy, case study.
 
 The fit is checked against a dense grid search and the quadrature against
-an adaptive Simpson refinement and the closed-form integral, all written
-directly from the definitions rather than through the library's closed
-forms.  Per-call endpoint, fit, integral and legitimacy formulas are kept
-here as references for the family segment the library shares between calls.
+an adaptive Simpson refinement, the closed-form integral and numpy's
+Gauss-Legendre rule applied node by node, all written directly from the
+definitions rather than through the library's closed forms.  Per-call
+endpoint, fit, integral and legitimacy formulas are kept here as references
+for the family segment the library shares between calls.
 """
 
 from __future__ import annotations
@@ -121,6 +122,21 @@ def closed_form_integral(e, z, family):
         return (s * math.hypot(r * s, h) + h * h / r * math.asinh(r * s / h)) / 2.0
 
     return antiderivative(1.0 - t0) - antiderivative(-t0)
+
+
+def numpy_integral(e, z, family, nodes=64):
+    """numpy's Gauss-Legendre rule, with the distance |B - z + t(A - B)|
+    computed at each node from the endpoint rules."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    a = np.asarray(no_transfer(e), dtype=float)
+    if family is Family.COMPROMISE:
+        b = np.asarray(egalitarian_full_transfer(e), dtype=float)
+    else:
+        b = np.asarray(egalitarian_partial_transfer(e), dtype=float)
+    zz = np.asarray(tuple(z), dtype=float)
+    offsets = (b - zz)[None, :] + np.outer(t, a - b)
+    return float(w @ np.sqrt((offsets * offsets).sum(axis=1)))
 
 
 def random_case(rng):
@@ -313,11 +329,59 @@ def test_integral_node_count_consistency():
         assert abs(coarse - fine) <= 1e-8
 
 
+RULE_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 64, 128, 1024)
+
+
+@pytest.mark.parametrize("count", RULE_COUNTS)
+def test_node_rule_is_a_symmetric_positive_rule_of_unit_mass(count):
+    rule = analysis._unit_interval_nodes(count)
+    nodes = [t for t, _ in rule]
+    weights = [w for _, w in rule]
+    assert len(rule) == count
+    assert all(0.0 < t < 1.0 for t in nodes)
+    assert nodes == sorted(nodes) and len(set(nodes)) == count
+    assert all(w > 0.0 for w in weights)
+    assert abs(math.fsum(weights) - 1.0) <= 1e-15
+    for k in range(count):
+        assert abs(nodes[k] + nodes[count - 1 - k] - 1.0) <= 2.3e-16
+        assert weights[k] == weights[count - 1 - k]
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_node_rule_integrates_polynomials_exactly(count):
+    # exact up to degree 2 count - 1; at degree 2 count the Gauss error
+    # term (n!)^4 / ((2n + 1) ((2n)!)^2) is left over
+    rule = analysis._unit_interval_nodes(count)
+    for m in range(2 * count):
+        assert math.fsum(w * t**m for t, w in rule) == pytest.approx(1.0 / (m + 1), rel=4e-15)
+    m = 2 * count
+    error = math.factorial(count) ** 4 / ((m + 1) * math.factorial(m) ** 2)
+    shortfall = 1.0 / (m + 1) - math.fsum(w * t**m for t, w in rule)
+    assert shortfall == pytest.approx(error, rel=1e-5)
+
+
+@pytest.mark.parametrize("count", RULE_COUNTS)
+def test_node_rule_matches_numpy(count):
+    x, v = np.polynomial.legendre.leggauss(count)
+    for (t, w), t_np, w_np in zip(analysis._unit_interval_nodes(count), (x + 1.0) / 2.0, v / 2.0):
+        assert abs(t - t_np) <= 1.2e-16
+        assert abs(w - w_np) <= 1e-14
+
+
 def test_integral_rejects_bad_nodes(forbid_node_rule):
     # every count is checked before any node rule is built
     for nodes in (0, 2.5, analysis._MAX_NODES + 1, 100_000_000):
         with pytest.raises(ParameterError):
             integrate_distance(NILE.inflows, NILE_Z, Family.COMPROMISE, nodes=nodes)
+
+
+def test_integral_rejects_bool_nodes(forbid_node_rule):
+    # True is an int, and would run a one-node rule
+    for nodes in (True, False):
+        with pytest.raises(ParameterError, match="nodes must be a positive integer"):
+            integrate_distance(NILE.inflows, NILE_Z, Family.COMPROMISE, nodes=nodes)
+        with pytest.raises(ParameterError, match="nodes must be a positive integer"):
+            nile_case_study(nodes=nodes)
 
 
 def test_integral_accepts_the_largest_node_count(monkeypatch):
@@ -458,12 +522,17 @@ def reference_fit(e, z, family):
 
 
 def reference_integral(e, z, family, nodes=64):
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t, w = (t + 1.0) / 2.0, w / 2.0
-    a, b = (np.asarray(v, dtype=float) for v in reference_endpoints(e, family))
-    zz = np.asarray(tuple(z), dtype=float)
-    offsets = (b - zz)[None, :] + np.outer(t, a - b)
-    return float(w @ np.sqrt((offsets * offsets).sum(axis=1)))
+    a, b = reference_endpoints(e, family)
+    u = [bi - zi for bi, zi in zip(b, z)]
+    direction = [ai - bi for ai, bi in zip(a, b)]
+    gram = math.fsum(d * d for d in direction)
+    if gram == 0.0:
+        return math.sqrt(math.fsum(ui * ui for ui in u))
+    t0 = -math.fsum(ui * d for ui, d in zip(u, direction)) / gram
+    length = math.sqrt(gram)
+    height = math.hypot(*(ui + t0 * d for ui, d in zip(u, direction))) / length
+    rule = analysis._unit_interval_nodes(nodes)
+    return length * math.fsum(w * math.hypot(t - t0, height) for t, w in rule)
 
 
 def reference_legitimacy(e, z, family):
@@ -508,7 +577,9 @@ def test_segment_matches_the_per_call_formulas(basin, t):
     e, z, family = basin
     # the first call builds the segment, the rest read it
     assert exact(fit_family(e, z, family)) == exact(reference_fit(e, z, family))
-    assert exact(integrate_distance(e, z, family)) == exact(reference_integral(e, z, family))
+    integral = integrate_distance(e, z, family)
+    assert exact(integral) == exact(reference_integral(e, z, family))
+    assert integral == pytest.approx(numpy_integral(e, z, family), rel=1e-14, abs=0.0)
     assert exact(legitimacy_bounds(e, z, family)) == exact(reference_legitimacy(e, z, family))
     assert distance_at(e, z, family, 0.0) == reference_distance(family_member(e, family, 0.0), z)
     for s in (t, 1.0):
@@ -646,6 +717,13 @@ def test_case_study_full_precision_variant():
 def test_case_study_rejects_bad_parameters_up_front(forbid_node_rule, kwargs, fragment):
     with pytest.raises(ParameterError, match=fragment):
         nile_case_study(**kwargs)
+
+
+def test_case_study_rejects_bool_decimals():
+    # False would round to 0 decimals and True would be echoed as a count
+    for decimals in (True, False):
+        with pytest.raises(ParameterError, match="reporting_decimals"):
+            nile_case_study(reporting_decimals=decimals)
 
 
 def test_case_study_is_deterministic_and_serializable():

@@ -477,36 +477,80 @@ def test_closed_stdout_is_one_error_line(monkeypatch, argv, unbuffered):
     assert done.stderr.splitlines() == ["error: standard output was closed"]
 
 
-_COLD_PATH_SCRIPT = """
+_PUBLIC_CALLS_SCRIPT = """
+import copy
+import pickle
 import sys
 
-import rivershare
-from rivershare.cli import main
+from rivershare import *
 
-codes = [
-    main(["allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"]),
-    main(["axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20", "--json"]),
-    main(["allocate", "--inflows", "1,-2", "--rule", "nt"]),
-    main(["fit", "--dataset", "nile", "--family", "compromise", "--curve", sys.argv[1],
-          "--curve-points", "1000000000"]),
-]
-assert codes == [0, 0, 1, 1], codes
-assert "numpy" not in sys.modules, "numpy loaded without a distance integral"
-
-nile = rivershare.builtin_nile()
-rivershare.integrate_distance(
-    nile.inflows, nile.normalized_withdrawals(), rivershare.Family.COMPROMISE
-)
-assert "numpy" in sys.modules
+nile = builtin_nile()
+z = nile.normalized_withdrawals()
+e = nile.inflows
+for family in Family:
+    fit = fit_family(e, z, family)
+    distance_at(e, z, family, fit.parameter_star)
+    for nodes in (1, 64, 1024):
+        integrate_distance(e, z, family, nodes=nodes)
+    report = legitimacy_bounds(e, z, family, names=nile.names)
+    pickle.loads(pickle.dumps(copy.deepcopy(report))).to_dict()
+    family_member(e, family, 0.5)
+assert nile_case_study().all_ok
+nile_case_study(reporting_decimals=None, nodes=512).to_dict()
+shares_of_total(e)
+rule = RuleSpec.shapley()
+assert validate_allocation(e, rule.apply(e))
+run_axiom_suite(rule, list(Axiom), 20, seed=1)
+find_counterexample(RuleSpec.egalitarian_full_transfer(), Axiom.ORDER_PRESERVATION)
+load_dataset(dump_dataset(nile, "json"), "json")
+loaded = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+assert not loaded, f"public calls loaded {loaded}"
 print("ok")
 """
 
 
-def test_numpy_is_loaded_only_by_a_distance_integral(tmp_path):
-    argv = [sys.executable, "-c", _COLD_PATH_SCRIPT, str(tmp_path / "curve.csv")]
+def test_no_public_call_loads_numpy():
+    done = run_child([sys.executable, "-c", _PUBLIC_CALLS_SCRIPT], text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("ok\n")
+
+
+_NUMPY_BLOCKED_SCRIPT = """
+import contextlib
+import io
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+
+namespace = {}
+exec("from rivershare import *", namespace)
+from rivershare.cli import main
+
+runs = [
+    (0, ["allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"]),
+    (0, ["axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20"]),
+    (0, ["fit", "--dataset", "nile", "--family", "compromise", "--curve", sys.argv[1]]),
+    (0, ["fit", "--dataset", "nile", "--family", "partial", "--nodes", "1024"]),
+    (0, ["case-study", "--json"]),
+    (1, ["fit", "--dataset", "nile", "--family", "compromise", "--nodes", "0"]),
+    (1, ["fit", "--dataset", "nile", "--family", "compromise", "--curve", sys.argv[1],
+         "--curve-points", "1000000000"]),
+    (1, ["allocate", "--inflows", "1,-2", "--rule", "nt"]),
+]
+for expected, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == expected, (argv, code)
+print("ok")
+"""
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    argv = [sys.executable, "-c", _NUMPY_BLOCKED_SCRIPT, str(tmp_path / "curve.csv")]
     done = run_child(argv, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("ok\n")
+    assert len((tmp_path / "curve.csv").read_text().splitlines()) == 102
 
 
 _IMPORT_CONTRACT_SCRIPT = """
@@ -561,12 +605,20 @@ assert not lazy, f"allocate ran {lazy}"
 
 assert run("axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20", "--json") == 0
 assert ran("rivershare.axioms")
-lazy = ran("dataclasses", "numpy", "rivershare.analysis")
+lazy = ran("dataclasses", "inspect", "numpy", "rivershare.analysis")
 assert not lazy, f"axioms ran {lazy}"
 
 # a lazy module runs when a caller first reads from it
 assert sys.modules["rivershare.analysis"].fit_family is rivershare.fit_family
 assert ran("rivershare.analysis")
+
+codes = [
+    run("fit", "--dataset", "nile", "--family", "compromise", "--json"),
+    run("case-study", "--json"),
+]
+assert codes == [0, 0], codes
+lazy = ran("dataclasses", "inspect", "numpy")
+assert not lazy, f"fit and case-study ran {lazy}"
 
 namespace = {}
 exec("from rivershare import *", namespace)

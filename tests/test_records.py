@@ -12,6 +12,15 @@ import pickle
 
 import pytest
 
+from rivershare.analysis import (
+    CaseStudyResult,
+    Family,
+    FitResult,
+    Legitimacy,
+    LegitimacyEntry,
+    LegitimacyReport,
+    ReferenceCheck,
+)
 from rivershare.axioms import Axiom, AxiomReport, Counterexample
 from rivershare.core import (
     Allocation,
@@ -38,6 +47,60 @@ _COUNTEREXAMPLE_REPR = (
     "Counterexample(axiom=<Axiom.BALANCE: 'balance'>, rule='shapley', "
     "inputs=(('e', (1.0, 2.0)), ('position', 0)), allocations=(('on e', (1.5, 1.5)),), "
     "violation='agent 0 gains 0.5')"
+)
+
+def _fit(parameter=0.25):
+    return FitResult(Family.COMPROMISE, parameter, Allocation((1.0, 2.0)), 0.5, False, parameter)
+
+
+_FIT_REPR = (
+    "FitResult(family=<Family.COMPROMISE: 'compromise'>, parameter_star=0.25, "
+    "fitted_allocation=Allocation(amounts=(1.0, 2.0)), residual_distance=0.5, clipped=False, "
+    "unconstrained_parameter=0.25, degenerate=False)"
+)
+
+
+def _entry(observed=2.0):
+    return LegitimacyEntry("A", 0, 0.5, 1.5, observed, Legitimacy.ABOVE_UPPER)
+
+
+_ENTRY_REPR = (
+    "LegitimacyEntry(agent='A', position=0, lower=0.5, upper=1.5, observed=2.0, "
+    "classification=<Legitimacy.ABOVE_UPPER: 'above-upper'>)"
+)
+
+
+def _report(observed=2.0):
+    return LegitimacyReport(Family.PARTIAL_COMPROMISE, (_entry(observed),))
+
+
+_REPORT_REPR = (
+    f"LegitimacyReport(family=<Family.PARTIAL_COMPROMISE: 'partial'>, entries=({_ENTRY_REPR},))"
+)
+
+
+def _check(ok=True):
+    return ReferenceCheck("share:inflow:A", 0.5, 0.5, 0.01, ok)
+
+
+_CHECK_REPR = "ReferenceCheck(name='share:inflow:A', expected=0.5, actual=0.5, tolerance=0.01, ok=True)"
+
+
+def _case_study(integral=3.0):
+    one = (1.0,)
+    return CaseStudyResult(
+        ("A",), one, one, one, one, 1, (("observed", one),), _fit(), _fit(),
+        integral, 4.0, integral, 4.0, _report(), _report(), one, one, (_check(),),
+    )
+
+
+_CASE_STUDY_REPR = (
+    "CaseStudyResult(names=('A',), inflows=(1.0,), withdrawals=(1.0,), observed=(1.0,), "
+    "observed_exact=(1.0,), reporting_decimals=1, table=(('observed', (1.0,)),), "
+    f"compromise_fit={_FIT_REPR}, partial_fit={_FIT_REPR}, compromise_integral=3.0, "
+    "partial_integral=4.0, compromise_integral_fine=3.0, partial_integral_fine=4.0, "
+    f"compromise_legitimacy={_REPORT_REPR}, partial_legitimacy={_REPORT_REPR}, "
+    f"inflow_shares=(1.0,), observed_shares=(1.0,), checks=({_CHECK_REPR},))"
 )
 
 # (make, make a different value of the same type, field names, repr of make())
@@ -98,6 +161,45 @@ RECORDS = {
         ("axiom", "rule", "trials", "violations", "rng_seed", "first_counterexample"),
         "AxiomReport(axiom=<Axiom.BALANCE: 'balance'>, rule='shapley', trials=10, "
         f"violations=1, rng_seed=7, first_counterexample={_COUNTEREXAMPLE_REPR})",
+    ),
+    "FitResult": (
+        _fit,
+        lambda: _fit(0.5),
+        (
+            "family", "parameter_star", "fitted_allocation", "residual_distance",
+            "clipped", "unconstrained_parameter", "degenerate",
+        ),
+        _FIT_REPR,
+    ),
+    "LegitimacyEntry": (
+        _entry,
+        lambda: _entry(1.0),
+        ("agent", "position", "lower", "upper", "observed", "classification"),
+        _ENTRY_REPR,
+    ),
+    "LegitimacyReport": (
+        _report,
+        lambda: _report(1.0),
+        ("family", "entries"),
+        _REPORT_REPR,
+    ),
+    "ReferenceCheck": (
+        _check,
+        lambda: _check(False),
+        ("name", "expected", "actual", "tolerance", "ok"),
+        _CHECK_REPR,
+    ),
+    "CaseStudyResult": (
+        _case_study,
+        lambda: _case_study(3.5),
+        (
+            "names", "inflows", "withdrawals", "observed", "observed_exact",
+            "reporting_decimals", "table", "compromise_fit", "partial_fit",
+            "compromise_integral", "partial_integral", "compromise_integral_fine",
+            "partial_integral_fine", "compromise_legitimacy", "partial_legitimacy",
+            "inflow_shares", "observed_shares", "checks",
+        ),
+        _CASE_STUDY_REPR,
     ),
 }
 
