@@ -4,20 +4,17 @@ Allocation rules, executable fairness axioms with randomized checking,
 least-squares fitting of rule families to observed withdrawals, and a
 command line front end.
 
-Importing the package loads none of its submodules.  Each public name below
-is imported from its submodule on first access, so a program pays only for
-the parts it uses.
+Importing the package loads its four modules, `core`, `axioms`, `analysis`
+and `data_io`, and binds the public names below from them.
 """
 
-from __future__ import annotations
-
-from importlib import import_module
+from . import analysis, axioms, core, data_io
 
 __version__ = "0.1.0"
 
 # the public names, by the submodule that defines them
 _EXPORTS = {
-    "core": (
+    core: (
         "Allocation",
         "AllocationError",
         "DimensionError",
@@ -46,7 +43,7 @@ _EXPORTS = {
         "tolerance_for",
         "validate_allocation",
     ),
-    "axioms": (
+    axioms: (
         "Axiom",
         "AxiomReport",
         "Counterexample",
@@ -54,7 +51,7 @@ _EXPORTS = {
         "find_counterexample",
         "run_axiom_suite",
     ),
-    "analysis": (
+    analysis: (
         "CaseStudyResult",
         "Family",
         "FitResult",
@@ -70,7 +67,7 @@ _EXPORTS = {
         "nile_case_study",
         "shares_of_total",
     ),
-    "data_io": (
+    data_io: (
         "BasinDataset",
         "DatasetError",
         "builtin_nile",
@@ -80,20 +77,8 @@ _EXPORTS = {
         "read_dataset",
     ),
 }
-_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+globals().update(
+    {name: getattr(module, name) for module, names in _EXPORTS.items() for name in names}
+)
 
-__all__ = sorted(_SUBMODULE) + ["__version__"]
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS:  # `rivershare.core` after a bare `import rivershare`
-        return import_module(f"{__name__}.{name}")
-    if name not in _SUBMODULE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_SUBMODULE})
+__all__ = sorted(name for names in _EXPORTS.values() for name in names) + ["__version__"]

@@ -12,7 +12,9 @@ The two endpoints of a family are built once per profile object: the last
 profile's segments are kept, so fits, integrals, legitimacy intervals and
 distance curves over the same profile apply each endpoint rule once between
 them.  `distance_at` reads the member at t off the segment, as
-B + t(A - B), instead of applying the family's rule.
+B + t(A - B), instead of applying the family's rule.  Amounts are scaled
+down by a power of two before they are squared, so a basin with any finite
+total, observed on the same scale, does not overflow.
 
 The distance integral is read off the same segment: along it the distance
 to z is a hyperbola in t, so each Gauss-Legendre node costs one `hypot`
@@ -73,8 +75,19 @@ def family_member(e, family, parameter: float) -> Allocation:
     return RuleSpec(RuleKind(as_family(family).value), weight=parameter).apply(e)
 
 
-def _distance(x: Sequence[float], z: Sequence[float]) -> float:
-    return math.sqrt(math.fsum([(a - b) * (a - b) for a, b in zip(x, z)]))
+def _basin(e, z, family) -> tuple[InflowProfile, ObservedAllocation, Family]:
+    """The arguments every family reader takes, coerced and checked."""
+    e = as_profile(e)
+    z = as_observed(z)
+    family = as_family(family)
+    if len(z) != len(e):
+        raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
+    return e, z, family
+
+
+def _distance(x: Sequence[float], z: Sequence[float], scale: float) -> float:
+    """|x - z|, each difference multiplied by `scale` before it is squared."""
+    return math.sqrt(math.fsum([(g := (a - b) * scale) * g for a, b in zip(x, z)])) / scale
 
 
 #: The segments of the last profile, as (profile, A, {family: segment}).
@@ -86,10 +99,16 @@ _last_segments: tuple = (None, None, {})
 
 
 def _segment(e: InflowProfile, family: Family) -> tuple:
-    """The family's segment on `e`: (A, B, D, gram).
+    """The family's segment on `e`: (A, B, D, gram, scale).
 
-    A is the no-transfer allocation, B the family's full-transfer endpoint
-    (both `Allocation`s), D the tuple A - B and gram the fsum of D squared.
+    A is the no-transfer allocation and B the family's full-transfer
+    endpoint (both `Allocation`s).  `scale` is the power of two that brings
+    e.total below one, or 1 when it is already there; D is the tuple
+    (A - B) * scale and gram the fsum of D squared.  Every amount of the
+    basin is at most e.total, so squares and products of scaled amounts
+    cannot overflow, and scaling by a power of two is exact: a reader that
+    multiplies its other amounts by `scale` and divides a length by it at
+    the end gets the unscaled result bit for bit.
     """
     global _last_segments
     profile, a, segments = _last_segments
@@ -100,8 +119,9 @@ def _segment(e: InflowProfile, family: Family) -> tuple:
     else:
         a, segments = no_transfer(e), {}
     b = family_member(e, family, 0.0)
-    direction = tuple([ai - bi for ai, bi in zip(a.amounts, b.amounts)])
-    segment = (a, b, direction, math.fsum([d * d for d in direction]))
+    scale = math.ldexp(1.0, -max(0, math.frexp(e.total)[1]))
+    direction = tuple([(ai - bi) * scale for ai, bi in zip(a.amounts, b.amounts)])
+    segment = (a, b, direction, math.fsum([d * d for d in direction]), scale)
     _last_segments = (e, a, {**segments, family: segment})
     return segment
 
@@ -150,30 +170,26 @@ def fit_family(e, z, family) -> FitResult:
     endpoints coincide (within tolerance) every parameter fits equally
     well; the result is flagged degenerate and pinned at parameter 0.
     """
-    e = as_profile(e)
-    z = as_observed(z)
-    family = as_family(family)
-    if len(z) != len(e):
-        raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
-    _, b, direction, gram = _segment(e, family)
-    if math.sqrt(gram) <= tolerance_for(e.total):
+    e, z, family = _basin(e, z, family)
+    _, b, direction, gram, scale = _segment(e, family)
+    if math.sqrt(gram) <= tolerance_for(e.total) * scale:
         return FitResult(
             family=family,
             parameter_star=0.0,
             fitted_allocation=b,
-            residual_distance=_distance(b, z),
+            residual_distance=_distance(b, z, scale),
             clipped=False,
             unconstrained_parameter=None,
             degenerate=True,
         )
-    raw = math.fsum([(zi - bi) * d for zi, bi, d in zip(z.amounts, b.amounts, direction)]) / gram
+    raw = math.fsum([(zi - bi) * scale * d for zi, bi, d in zip(z.amounts, b.amounts, direction)]) / gram
     t = min(1.0, max(0.0, raw))
     member = family_member(e, family, t)
     return FitResult(
         family=family,
         parameter_star=t,
         fitted_allocation=member,
-        residual_distance=_distance(member, z),
+        residual_distance=_distance(member, z, scale),
         clipped=(t != raw),
         unconstrained_parameter=raw,
     )
@@ -185,14 +201,15 @@ def distance_at(e, z, family, parameter: float) -> float:
     The member at t is read off the segment as B + t(A - B), which can
     differ from `family_member` in the last bit; at t = 0 it is B exactly.
     """
-    e = as_profile(e)
-    z = as_observed(z)
-    if len(z) != len(e):
-        raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
-    family = as_family(family)
+    e, z, family = _basin(e, z, family)
     t = _check_weight(parameter, RuleKind(family.value))
-    _, b, direction, _ = _segment(e, family)
-    return _distance([bi + t * d for bi, d in zip(b.amounts, direction)], z.amounts)
+    _, b, direction, _, scale = _segment(e, family)
+    # `_distance` from the member B + tD to z, in one pass over the agents
+    squares = [
+        (g := (bi + t * d / scale - zi) * scale) * g
+        for bi, d, zi in zip(b.amounts, direction, z.amounts)
+    ]
+    return math.sqrt(math.fsum(squares)) / scale
 
 
 #: Most Gauss-Legendre nodes a distance integral may use.  Building a rule
@@ -262,22 +279,18 @@ def integrate_distance(e, z, family, nodes: int = 64) -> float:
     for any normalized two-agent observation) the kink is a corner, and
     64 nodes can be off by a few parts in 10^4.
     """
-    e = as_profile(e)
-    z = as_observed(z)
-    family = as_family(family)
-    if len(z) != len(e):
-        raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
+    e, z, family = _basin(e, z, family)
     _check_nodes(nodes)
-    _, b, direction, gram = _segment(e, family)
-    u = [bi - zi for bi, zi in zip(b.amounts, z.amounts)]
+    _, b, direction, gram, scale = _segment(e, family)
+    u = [(bi - zi) * scale for bi, zi in zip(b.amounts, z.amounts)]
     if gram == 0.0:
-        return math.sqrt(math.fsum([ui * ui for ui in u]))
+        return math.sqrt(math.fsum([ui * ui for ui in u])) / scale
     t0 = -math.fsum([ui * d for ui, d in zip(u, direction)]) / gram
     length = math.sqrt(gram)
     height = math.hypot(*[ui + t0 * d for ui, d in zip(u, direction)]) / length
     hypot = math.hypot
     rule = _unit_interval_nodes(nodes)
-    return length * math.fsum([w * hypot(t - t0, height) for t, w in rule])
+    return length * math.fsum([w * hypot(t - t0, height) for t, w in rule]) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +379,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
     interval (within tolerance) are legitimate; the rest fall below the
     lower bound or above the upper one.
     """
-    e = as_profile(e)
-    z = as_observed(z)
-    family = as_family(family)
-    if len(z) != len(e):
-        raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
+    e, z, family = _basin(e, z, family)
     if names is None:
         names = tuple(f"agent {i}" for i in range(len(e)))
     else:
@@ -379,7 +388,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
             raise DimensionError(f"{len(names)} names for {len(e)} agents")
     if tol is None:
         tol = tolerance_for(max(e.total, z.total))
-    a, b, _, _ = _segment(e, family)
+    a, b, _, _, _ = _segment(e, family)
     entries = []
     for i, (name, ai, bi, zi) in enumerate(zip(names, a.amounts, b.amounts, z.amounts)):
         lower, upper = min(ai, bi), max(ai, bi)

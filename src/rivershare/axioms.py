@@ -651,17 +651,15 @@ def _directed_instances(axiom: Axiom, rule: RuleSpec, n_range) -> Iterable[tuple
                 yield (e,)
         elif axiom in _SOURCE_SHAPES:
             for position in range(n - 1):
-                values = [0.0] * n
-                values[position] = 1.0
-                yield InflowProfile(tuple(values)), position, axiom
+                yield profiles[position], position, axiom
         elif axiom is Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS:
-            units = _library_profiles(n)[: n - 1]  # unit inflows at non-terminal spots
+            units = profiles[: n - 1]  # unit inflows at non-terminal spots
             for a, e in enumerate(units):
                 for b, other in enumerate(units):
                     if a != b:
                         yield e, other
         elif axiom is Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW:
-            units = _library_profiles(n)[:n]
+            units = profiles[:n]
             for a in range(n - 1):
                 for b in range(a + 1, n - 1):
                     for position in range(b + 1, n):

@@ -9,24 +9,20 @@ case-study reference outside tolerance).  A standard output closed by its
 reader, as in `rivershare axioms ... | head -1`, is an error too: one
 `error:` line on stderr and exit 1, with no traceback.
 
-A subcommand runs the modules it uses when it first uses them: `allocate`,
-and a usage error, run neither `axioms` nor `analysis`; `axioms` runs only
-`axioms`, and `fit` and `case-study` only `analysis`.  This holds however
-the CLI is started: `python -m rivershare.cli`, the `rivershare` script, or
-`main()` called from Python.
+Importing this module loads the whole package, as `import rivershare`
+does, so every subcommand starts with the same modules loaded.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
 import os
 import sys
 from typing import Sequence
 
-from . import __version__
+from . import __version__, analysis, axioms
 from .core import (
     _RULE_GRAMMAR,
     InflowProfile,
@@ -37,25 +33,6 @@ from .core import (
 )
 from .data_io import BasinDataset, builtin_nile, read_dataset
 
-
-def _run_on_first_use(name: str):
-    """The module `name`, whose code runs on its first attribute access.
-
-    It is registered in `sys.modules` at once, so a later import of `name`,
-    or a lookup there, finds this same module.
-    """
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-axioms = _run_on_first_use("rivershare.axioms")
-analysis = _run_on_first_use("rivershare.analysis")
 
 #: Largest river `axioms` generates: the order-preservation check is O(n^2).
 _MAX_AXIOM_AGENTS = 1000

@@ -241,6 +241,43 @@ def test_fit_dimension_mismatch():
         fit_family((1.0, 2.0), (1.0, 1.0, 1.0), Family.COMPROMISE)
 
 
+def test_family_readers_check_their_arguments_alike():
+    readers = (
+        fit_family,
+        lambda e, z, family: distance_at(e, z, family, 0.5),
+        integrate_distance,
+        legitimacy_bounds,
+    )
+    for reader in readers:
+        with pytest.raises(DimensionError, match="^observation has 3 entries for 2 agents$"):
+            reader((1.0, 2.0), (1.0, 1.0, 1.0), Family.COMPROMISE)
+        # the family is checked before the lengths
+        with pytest.raises(ParameterError, match="unknown family 'shapley'"):
+            reader((1.0, 2.0), (1.0, 1.0, 1.0), "shapley")
+
+
+@pytest.mark.parametrize("magnitude", [1e160, 1e300, 2.0**1000])
+def test_large_basins_fit_like_the_unit_basin(magnitude):
+    # squares of these amounts overflow a float; every result must still be
+    # the unit basin's, scaled by the magnitude
+    unit_e, unit_z = InflowProfile((1.0, 2.0, 0.0)), ObservedAllocation((1.0, 1.0, 1.0))
+    e = unit_e.scaled(magnitude)
+    z = ObservedAllocation([magnitude * v for v in unit_z])
+    for family in Family:
+        fit, unit_fit = fit_family(e, z, family), fit_family(unit_e, unit_z, family)
+        assert not fit.degenerate and not fit.clipped
+        assert fit.parameter_star == pytest.approx(unit_fit.parameter_star, rel=1e-14)
+        assert fit.unconstrained_parameter == fit.parameter_star
+        assert fit.residual_distance == pytest.approx(magnitude * unit_fit.residual_distance, rel=1e-14)
+        for t in (0.0, 0.5, 1.0):
+            assert distance_at(e, z, family, t) == pytest.approx(
+                magnitude * distance_at(unit_e, unit_z, family, t), rel=1e-14
+            )
+        assert integrate_distance(e, z, family) == pytest.approx(
+            magnitude * integrate_distance(unit_e, unit_z, family), rel=1e-14
+        )
+
+
 def test_as_family_coercion():
     assert as_family("compromise") is Family.COMPROMISE
     assert as_family("partial") is Family.PARTIAL_COMPROMISE

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -384,6 +385,33 @@ def test_fit_rejects_bad_input(capsys, monkeypatch, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("family", ["compromise", "partial"])
+@pytest.mark.parametrize("magnitude", [1e160, 1e300])
+def test_fit_at_large_magnitudes_prints_finite_numbers(capsys, tmp_path, family, magnitude):
+    path = tmp_path / "huge.csv"
+    m = magnitude
+    path.write_text(f"agent,inflow,withdrawal\na,{m!r},{m!r}\nb,{2 * m!r},{m!r}\nc,0,{m!r}\n")
+    argv = ("fit", "--dataset", str(path), "--family", family)
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    def numbers(value):
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in numbers(v)]
+        if isinstance(value, list):
+            return [x for v in value for x in numbers(v)]
+        return [value] if isinstance(value, float) else []
+
+    found = numbers(json.loads(out, parse_constant=refuse))
+    assert found and all(math.isfinite(x) for x in found)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "nan" not in out and "inf" not in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -560,6 +588,13 @@ import types
 
 import rivershare
 
+modules = ["rivershare.core", "rivershare.axioms", "rivershare.analysis", "rivershare.data_io"]
+kinds = {name: type(sys.modules.get(name)) for name in modules}
+assert all(kind is types.ModuleType for kind in kinds.values()), f"import rivershare loaded {kinds}"
+unlisted = sorted(set(rivershare.__all__) - set(dir(rivershare)))
+assert not unlisted, unlisted
+assert rivershare.data_io.builtin_nile is rivershare.builtin_nile
+
 
 def run(*argv):
     # what `python -m rivershare.cli ...` runs, in this interpreter
@@ -570,17 +605,9 @@ def run(*argv):
         return exc.code
 
 
-def ran(*names):
-    # the CLI registers `axioms` and `analysis` as lazy modules, whose class
-    # becomes types.ModuleType when their code runs
-    return [name for name in names if type(sys.modules.get(name)) is types.ModuleType]
+def heavy():
+    return [name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules]
 
-
-early = [name for name in sys.modules if name.startswith("rivershare.")]
-assert not early, f"import rivershare loaded {early}"
-unlisted = sorted(set(rivershare.__all__) - set(dir(rivershare)))
-assert not unlisted, unlisted
-assert rivershare.data_io.builtin_nile is rivershare.builtin_nile
 
 # what the `rivershare` script runs
 from rivershare.cli import main
@@ -590,8 +617,7 @@ codes = [
     main(["allocate", "--inflows", "1,-2", "--rule", "nt"]),
 ]
 assert codes == [0, 1], codes
-lazy = ran("dataclasses", "inspect", "numpy", "rivershare.axioms", "rivershare.analysis")
-assert not lazy, f"the script's allocate ran {lazy}"
+assert not heavy(), f"the script's allocate loaded {heavy()}"
 
 codes = [
     run("allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"),
@@ -600,25 +626,17 @@ codes = [
     run("frobnicate", "--json"),
 ]
 assert codes == [0, 0, 1, 1], codes
-lazy = ran("dataclasses", "inspect", "numpy", "rivershare.axioms", "rivershare.analysis")
-assert not lazy, f"allocate ran {lazy}"
+assert not heavy(), f"allocate loaded {heavy()}"
 
 assert run("axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20", "--json") == 0
-assert ran("rivershare.axioms")
-lazy = ran("dataclasses", "inspect", "numpy", "rivershare.analysis")
-assert not lazy, f"axioms ran {lazy}"
-
-# a lazy module runs when a caller first reads from it
-assert sys.modules["rivershare.analysis"].fit_family is rivershare.fit_family
-assert ran("rivershare.analysis")
+assert not heavy(), f"axioms loaded {heavy()}"
 
 codes = [
     run("fit", "--dataset", "nile", "--family", "compromise", "--json"),
     run("case-study", "--json"),
 ]
 assert codes == [0, 0], codes
-lazy = ran("dataclasses", "inspect", "numpy")
-assert not lazy, f"fit and case-study ran {lazy}"
+assert not heavy(), f"fit and case-study loaded {heavy()}"
 
 namespace = {}
 exec("from rivershare import *", namespace)
@@ -628,13 +646,13 @@ print("ok")
 """
 
 
-def test_each_command_imports_only_what_it_runs():
+def test_import_loads_every_module_and_commands_load_nothing_heavy():
     done = run_child([sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT], text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("ok\n")
 
 
-def test_package_names_resolve_lazily():
+def test_package_names_are_bound_from_their_modules():
     import rivershare
 
     assert rivershare.RuleSpec is RuleSpec
@@ -646,6 +664,59 @@ def test_package_names_resolve_lazily():
     from rivershare import axioms as submodule, core
 
     assert submodule is axioms and core.RuleSpec is RuleSpec
+
+
+_TRACED_CLI_SCRIPT = """
+import contextlib
+import importlib.util
+import io
+import sys
+
+# the benchmark's span recorder, loaded by path: it uses only the stdlib
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+
+from rivershare import cli
+
+
+def bindings():
+    # every name bound in a module of the package, and every class attribute
+    # the recorder may patch
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name == "rivershare" or name.startswith("rivershare."):
+            for key, value in vars(module).items():
+                out[name, key] = value
+                if isinstance(value, type):
+                    out.update(((name, key, k), v) for k, v in vars(value).items())
+    return out
+
+
+before = bindings()
+recorder = spans.SpanRecorder()
+recorder.install()
+assert cli.main is not before["rivershare.cli", "main"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"])
+recorder.uninstall()
+assert code == 0, code
+assert '"allocation"' in out.getvalue()
+summary = recorder.summary()
+assert summary["cli.main"]["calls"] == 1, summary
+assert summary["RuleSpec.apply"]["calls"] >= 1, summary
+after = bindings()
+changed = [key for key, value in before.items() if after.get(key) is not value]
+assert not changed and after.keys() == before.keys(), changed
+print("ok")
+"""
+
+
+def test_benchmark_span_recorder_traces_the_cli():
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    done = run_child([sys.executable, "-c", _TRACED_CLI_SCRIPT, str(spans)], text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("ok\n")
 
 
 def test_dataset_round_trip_through_cli(capsys, tmp_path):
