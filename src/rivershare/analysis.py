@@ -26,8 +26,10 @@ Quadrature takes at most 1024 nodes (`_MAX_NODES`).
 from __future__ import annotations
 
 import math
+from collections import deque
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 from .core import (
@@ -66,13 +68,17 @@ def as_family(value) -> Family:
         raise ParameterError(f"unknown family {value!r}, expected one of: {legal}") from None
 
 
+#: The rule kind of each family, whose weight is the family's parameter.
+_FAMILY_KIND = {family: RuleKind(family.value) for family in Family}
+
+
 def family_member(e, family, parameter: float) -> Allocation:
     """The family's allocation at `parameter` (weight on no-transfer).
 
     Parameter 1 is the no-transfer rule; parameter 0 is the family's full
     transfer endpoint, bit-identical to eft or ept.
     """
-    return RuleSpec(RuleKind(as_family(family).value), weight=parameter).apply(e)
+    return RuleSpec(_FAMILY_KIND[as_family(family)], weight=parameter).apply(e)
 
 
 def _basin(e, z, family) -> tuple[InflowProfile, ObservedAllocation, Family]:
@@ -99,16 +105,16 @@ _last_segments: tuple = (None, None, {})
 
 
 def _segment(e: InflowProfile, family: Family) -> tuple:
-    """The family's segment on `e`: (A, B, D, gram, scale).
+    """The family's segment on `e`: (A, B, D, gram, scale, Bs).
 
     A is the no-transfer allocation and B the family's full-transfer
     endpoint (both `Allocation`s).  `scale` is the power of two that brings
     e.total below one, or 1 when it is already there; D is the tuple
-    (A - B) * scale and gram the fsum of D squared.  Every amount of the
-    basin is at most e.total, so squares and products of scaled amounts
-    cannot overflow, and scaling by a power of two is exact: a reader that
-    multiplies its other amounts by `scale` and divides a length by it at
-    the end gets the unscaled result bit for bit.
+    (A - B) * scale, gram the fsum of D squared and Bs the tuple B * scale.
+    Every amount of the basin is at most e.total, so squares and products
+    of scaled amounts cannot overflow, and scaling by a power of two is
+    exact: a reader that multiplies its other amounts by `scale` and
+    divides a length by it at the end gets the unscaled result bit for bit.
     """
     global _last_segments
     profile, a, segments = _last_segments
@@ -121,7 +127,8 @@ def _segment(e: InflowProfile, family: Family) -> tuple:
     b = family_member(e, family, 0.0)
     scale = math.ldexp(1.0, -max(0, math.frexp(e.total)[1]))
     direction = tuple([(ai - bi) * scale for ai, bi in zip(a.amounts, b.amounts)])
-    segment = (a, b, direction, math.fsum([d * d for d in direction]), scale)
+    gram = math.fsum([d * d for d in direction])
+    segment = (a, b, direction, gram, scale, tuple([bi * scale for bi in b.amounts]))
     _last_segments = (e, a, {**segments, family: segment})
     return segment
 
@@ -171,7 +178,7 @@ def fit_family(e, z, family) -> FitResult:
     well; the result is flagged degenerate and pinned at parameter 0.
     """
     e, z, family = _basin(e, z, family)
-    _, b, direction, gram, scale = _segment(e, family)
+    _, b, direction, gram, scale, _ = _segment(e, family)
     if math.sqrt(gram) <= tolerance_for(e.total) * scale:
         return FitResult(
             family=family,
@@ -202,12 +209,14 @@ def distance_at(e, z, family, parameter: float) -> float:
     differ from `family_member` in the last bit; at t = 0 it is B exactly.
     """
     e, z, family = _basin(e, z, family)
-    t = _check_weight(parameter, RuleKind(family.value))
-    _, b, direction, _, scale = _segment(e, family)
-    # `_distance` from the member B + tD to z, in one pass over the agents
+    t = _check_weight(parameter, _FAMILY_KIND[family])
+    _, _, direction, _, scale, scaled_b = _segment(e, family)
+    # `_distance` from the member B + tD to z, in one pass over the agents;
+    # scaling by a power of two commutes with rounding, so each term is
+    # (B + tD/scale - z) * scale to the bit
     squares = [
-        (g := (bi + t * d / scale - zi) * scale) * g
-        for bi, d, zi in zip(b.amounts, direction, z.amounts)
+        (g := bs + t * d - zi * scale) * g
+        for bs, d, zi in zip(scaled_b, direction, z.amounts)
     ]
     return math.sqrt(math.fsum(squares)) / scale
 
@@ -281,7 +290,7 @@ def integrate_distance(e, z, family, nodes: int = 64) -> float:
     """
     e, z, family = _basin(e, z, family)
     _check_nodes(nodes)
-    _, b, direction, gram, scale = _segment(e, family)
+    _, b, direction, gram, scale, _ = _segment(e, family)
     u = [(bi - zi) * scale for bi, zi in zip(b.amounts, z.amounts)]
     if gram == 0.0:
         return math.sqrt(math.fsum([ui * ui for ui in u])) / scale
@@ -333,6 +342,15 @@ class LegitimacyEntry(_Record):
     observed = property(lambda self: self._values[4])
     classification = property(lambda self: self._values[5])
 
+    @classmethod
+    def _of_rows(cls, rows: list[tuple]) -> tuple["LegitimacyEntry", ...]:
+        """One entry per tuple of the six field values in `rows`, built
+        without running `__init__`: C builtins make the objects and fill
+        their one slot."""
+        entries = tuple(map(object.__new__, repeat(cls, len(rows))))
+        deque(map(cls._values.__set__, entries, rows), maxlen=0)
+        return entries
+
     def _key(self) -> tuple:
         return self._values
 
@@ -383,23 +401,23 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
     if names is None:
         names = tuple(f"agent {i}" for i in range(len(e)))
     else:
-        names = tuple(str(n) for n in names)
+        names = tuple(map(str, names))
         if len(names) != len(e):
             raise DimensionError(f"{len(names)} names for {len(e)} agents")
     if tol is None:
         tol = tolerance_for(max(e.total, z.total))
-    a, b, _, _, _ = _segment(e, family)
-    entries = []
-    for i, (name, ai, bi, zi) in enumerate(zip(names, a.amounts, b.amounts, z.amounts)):
-        lower, upper = min(ai, bi), max(ai, bi)
-        if zi < lower - tol:
-            kind = Legitimacy.BELOW_LOWER
-        elif zi > upper + tol:
-            kind = Legitimacy.ABOVE_UPPER
-        else:
-            kind = Legitimacy.LEGITIMATE
-        entries.append(LegitimacyEntry(name, i, lower, upper, zi, kind))
-    return LegitimacyReport(family=family, entries=tuple(entries))
+    a, b = _segment(e, family)[:2]
+    below, above, inside = Legitimacy.BELOW_LOWER, Legitimacy.ABOVE_UPPER, Legitimacy.LEGITIMATE
+    # lower and upper are min(A_i, B_i) and max(A_i, B_i) without the calls:
+    # on a tie both keep A_i, as min and max do, so a zero keeps its sign
+    rows = [
+        (
+            name, i, (lower := bi if bi < ai else ai), (upper := bi if bi > ai else ai), zi,
+            below if zi < lower - tol else above if zi > upper + tol else inside,
+        )
+        for i, (name, ai, bi, zi) in enumerate(zip(names, a.amounts, b.amounts, z.amounts))
+    ]
+    return LegitimacyReport(family=family, entries=LegitimacyEntry._of_rows(rows))
 
 
 def shares_of_total(values) -> tuple[float, ...]:

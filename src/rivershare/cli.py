@@ -1,6 +1,7 @@
 """Command-line surface: allocate, axioms, fit, case-study.
 
-Output goes to standard output as plain tables (four decimal places), or
+Output goes to standard output as plain tables (four decimal places, or
+an exponent form with four decimals from magnitude 1e12 up), or
 as a single JSON document with `--json` (full precision, key-sorted, no
 timestamps, so identical invocations are byte-identical).  Exit codes:
 0 on success, 1 on parse or validation errors, 2 when a requested check
@@ -90,7 +91,15 @@ def _emit(record: str, args, human_lines) -> None:
             print(line)
 
 
+#: Magnitude from which table values are printed in exponent form: the
+#: float spacing there is about 1e-4, so a fourth decimal carries nothing,
+#: and a 1e300 basin would otherwise print 300-digit cells.
+_FIXED_POINT_LIMIT = 1e12
+
+
 def _fmt(value: float) -> str:
+    if abs(value) >= _FIXED_POINT_LIMIT:
+        return f"{value:.4e}"
     return f"{value:.4f}"
 
 

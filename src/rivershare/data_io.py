@@ -4,6 +4,15 @@ Datasets arrive as CSV (header ``agent,inflow[,withdrawal]``) or JSON (an
 object with an ``agents`` array of ``{name, inflow, withdrawal?}``), rows
 ordered upstream to downstream.  Row order is river order; there is no
 reordering key.
+
+A dataset is checked column by column in one pass of C builtins, the way
+`InflowProfile` checks its inflows: the names must be non-empty and
+distinct, and every number must be a finite float >= 0 whose column total
+is finite.  Only input that this bulk check rejects is walked row by row;
+the walk words the error and names the offending line (CSV) or array index
+(JSON).  A number outside the float range is an error too: a JSON integer
+too large to convert, a JSON integer longer than Python converts at all,
+or withdrawals whose total overflows when they are normalized.
 """
 
 from __future__ import annotations
@@ -12,6 +21,9 @@ import csv
 import io
 import json
 import math
+import sys
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 from typing import TextIO
 
@@ -58,6 +70,14 @@ class BasinDataset(_Record):
                     raise DatasetError(f"withdrawal at position {k} must be finite and >= 0, got {v}")
         self._set_fields(names, inflows, withdrawals, units)
 
+    @classmethod
+    def _of_checked(cls, names, inflows, withdrawals) -> "BasinDataset":
+        """A dataset of fields the caller has already checked as `__init__`
+        would, built without running it."""
+        self = object.__new__(cls)
+        self._set_fields(names, inflows, withdrawals, "km³/year")
+        return self
+
     def __len__(self) -> int:
         return len(self.inflows)
 
@@ -79,14 +99,20 @@ def normalize_withdrawals(e, withdrawals) -> ObservedAllocation:
     """
     if not isinstance(e, InflowProfile):
         e = InflowProfile(tuple(e))
-    values = [float(v) for v in withdrawals]
+    values = list(map(float, withdrawals))
     if len(values) != len(e):
         raise DimensionError(f"{len(values)} withdrawals for {len(e)} inflows")
-    total = math.fsum(values)
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        raise DatasetError("withdrawal total is too large to represent as a float") from None
     if not total > 0.0:
         raise DatasetError(f"withdrawals must have a positive total, got {total}")
     factor = e.total / total
-    return ObservedAllocation(tuple(v * factor for v in values))
+    amounts = tuple(map(mul, values, repeat(factor)))
+    if math.isfinite(sum(amounts)) and min(amounts) >= 0.0:
+        return ObservedAllocation._of_checked(amounts)
+    return ObservedAllocation(amounts)  # its entry checks name the fault
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +124,8 @@ def _parse_number(text, where: str, what: str) -> float:
         value = float(text)
     except (TypeError, ValueError):
         raise DatasetError(f"{where}: {what} must be a number, got {text!r}") from None
+    except OverflowError:  # a JSON integer beyond the float range
+        raise DatasetError(f"{where}: {what} is too large to represent as a float") from None
     if not math.isfinite(value):
         raise DatasetError(f"{where}: {what} must be finite, got {text!r}")
     return value
@@ -130,11 +158,29 @@ def _build_dataset(rows: list[tuple[str, str, float, float | None]]) -> BasinDat
         raise DatasetError(
             f"{missing}: withdrawal missing; provide the column for every agent or none"
         )
-    return BasinDataset(
-        names=tuple(names),
-        inflows=InflowProfile(tuple(inflows)),
-        withdrawals=tuple(withdrawals) if with_count else None,
+    return BasinDataset._of_checked(
+        tuple(names), InflowProfile(tuple(inflows)), tuple(withdrawals) if with_count else None
     )
+
+
+def _columns_dataset(names, inflows, withdrawals) -> BasinDataset | None:
+    """The dataset of these columns, or None when any check fails.
+
+    `names` is a tuple of strings; `inflows` and `withdrawals` (or None)
+    are columns of numbers or number texts, as long as `names`.  The
+    profile's own bulk check covers the inflows.
+    """
+    if not all(names) or len(set(names)) != len(names):
+        return None
+    try:
+        profile = InflowProfile(tuple(map(float, inflows)))
+        if withdrawals is not None:
+            withdrawals = tuple(map(float, withdrawals))
+            if not (math.isfinite(math.fsum(withdrawals)) and min(withdrawals) >= 0.0):
+                return None
+    except (ValueError, OverflowError):
+        return None
+    return BasinDataset._of_checked(names, profile, withdrawals)
 
 
 def _load_csv(text: str) -> BasinDataset:
@@ -148,30 +194,72 @@ def _load_csv(text: str) -> BasinDataset:
         raise DatasetError(
             f"line 1: header must be agent,inflow or agent,inflow,withdrawal, got {','.join(header)}"
         )
-    has_withdrawal = len(header) == 3
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
+    rows = list(reader)
+    dataset = _csv_columns(rows, len(header))
+    return _walk_csv(rows, len(header)) if dataset is None else dataset
+
+
+def _csv_columns(rows: list[list[str]], width: int) -> BasinDataset | None:
+    """The bulk check of CSV rows below the header; empty lines are skipped."""
+    try:
+        columns = tuple(zip(*filter(None, rows), strict=True))
+    except ValueError:  # rows of different lengths
+        return None
+    if len(columns) != width:
+        return None
+    names = tuple(map(str.strip, columns[0]))
+    return _columns_dataset(names, columns[1], columns[2] if width == 3 else None)
+
+
+def _walk_csv(rows: list[list[str]], width: int) -> BasinDataset:
+    """The row-by-row check of CSV rows below the header, which names the
+    line of the first fault."""
+    checked = []
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue  # ignore blank lines
         where = f"line {line_no}"
-        if len(row) != len(header):
-            raise DatasetError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        if len(row) != width:
+            raise DatasetError(f"{where}: expected {width} fields, got {len(row)}")
         name = row[0].strip()
         if not name:
             raise DatasetError(f"{where}: agent name must be non-empty")
         inflow = _parse_number(row[1].strip(), where, "inflow")
-        withdrawal = _parse_number(row[2].strip(), where, "withdrawal") if has_withdrawal else None
-        rows.append((where, name, inflow, withdrawal))
-    return _build_dataset(rows)
+        withdrawal = _parse_number(row[2].strip(), where, "withdrawal") if width == 3 else None
+        checked.append((where, name, inflow, withdrawal))
+    return _build_dataset(checked)
 
 
 def _reject_constant(text):
     raise DatasetError(f"non-finite JSON value {text!r} is not allowed")
 
 
+#: One decoder for every JSON dataset; `json.loads` with an argument
+#: builds a new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode_json(text):
+    """`json.loads(text, parse_constant=_reject_constant)` on `_DECODER`,
+    with the one parse error `json` leaves unworded made a DatasetError."""
+    if not isinstance(text, str):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    elif text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _DECODER.decode(text)
+    except (json.JSONDecodeError, DatasetError):
+        raise
+    except ValueError:  # int() refuses a literal of that many digits
+        raise DatasetError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits,"
+            " too large to represent as a float"
+        ) from None
+
+
 def _load_json(text: str) -> BasinDataset:
     try:
-        payload = json.loads(text, parse_constant=_reject_constant)
+        payload = _decode_json(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "agents" not in payload:
@@ -179,6 +267,37 @@ def _load_json(text: str) -> BasinDataset:
     agents = payload["agents"]
     if not isinstance(agents, list):
         raise DatasetError("'agents' must be an array")
+    dataset = _json_columns(agents)
+    return _walk_json(agents) if dataset is None else dataset
+
+
+_FIELDS = ("name", "inflow", "withdrawal")
+_NUMBER_TYPES = {int, float}  # not bool: its type is neither
+
+
+def _json_columns(agents: list) -> BasinDataset | None:
+    """The bulk check of the 'agents' array.
+
+    The first agent says whether there is a withdrawal field; then every
+    agent must be an object with exactly the fields that leaves, since a
+    field that `dict.get` misses reads as None and fails the type checks.
+    """
+    if not agents or set(map(type, agents)) != {dict}:
+        return None
+    fields = _FIELDS if "withdrawal" in agents[0] else _FIELDS[:2]
+    if set(map(len, agents)) != {len(fields)}:
+        return None
+    names, inflows, *withdrawals = [tuple(map(dict.get, agents, repeat(f))) for f in fields]
+    if set(map(type, names)) != {str} or not all(
+        set(map(type, column)) <= _NUMBER_TYPES for column in (inflows, *withdrawals)
+    ):
+        return None
+    return _columns_dataset(names, inflows, withdrawals[0] if withdrawals else None)
+
+
+def _walk_json(agents: list) -> BasinDataset:
+    """The entry-by-entry check of the 'agents' array, which names the
+    index of the first fault."""
     rows = []
     for k, entry in enumerate(agents):
         where = f"agents[{k}]"
@@ -242,16 +361,13 @@ def dump_dataset(dataset: BasinDataset, format: str) -> str:
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
+        inflows = map(repr, dataset.inflows.inflows)
         if dataset.has_withdrawals:
             writer.writerow(["agent", "inflow", "withdrawal"])
-            for name, inflow, withdrawal in zip(
-                dataset.names, dataset.inflows, dataset.withdrawals
-            ):
-                writer.writerow([name, repr(inflow), repr(withdrawal)])
+            writer.writerows(zip(dataset.names, inflows, map(repr, dataset.withdrawals)))
         else:
             writer.writerow(["agent", "inflow"])
-            for name, inflow in zip(dataset.names, dataset.inflows):
-                writer.writerow([name, repr(inflow)])
+            writer.writerows(zip(dataset.names, inflows))
         return buffer.getvalue()
     if fmt == "json":
         # the bytes of json.dumps({"agents": [...]}, indent=2), written

@@ -36,6 +36,7 @@ from rivershare.analysis import (
     shares_of_total,
 )
 from rivershare.core import (
+    Allocation,
     DimensionError,
     InflowProfile,
     ObservedAllocation,
@@ -527,6 +528,20 @@ def test_legitimacy_boundary_tolerance():
     clearly_out = ObservedAllocation((1.1, 0.9))
     report = legitimacy_bounds(e, clearly_out, Family.COMPROMISE)
     assert report.classifications == (Legitimacy.ABOVE_UPPER, Legitimacy.BELOW_LOWER)
+
+
+def test_legitimacy_bounds_keep_min_and_max_on_tied_zeros(monkeypatch):
+    # on a tie min and max return their first argument, so each bound keeps
+    # the sign of A_i's zero
+    a = Allocation((0.0, -0.0, 1.0, 2.0))
+    b = Allocation((-0.0, 0.0, 1.0, 0.5))
+    segment = analysis._segment
+    monkeypatch.setattr(analysis, "_segment", lambda e, family: (a, b) + segment(e, family)[2:])
+    e = InflowProfile((1.0, 1.0, 1.0, 1.0))
+    report = legitimacy_bounds(e, ObservedAllocation((0.0, 0.0, 1.0, 3.0)), Family.COMPROMISE, tol=0.0)
+    bounds = [(entry.lower, entry.upper) for entry in report.entries]
+    assert repr(bounds) == repr([(min(ai, bi), max(ai, bi)) for ai, bi in zip(a, b)])
+    assert report.classifications[-1] is Legitimacy.ABOVE_UPPER
 
 
 def test_legitimacy_name_length_mismatch():

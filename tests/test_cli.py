@@ -427,6 +427,74 @@ def test_integral_inputs_are_bounded(capsys, forbid_node_rule, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "name,text,command,message",
+    [
+        (
+            "overflow.csv",
+            "agent,inflow,withdrawal\nA,1,1e308\nB,2,1e308\n",
+            ("fit", "--family", "compromise"),
+            "withdrawal total is too large to represent as a float",
+        ),
+        (
+            "big.json",
+            '{"agents": [{"name": "A", "inflow": 1' + "0" * 400 + '}, {"name": "B", "inflow": 2}]}',
+            ("allocate", "--rule", "nt"),
+            "agents[0]: inflow is too large to represent as a float",
+        ),
+        (
+            "long.json",
+            '{"agents": [{"name": "A", "inflow": 1' + "0" * 5000 + '}, {"name": "B", "inflow": 2}]}',
+            ("fit", "--family", "partial"),
+            "too large to represent as a float",
+        ),
+    ],
+    ids=["withdrawal-total", "int-over-float-range", "int-over-digit-limit"],
+)
+def test_out_of_range_numbers_are_one_error_line(capsys, tmp_path, name, text, command, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, "--dataset", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err
+
+
+def test_overflowing_withdrawals_still_allocate(capsys, tmp_path):
+    path = tmp_path / "overflow.csv"
+    path.write_text("agent,inflow,withdrawal\nA,1,1e308\nB,2,1e308\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "allocate", "--dataset", str(path), "--rule", "shapley")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (0.0, "0.0000"),
+        (81.0, "81.0000"),
+        (-0.25, "-0.2500"),
+        (999_999_999_999.5, "999999999999.5000"),
+        (1e12, "1.0000e+12"),
+        (-3.5e15, "-3.5000e+15"),
+        (1e300, "1.0000e+300"),
+        (math.inf, "inf"),
+        (math.nan, "nan"),
+    ],
+)
+def test_table_values_take_an_exponent_form_from_1e12(value, text):
+    assert cli._fmt(value) == text
+
+
+@pytest.mark.parametrize("command", [("fit", "--family", "compromise"), ("allocate", "--rule", "shapley")])
+def test_huge_basins_print_short_table_rows(capsys, tmp_path, command):
+    path = tmp_path / "huge.csv"
+    path.write_text("agent,inflow,withdrawal\na,1e300,1e300\nb,2e300,1e300\nc,0,1e300\n")
+    code, out, err = run_cli(capsys, *command, "--dataset", str(path))
+    assert code == 0 and err == ""
+    assert "e+300" in out
+    assert max(map(len, out.splitlines())) < 80
+
+
 def test_fit_requires_withdrawals(capsys, tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("agent,inflow\na,1\nb,2\n", encoding="utf-8")

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rivershare.core import DimensionError, InflowProfile, ObservedAllocation
+from rivershare import data_io
+from rivershare.core import DimensionError, InflowProfile, ObservedAllocation, RiverShareError
 from rivershare.data_io import (
     BasinDataset,
     DatasetError,
@@ -88,6 +93,19 @@ def test_normalize_rejects_zero_total_and_mismatch():
         normalize_withdrawals(e, (0.0, 0.0))
     with pytest.raises(DimensionError):
         normalize_withdrawals(e, (1.0, 1.0, 1.0))
+
+
+def test_normalize_rejects_an_overflowing_total():
+    with pytest.raises(DatasetError, match="withdrawal total is too large to represent as a float"):
+        normalize_withdrawals(InflowProfile((1.0, 2.0)), (1e308, 1e308))
+
+
+def test_normalize_checks_the_amounts_it_makes():
+    # a tiny withdrawal total makes the factor overflow
+    with pytest.raises(RiverShareError, match="observed amount at position 0 must be finite"):
+        normalize_withdrawals(InflowProfile((1e300, 1e300)), (5e-324, 0.0))
+    with pytest.raises(RiverShareError, match="observed amount at position 1 must be >= 0"):
+        normalize_withdrawals(InflowProfile((1.0, 1.0)), (3.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +190,37 @@ def test_load_json():
             '{"agents": [{"name": "A", "inflow": 1, "withdrawal": 1}, {"name": "B", "inflow": 2}]}',
             "every agent or none",
         ),
+        ('\ufeff{"agents": []}', "invalid JSON: Unexpected UTF-8 BOM"),
     ],
 )
 def test_load_json_errors(payload, fragment):
     with pytest.raises(DatasetError) as err:
         load_dataset(payload, "json")
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (
+            '{"agents": [{"name": "A", "inflow": 1' + "0" * 400 + '}, {"name": "B", "inflow": 2}]}',
+            "agents[0]: inflow is too large to represent as a float",
+        ),
+        (
+            '{"agents": [{"name": "A", "inflow": 1, "withdrawal": 1}, '
+            '{"name": "B", "inflow": 2, "withdrawal": -1' + "0" * 309 + "}]}",
+            "agents[1]: withdrawal is too large to represent as a float",
+        ),
+        (
+            '{"agents": [{"name": "A", "inflow": 1' + "0" * 5000 + '}, {"name": "B", "inflow": 2}]}',
+            "invalid JSON: an integer has more than",
+        ),
+    ],
+    ids=["over-float-range", "negative-over-float-range", "over-digit-limit"],
+)
+def test_load_json_rejects_integers_out_of_range(payload, message):
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_dataset(payload, "json")
 
 
 def test_unknown_format_rejected():
@@ -341,3 +384,147 @@ def test_len_and_units():
     ds = load_dataset(GOOD_CSV, "csv")
     assert len(ds) == 3
     assert ds.units == "km³/year"
+
+
+# ---------------------------------------------------------------------------
+# the bulk check and the row walk
+
+
+def _csv_with_blank_lines(names, inflows, withdrawals=None, crlf=False) -> str:
+    """CSV with a blank line before every row, written without data_io."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n" if crlf else "\n")
+    writer.writerow(["Agent", " Inflow"] + ([] if withdrawals is None else ["withdrawal "]))
+    for row in zip(names, inflows, *([] if withdrawals is None else [withdrawals])):
+        writer.writerow([])
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+WELL_FORMED = [
+    (GOOD_CSV, "csv"),
+    (GOOD_CSV_NO_W, "csv"),
+    ("Agent,Inflow\n\nA,1\n\nB,2\n\n", "csv"),
+    (GOOD_CSV.replace("\n", "\r\n"), "csv"),
+    (_csv_with_blank_lines([" up ", "mid", "down"], ["3", " 2.5", "1e-3 "], ["0", "-0.0", "7"]), "csv"),
+    (_csv_with_blank_lines(["a", "b"], ["1_000", "0"], crlf=True), "csv"),
+    (dump_dataset(builtin_nile(), "csv"), "csv"),
+    (dump_dataset(AWKWARD, "csv"), "csv"),
+    (GOOD_JSON, "json"),
+    ('{"agents": [{"inflow": 3, "name": "A"}, {"name": "B", "inflow": 0}]}', "json"),
+    ('{"agents": [{"name": "A", "inflow": 1e308, "withdrawal": 0}, '
+     '{"name": "B", "inflow": -0.0, "withdrawal": 2}], "units": "ignored"}', "json"),
+    (dump_dataset(builtin_nile(), "json"), "json"),
+    (dump_dataset(AWKWARD, "json"), "json"),
+    (json.dumps({"agents": [{"name": "A", "inflow": 1.5}, {"name": "B", "inflow": 2}]}), "json"),
+]
+
+
+@pytest.mark.parametrize("text,fmt", WELL_FORMED)
+def test_well_formed_datasets_never_take_the_row_walk(monkeypatch, text, fmt):
+    walked = _walked(text, fmt)
+
+    def refuse(*args):
+        raise AssertionError("a well-formed dataset was walked row by row")
+
+    monkeypatch.setattr(data_io, "_walk_csv", refuse)
+    monkeypatch.setattr(data_io, "_walk_json", refuse)
+    assert _bits(load_dataset(text, fmt)) == _bits(walked)
+
+
+def _walked(text: str, fmt: str):
+    """load_dataset with the bulk checks turned off: every input takes the
+    row walk."""
+    with mock.patch.object(data_io, "_csv_columns", return_value=None), mock.patch.object(
+        data_io, "_json_columns", return_value=None
+    ):
+        return load_dataset(text, fmt)
+
+
+def _bits(ds: BasinDataset) -> tuple:
+    """Every field of `ds`, with each float as its bit pattern."""
+    hexed = (lambda values: None if values is None else tuple(map(float.hex, values)))
+    return (ds.__class__, ds.names, hexed(ds.inflows.inflows), hexed(ds.withdrawals), ds.units)
+
+
+def _outcome(load):
+    try:
+        return ("ok", _bits(load()))
+    except RiverShareError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# each number as (CSV cell, JSON literal); the first six are valid
+_NUMBERS = [
+    ("1.5", "1.5"), ("0", "0"), ("3", "3"), ("-0.0", "-0.0"), (" 2e-3 ", "2e-3"),
+    ("1e308", "1e308"), ("-2", "-2"), ("nan", "NaN"), ("inf", "Infinity"),
+    ("-inf", "-Infinity"), ("1e999", "1e999"), ("abc", '"abc"'), ("", "null"),
+    ("true", "true"), ("\x1c4", '"4"'), ("1" + "0" * 400, "1" + "0" * 400),
+    ("-1" + "0" * 310, "-1" + "0" * 310), ("1" + "0" * 4400, "1" + "0" * 4400),
+]
+_NAMES = ["A", "B", "Ä", 'q"q', "x,y", " padded "]
+_FAULTS = [None, "name", "number", "extra field", "missing field", "agent", "several"]
+
+
+@st.composite
+def _dataset_texts(draw):
+    """Dataset texts of every kind: well-formed, or with one kind of fault
+    (or several at once): duplicate, empty or non-string names; negative,
+    non-finite, non-numeric, boolean or out-of-range numbers; missing or
+    extra fields; an agent that is not an object.  Overflowing totals,
+    blank and whitespace rows and too few agents come on their own."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    with_w = draw(st.booleans())
+    n = draw(st.integers(0, 5))
+    fault = draw(st.sampled_from(_FAULTS))
+    good = st.one_of(
+        st.sampled_from(_NUMBERS[:6]), st.floats(0.0, 1e6).map(lambda x: (repr(x), repr(x)))
+    )
+    names = [draw(st.sampled_from(_NAMES)) + str(i) for i in range(n)]
+    rows = [[draw(good) for _ in range(1 + with_w)] for _ in range(n)]
+    not_objects = {}  # JSON agents replaced by another value
+    for _ in range(draw(st.integers(1, 3)) if n and fault else 0):
+        kind = draw(st.sampled_from(_FAULTS[1:-1])) if fault == "several" else fault
+        i = draw(st.integers(0, n - 1))
+        if kind == "name":
+            names[i] = draw(st.sampled_from(["", " ", names[0], f" {names[0]}", 5]))
+        elif kind == "number" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_NUMBERS[6:]))
+        elif kind == "extra field":
+            rows[i].append(("9", "9"))
+        elif kind == "missing field" and rows[i]:
+            rows[i].pop()
+        elif kind == "agent":
+            not_objects[i] = draw(st.sampled_from(["1", "null", "[]", '"A"']))
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["agent", "inflow"] + ["withdrawal"] * with_w)
+        for name, row in zip(names, rows):
+            if draw(st.integers(0, 5)) == 0:
+                buffer.write(draw(st.sampled_from(["\n", "  \n", " , \n", ",,\n"])))
+            writer.writerow([name] + [cell for cell, _ in row])
+        return buffer.getvalue(), fmt
+    agents = []
+    for i, (name, row) in enumerate(zip(names, rows)):
+        values = [json.dumps(name)] + [literal for _, literal in row]
+        items = [f'"{key}": {value}' for key, value in zip(("name", "inflow", "withdrawal", "x"), values)]
+        agents.append(not_objects.get(i) or "{" + ", ".join(draw(st.permutations(items))) + "}")
+    return '{"agents": [' + ", ".join(agents) + "]}", fmt
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=_dataset_texts())
+@example(case=("agent,inflow\nA,1e308\nB,1e308\n", "csv"))
+@example(case=("agent,inflow,withdrawal\nA,1,1e308\nB,2,1e308\n", "csv"))
+@example(case=("agent,inflow\n , \nA,1\nB,2\n", "csv"))
+@example(case=('{"agents": [{"name": "A", "inflow": 1e308}, {"name": "B", "inflow": 1e308}]}', "json"))
+@example(case=(
+    '{"agents": [{"name": "A", "inflow": 1, "withdrawal": 1e308}, '
+    '{"name": "B", "inflow": 1, "withdrawal": 1e308}]}', "json"
+))
+@example(case=('{"agents": [{"name": "A", "inflow": 1}, {"name": "B", "inflow": false}]}', "json"))
+@example(case=('{"agents": [{"name": "A", "inflow": 1}, {"name": "B", "x": 2}]}', "json"))
+def test_bulk_check_agrees_with_the_row_walk(case):
+    text, fmt = case
+    assert _outcome(lambda: load_dataset(text, fmt)) == _outcome(lambda: _walked(text, fmt))
