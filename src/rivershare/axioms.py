@@ -1,11 +1,11 @@
 """Executable fairness axioms for river allocation rules.
 
 Each axiom is a predicate on one rule evaluation (or on a pair of related
-evaluations).  The checkers here decide single instances; `run_axiom_suite`
-drives them over randomized instances whose generators are built per axiom
-so that hypotheses are satisfied by construction rather than by rejection
-sampling, and `find_counterexample` searches a small adversarial library
-before falling back to random search.
+evaluations).  The checkers here decide single instances.  One record per
+axiom, in `_CASES`, holds its checker, the generator of random instances
+that meet its hypothesis by construction, and its directed cases;
+`run_axiom_suite` drives the checker over random instances, and
+`find_counterexample` tries the directed cases before random ones.
 
 The random stream is a contract: the same arguments give the same
 instances, verdicts and counterexamples in every process.  A suite keeps
@@ -14,7 +14,9 @@ one `random.Random` and reseeds it before each trial with the key string
 `label()`, axiom the axiom's value, and attempt counts the trial's
 regenerations (0 unless a drawn instance missed the axiom's hypothesis).
 The random phase of `find_counterexample` reseeds its one generator with
-`f"{seed}|find|{label}|{axiom}|{trial}"`.
+`f"{seed}|find|{label}|{axiom}|{trial}"`.  A reseed hands the C `seed` the
+int `rng.seed(key)` makes (the key's bytes and their SHA-512 digest), without
+random.py's wrapper, which also resets `gauss_next`, never set here.
 Every draw is `_below(rng, n)`, the rejection sampling behind `randrange`,
 `randint` and `choice`, or `rng.random()`; a uniform draw on [a, b) is
 written out as `a + (b - a) * rng.random()`, which is what `uniform`
@@ -23,10 +25,12 @@ computes.  The golden tests in tests/test_axioms.py pin this stream.
 
 from __future__ import annotations
 
+import _random
 import enum
 import math
 import random
-from typing import Iterable
+from operator import sub
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     Allocation,
@@ -34,6 +38,7 @@ from .core import (
     InflowProfile,
     ParameterError,
     RuleSpec,
+    _profile_of_floats,
     _Record,
     as_profile,
     as_retention,
@@ -52,9 +57,6 @@ class Axiom(enum.Enum):
     BALANCE = "balance"
     EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS = "equal-source-inflows"
     EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW = "equal-upstream-total-inflow"
-
-
-_SOURCE_SHAPES = (Axiom.PROGRESSIVITY, Axiom.REGRESSIVITY, Axiom.BALANCE)
 
 
 class HypothesisNotMet(Exception):
@@ -130,6 +132,10 @@ class AxiomReport(_Record):
         }
 
 
+def _lone_inflow(n: int, position: int, value: float) -> InflowProfile:
+    return _profile_of_floats((0.0,) * position + (value,) + (0.0,) * (n - 1 - position))
+
+
 def _first_mismatch(xs, ys, tol):
     for k, (a, b) in enumerate(zip(xs, ys)):
         if abs(a - b) > tol:
@@ -144,13 +150,18 @@ def _first_mismatch(xs, ys, tol):
 # failure; the public predicates below collapse that to a boolean.
 
 
+def _positive_finite(value, what: str) -> float:
+    value = float(value)
+    if value <= 0:
+        raise ParameterError(f"{what} must be > 0, got {value}")
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
     e = as_profile(e)
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ParameterError(f"scale factor must be > 0, got {gamma}")
-    if not math.isfinite(gamma):
-        raise ParameterError(f"scale factor must be finite, got {gamma}")
+    gamma = _positive_finite(gamma, "scale factor")
     scaled = e.scaled(gamma)
     if tol is None:
         tol = tolerance_for(max(e.total, scaled.total))
@@ -170,18 +181,9 @@ def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
     )
 
 
-def _inflow_increase(delta) -> float:
-    delta = float(delta)
-    if delta <= 0:
-        raise ParameterError(f"inflow increase must be > 0, got {delta}")
-    if not math.isfinite(delta):
-        raise ParameterError(f"inflow increase must be finite, got {delta}")
-    return delta
-
-
 def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexample | None:
     e = as_profile(e)
-    delta = _inflow_increase(delta)
+    delta = _positive_finite(delta, "inflow increase")
     bumped = e.bumped(position, delta)
     if tol is None:
         tol = tolerance_for(bumped.total)
@@ -202,15 +204,16 @@ def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexa
 
 
 def _tail_is_constant(e: InflowProfile, position: int) -> bool:
+    # the inflows are finite, so `count`'s identity shortcut changes nothing
     tail = e.inflows[position + 1 :]
-    return all(v == tail[0] for v in tail[1:]) if tail else True
+    return not tail or tail.count(tail[0]) == len(tail)
 
 
 def _downstream_detail(
     rule: RuleSpec, e, position, delta, tol=None, strict=False
 ) -> Counterexample | None:
     e = as_profile(e)
-    delta = _inflow_increase(delta)
+    delta = _positive_finite(delta, "inflow increase")
     if not 0 <= position < len(e):
         raise DimensionError(f"position {position} out of range for n={len(e)}")
     if not strict and not _tail_is_constant(e, position):
@@ -220,9 +223,7 @@ def _downstream_detail(
         tol = tolerance_for(bumped.total)
     base = rule.apply(e)
     after = rule.apply(bumped)
-    gains = [
-        a - b for a, b in zip(after.amounts[position + 1 :], base.amounts[position + 1 :])
-    ]
+    gains = list(map(sub, after.amounts[position + 1 :], base.amounts[position + 1 :]))
     for k, g in enumerate(gains[1:], start=position + 2):
         if abs(g - gains[0]) > tol:
             return Counterexample(
@@ -303,49 +304,45 @@ def _source_shape_detail(
         raise ParameterError(
             f"source position must be a non-terminal agent (0..{n - 2}), got {position}"
         )
-    values = [0.0] * n
-    values[position] = 1.0  # scale invariance makes a unit inflow sufficient
-    return _source_shape_profile_detail(rule, InflowProfile(tuple(values)), position, shape, tol)
+    # scale invariance makes a unit inflow sufficient
+    return _source_shape_profile_detail(rule, _lone_inflow(n, position, 1.0), position, shape, tol)
+
+
+def _same_river(e, other, tol):
+    e, other = as_profile(e), as_profile(other)
+    if len(e) != len(other):
+        raise DimensionError("both profiles must describe the same river")
+    return e, other, tolerance_for(max(e.total, other.total)) if tol is None else tol
 
 
 def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> Counterexample | None:
-    e = as_profile(e)
-    other = as_profile(other)
-    if len(e) != len(other):
-        raise DimensionError("both profiles must describe the same river")
-    if tol is None:
-        tol = tolerance_for(max(e.total, other.total))
+    e, other, tol = _same_river(e, other, tol)
     s1 = source(e)
     s2 = source(other)
     if s1 is None or s2 is None:
         raise HypothesisNotMet("both profiles need a source")
-    if abs(e[s1] - other[s2]) > tol:
-        raise HypothesisNotMet(f"source inflows differ: {e[s1]} vs {other[s2]}")
+    if abs(e.inflows[s1] - other.inflows[s2]) > tol:
+        raise HypothesisNotMet(f"source inflows differ: {e.inflows[s1]} vs {other.inflows[s2]}")
     x1 = rule.apply(e)
     x2 = rule.apply(other)
-    if abs(x1[s1] - x2[s2]) <= tol:
+    if abs(x1.amounts[s1] - x2.amounts[s2]) <= tol:
         return None
     return Counterexample(
         Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS,
         rule.label(),
         (("e", e.inflows), ("other", other.inflows), ("sources", (s1, s2))),
         (("on e", x1.amounts), ("on other", x2.amounts)),
-        f"sources with equal inflow get {x1[s1]} vs {x2[s2]}",
+        f"sources with equal inflow get {x1.amounts[s1]} vs {x2.amounts[s2]}",
     )
 
 
 def _equal_upstream_total_detail(
     rule: RuleSpec, e, other, position, tol=None
 ) -> Counterexample | None:
-    e = as_profile(e)
-    other = as_profile(other)
-    if len(e) != len(other):
-        raise DimensionError("both profiles must describe the same river")
+    e, other, tol = _same_river(e, other, tol)
     if not 0 <= position < len(e):
         raise DimensionError(f"position {position} out of range for n={len(e)}")
-    if tol is None:
-        tol = tolerance_for(max(e.total, other.total))
-    own1, own2 = e[position], other[position]
+    own1, own2 = e.inflows[position], other.inflows[position]
     pre1 = math.fsum(e.inflows[:position])
     pre2 = math.fsum(other.inflows[:position])
     if abs(own1 - own2) > tol:
@@ -354,7 +351,7 @@ def _equal_upstream_total_detail(
         raise HypothesisNotMet(f"upstream totals differ at {position}: {pre1} vs {pre2}")
     x1 = rule.apply(e)
     x2 = rule.apply(other)
-    if abs(x1[position] - x2[position]) <= tol:
+    if abs(x1.amounts[position] - x2.amounts[position]) <= tol:
         return None
     return Counterexample(
         Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW,
@@ -362,7 +359,7 @@ def _equal_upstream_total_detail(
         (("e", e.inflows), ("other", other.inflows), ("position", position)),
         (("on e", x1.amounts), ("on other", x2.amounts)),
         f"agent {position} has equal own inflow and upstream total "
-        f"yet gets {x1[position]} vs {x2[position]}",
+        f"yet gets {x1.amounts[position]} vs {x2.amounts[position]}",
     )
 
 
@@ -440,16 +437,18 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _random_values(rng: random.Random, n: int) -> list[float]:
+def _random_profile(rng: random.Random, n: int) -> InflowProfile:
     style = _below(rng, 4)
     random_ = rng.random
     if style == 0:
-        return [_MAGNITUDE * random_() for _ in range(n)]
-    if style == 1:
-        return [_MAGNITUDE * random_() if random_() < 0.4 else 0.0 for _ in range(n)]
-    if style == 2:
-        return [float(_below(rng, 1000)) for _ in range(n)]
-    return [random_() for _ in range(n)]
+        values = [_MAGNITUDE * random_() for _ in range(n)]
+    elif style == 1:
+        values = [_MAGNITUDE * random_() if random_() < 0.4 else 0.0 for _ in range(n)]
+    elif style == 2:
+        values = [float(_below(rng, 1000)) for _ in range(n)]
+    else:
+        values = [random_() for _ in range(n)]
+    return _profile_of_floats(tuple(values))
 
 
 def _positive(rng: random.Random) -> float:
@@ -457,94 +456,153 @@ def _positive(rng: random.Random) -> float:
     return 1e-6 + (_MAGNITUDE - 1e-6) * rng.random()
 
 
-def _build_instance(axiom: Axiom, rng: random.Random, fixed_n, n_range) -> tuple:
-    """One random `axiom` instance: the checker's arguments after the rule.
-
-    `fixed_n` is the rule's pinned agent count; when it is None the count
-    is drawn from `n_range`.
-    """
-    if fixed_n is None:
-        lo, hi = n_range
-        n = lo + _below(rng, hi - lo + 1)
-    else:
-        n = fixed_n
+def _downstream_instance(rng: random.Random, n: int) -> tuple:
     random_ = rng.random
-    if axiom is Axiom.SCALE_INVARIANCE:
-        e = InflowProfile(_random_values(rng, n))
-        return e, 10.0 ** (-3.0 + 6.0 * random_())
-    if axiom is Axiom.UPSTREAM_INVARIANCE:
-        e = InflowProfile(_random_values(rng, n))
-        return e, 1 + _below(rng, n - 1), _positive(rng)
-    if axiom is Axiom.DOWNSTREAM_IMPARTIALITY:
-        position = _below(rng, n - 1)
-        values = [_MAGNITUDE * random_() for _ in range(position + 1)]
-        # choice([0.0, uniform(0, M)]) drew the uniform before the index
-        drawn = _MAGNITUDE * random_()
-        tail_value = drawn if _below(rng, 2) else 0.0
-        values += [tail_value] * (n - position - 1)
-        return InflowProfile(values), position, _positive(rng)
-    if axiom is Axiom.ORDER_PRESERVATION:
-        values = _random_values(rng, n)
-        if random_() < 0.5:
-            # descending inflows constrain every pair of agents
-            values.sort(reverse=True)
-        return (InflowProfile(values),)
-    if axiom in _SOURCE_SHAPES:
-        position = _below(rng, n - 1)
-        values = [0.0] * n
-        values[position] = _positive(rng)
-        return InflowProfile(values), position, axiom
-    if axiom is Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS:
-        v = _positive(rng)
-
-        def with_source(position):
-            values = [0.0] * position + [v]
-            values += [_MAGNITUDE * random_() for _ in range(n - position - 1)]
-            return InflowProfile(values)
-
-        return with_source(_below(rng, n - 1)), with_source(_below(rng, n - 1))
-    if axiom is Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW:
-        position = _below(rng, n)
-        own = _MAGNITUDE * random_()
-        head1 = [_MAGNITUDE * random_() for _ in range(position)]
-        target = math.fsum(head1)
-        head2 = [_MAGNITUDE * random_() for _ in range(position)]
-        current = math.fsum(head2)
-        if current > 0.0:
-            head2 = [v * (target / current) for v in head2]
-        else:
-            head2 = list(head1)  # cannot rescale an all-zero block
-
-        def complete(head):
-            tail = [_MAGNITUDE * random_() for _ in range(n - position - 1)]
-            return InflowProfile(head + [own] + tail)
-
-        return complete(head1), complete(head2), position
-    raise ParameterError(f"unknown axiom {axiom!r}")
+    position = _below(rng, n - 1)
+    values = [_MAGNITUDE * random_() for _ in range(position + 1)]
+    # choice([0.0, uniform(0, M)]) drew the uniform before the index
+    drawn = _MAGNITUDE * random_()
+    tail_value = drawn if _below(rng, 2) else 0.0
+    values += [tail_value] * (n - position - 1)
+    return _profile_of_floats(tuple(values)), position, _positive(rng)
 
 
-_DETAIL_CHECKERS = {
-    Axiom.SCALE_INVARIANCE: _scale_detail,
-    Axiom.UPSTREAM_INVARIANCE: _upstream_detail,
-    Axiom.DOWNSTREAM_IMPARTIALITY: _downstream_detail,
-    Axiom.ORDER_PRESERVATION: _order_detail,
-    Axiom.PROGRESSIVITY: _source_shape_profile_detail,
-    Axiom.REGRESSIVITY: _source_shape_profile_detail,
-    Axiom.BALANCE: _source_shape_profile_detail,
-    Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS: _equal_source_detail,
-    Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW: _equal_upstream_total_detail,
+def _order_instance(rng: random.Random, n: int) -> tuple:
+    e = _random_profile(rng, n)
+    if rng.random() < 0.5:
+        # descending inflows constrain every pair of agents
+        e = _profile_of_floats(tuple(sorted(e.inflows, reverse=True)))
+    return (e,)
+
+
+def _source_instance(rng: random.Random, n: int) -> tuple:
+    position = _below(rng, n - 1)
+    return _lone_inflow(n, position, _positive(rng)), position
+
+
+def _with_random_tail(rng: random.Random, head: list[float], n: int) -> InflowProfile:
+    """`head`, then draws on [0, 1e6) for the agents below it."""
+    random_ = rng.random
+    return _profile_of_floats(tuple(head + [_MAGNITUDE * random_() for _ in range(n - len(head))]))
+
+
+def _equal_source_instance(rng: random.Random, n: int) -> tuple:
+    v = _positive(rng)
+    e = _with_random_tail(rng, [0.0] * _below(rng, n - 1) + [v], n)
+    return e, _with_random_tail(rng, [0.0] * _below(rng, n - 1) + [v], n)
+
+
+def _equal_upstream_total_instance(rng: random.Random, n: int) -> tuple:
+    random_ = rng.random
+    position = _below(rng, n)
+    own = _MAGNITUDE * random_()
+    head1 = [_MAGNITUDE * random_() for _ in range(position)]
+    target = math.fsum(head1)
+    head2 = [_MAGNITUDE * random_() for _ in range(position)]
+    current = math.fsum(head2)
+    if current > 0.0:
+        head2 = [v * (target / current) for v in head2]
+    else:
+        head2 = head1  # cannot rescale an all-zero block
+    e = _with_random_tail(rng, head1 + [own], n)
+    return e, _with_random_tail(rng, head2 + [own], n), position
+
+
+def _library_profiles(n: int) -> list[InflowProfile]:
+    """The directed cases' profiles: a unit inflow at each agent, then a
+    descending ramp and a constant profile."""
+    units = [_lone_inflow(n, i, 1.0) for i in range(n)]
+    ramp = _profile_of_floats(tuple(float(n - k) for k in range(n)))
+    return units + [ramp, _profile_of_floats((1.0,) * n)]
+
+
+# ---------------------------------------------------------------------------
+# one record per axiom
+
+
+class _Case(NamedTuple):
+    """One axiom: `generate(rng, n)` draws an instance for n agents, checked
+    by `detail(rule, *instance, *trailing(tol, strict_impartiality))`, and
+    `directed(n, _library_profiles(n))` yields the search's fixed cases."""
+
+    generate: Callable
+    detail: Callable
+    directed: Callable
+    trailing: Callable = lambda tol, strict: (tol,)
+
+
+def _source_shape_case(shape: Axiom) -> _Case:
+    return _Case(
+        _source_instance, _source_shape_profile_detail,
+        lambda n, profiles: ((profiles[position], position) for position in range(n - 1)),
+        lambda tol, strict: (shape, tol),
+    )
+
+
+_CASES = {
+    Axiom.SCALE_INVARIANCE: _Case(
+        lambda rng, n: (_random_profile(rng, n), 10.0 ** (-3.0 + 6.0 * rng.random())),
+        _scale_detail,
+        lambda n, profiles: ((e, gamma) for e in profiles for gamma in (0.5, 2.0, 10.0)),
+    ),
+    Axiom.UPSTREAM_INVARIANCE: _Case(
+        lambda rng, n: (_random_profile(rng, n), 1 + _below(rng, n - 1), _positive(rng)),
+        _upstream_detail,
+        lambda n, profiles: ((e, position, 1.0) for e in profiles for position in range(1, n)),
+    ),
+    Axiom.DOWNSTREAM_IMPARTIALITY: _Case(
+        _downstream_instance, _downstream_detail,
+        lambda n, profiles: (
+            (e, position, 1.0)
+            for e in profiles for position in range(n - 1) if _tail_is_constant(e, position)
+        ),
+        lambda tol, strict: (tol, strict),
+    ),
+    Axiom.ORDER_PRESERVATION: _Case(
+        _order_instance, _order_detail, lambda n, profiles: ((e,) for e in profiles)
+    ),
+    Axiom.PROGRESSIVITY: _source_shape_case(Axiom.PROGRESSIVITY),
+    Axiom.REGRESSIVITY: _source_shape_case(Axiom.REGRESSIVITY),
+    Axiom.BALANCE: _source_shape_case(Axiom.BALANCE),
+    Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS: _Case(
+        _equal_source_instance, _equal_source_detail,
+        # unit inflows at two different non-terminal agents
+        lambda n, profiles: (
+            (profiles[a], profiles[b]) for a in range(n - 1) for b in range(n - 1) if a != b
+        ),
+    ),
+    Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW: _Case(
+        _equal_upstream_total_instance, _equal_upstream_total_detail,
+        lambda n, profiles: (
+            (profiles[a], profiles[b], position)
+            for a in range(n - 1) for b in range(a + 1, n - 1) for position in range(b + 1, n)
+        ),
+    ),
 }
 
 
-def _checker(axiom: Axiom, tol, strict_impartiality):
-    """The detail checker of `axiom`, and the arguments that follow an
-    instance in each call to it."""
-    if axiom is Axiom.DOWNSTREAM_IMPARTIALITY:
-        return _downstream_detail, (tol, strict_impartiality)
+def _case(axiom) -> _Case:
+    """The record of `axiom`: the one place an unknown axiom is rejected."""
     try:
-        return _DETAIL_CHECKERS[axiom], (tol,)
+        return _CASES[axiom]
     except (KeyError, TypeError):
         raise ParameterError(f"unknown axiom {axiom!r}") from None
+
+
+def _draw(rng: random.Random, key: str, generate, fixed_n, lo: int, hi: int) -> tuple:
+    """Reseed `rng` with `key` as `rng.seed(key)` would, then draw n (unless
+    the rule fixes it) and an instance for n agents."""
+    b = key.encode()
+    # random.py's own SHA-512: importing hashlib would map OpenSSL, 3.5 MB more RSS
+    _random.Random.seed(rng, int.from_bytes(b + random._sha512(b).digest(), "big"))
+    return generate(rng, lo + _below(rng, hi - lo + 1) if fixed_n is None else fixed_n)
+
+
+def _n_range(n_range) -> tuple[int, int]:
+    lo, hi = n_range
+    if not 2 <= lo <= hi:
+        raise ParameterError(f"invalid agent count range {n_range}")
+    return lo, hi
 
 
 def run_axiom_suite(
@@ -562,14 +620,12 @@ def run_axiom_suite(
     Results are deterministic for a given seed.  Reports come back in the
     enum's declaration order with at most one stored counterexample each.
     """
-    requested = set(axioms)
+    requested = {axiom: _case(axiom) for axiom in axioms}
     if not requested:
         raise ParameterError("at least one axiom is required")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    lo, hi = n_range
-    if not 2 <= lo <= hi:
-        raise ParameterError(f"invalid agent count range {n_range}")
+    lo, hi = _n_range(n_range)
     reports = []
     label = rule.label()
     fixed_n = rule.fixed_agent_count
@@ -577,17 +633,16 @@ def run_axiom_suite(
     for axiom in Axiom:
         if axiom not in requested:
             continue
-        checker, trailing = _checker(axiom, tol, strict_impartiality)
+        generate, detail, _, trailing = requested[axiom]
+        trailing = trailing(tol, strict_impartiality)
         key = f"{seed}|{label}|{axiom.value}|"
         violations = 0
         first = None
         for trial in range(trials):
-            counterexample = None
             for attempt in range(64):
-                rng.seed(f"{key}{trial}|{attempt}")
-                instance = _build_instance(axiom, rng, fixed_n, n_range)
+                instance = _draw(rng, f"{key}{trial}|{attempt}", generate, fixed_n, lo, hi)
                 try:
-                    counterexample = checker(rule, *instance, *trailing)
+                    counterexample = detail(rule, *instance, *trailing)
                 except HypothesisNotMet:
                     continue  # regenerate; conforming generators make this rare
                 break
@@ -610,64 +665,6 @@ def run_axiom_suite(
     return reports
 
 
-# ---------------------------------------------------------------------------
-# directed counterexample search
-
-
-def _library_profiles(n: int) -> list[InflowProfile]:
-    out = []
-    for i in range(n):
-        values = [0.0] * n
-        values[i] = 1.0
-        out.append(InflowProfile(tuple(values)))  # single unit inflow at i
-    out.append(InflowProfile(tuple(float(n - k) for k in range(n))))  # descending ramp
-    out.append(InflowProfile((1.0,) * n))  # constant
-    return out
-
-
-def _directed_instances(axiom: Axiom, rule: RuleSpec, n_range) -> Iterable[tuple]:
-    if rule.fixed_agent_count is not None:
-        sizes = [rule.fixed_agent_count]
-    else:
-        lo, hi = n_range
-        sizes = list(range(lo, hi + 1))
-    for n in sizes:
-        profiles = _library_profiles(n)
-        if axiom is Axiom.SCALE_INVARIANCE:
-            for e in profiles:
-                for gamma in (0.5, 2.0, 10.0):
-                    yield e, gamma
-        elif axiom is Axiom.UPSTREAM_INVARIANCE:
-            for e in profiles:
-                for position in range(1, n):
-                    yield e, position, 1.0
-        elif axiom is Axiom.DOWNSTREAM_IMPARTIALITY:
-            for e in profiles:
-                for position in range(n - 1):
-                    if _tail_is_constant(e, position):
-                        yield e, position, 1.0
-        elif axiom is Axiom.ORDER_PRESERVATION:
-            for e in profiles:
-                yield (e,)
-        elif axiom in _SOURCE_SHAPES:
-            for position in range(n - 1):
-                yield profiles[position], position, axiom
-        elif axiom is Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS:
-            units = profiles[: n - 1]  # unit inflows at non-terminal spots
-            for a, e in enumerate(units):
-                for b, other in enumerate(units):
-                    if a != b:
-                        yield e, other
-        elif axiom is Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW:
-            units = profiles[:n]
-            for a in range(n - 1):
-                for b in range(a + 1, n - 1):
-                    for position in range(b + 1, n):
-                        yield units[a], units[b], position
-        else:
-            raise ParameterError(f"unknown axiom {axiom!r}")
-
-
 def find_counterexample(
     rule: RuleSpec,
     axiom: Axiom,
@@ -684,22 +681,22 @@ def find_counterexample(
     stress cases for these rules; the random phase reuses the suite
     generators.  Returns None when nothing is found.
     """
-    checker, trailing = _checker(axiom, tol, strict_impartiality)
-    for instance in _directed_instances(axiom, rule, n_range):
-        try:
-            found = checker(rule, *instance, *trailing)
-        except HypothesisNotMet:
-            continue
-        if found is not None:
-            return found
-    key = f"{seed}|find|{rule.label()}|{axiom.value}|"
+    generate, detail, directed, trailing = _case(axiom)
+    trailing = trailing(tol, strict_impartiality)
+    lo, hi = _n_range(n_range)
     fixed_n = rule.fixed_agent_count
-    rng = random.Random()
-    for trial in range(random_trials):
-        rng.seed(f"{key}{trial}")
-        instance = _build_instance(axiom, rng, fixed_n, n_range)
+    key = f"{seed}|find|{rule.label()}|{axiom.value}|"
+
+    def instances():  # directed cases first; only a random phase builds a `Random`
+        for n in range(lo, hi + 1) if fixed_n is None else (fixed_n,):
+            yield from directed(n, _library_profiles(n))
+        rng = random.Random()
+        for trial in range(random_trials):
+            yield _draw(rng, f"{key}{trial}", generate, fixed_n, lo, hi)
+
+    for instance in instances():
         try:
-            found = checker(rule, *instance, *trailing)
+            found = detail(rule, *instance, *trailing)
         except HypothesisNotMet:
             continue
         if found is not None:

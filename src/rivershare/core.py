@@ -201,7 +201,7 @@ class InflowProfile(_FloatVector, values="inflows"):
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
         if not math.isfinite(factor):
             raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
-        return _derived_profile(tuple(v * factor for v in self.inflows), "scale factor {}", factor)
+        return _derived_profile(tuple([v * factor for v in self.inflows]), "scale factor {}", factor)
 
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
@@ -235,6 +235,34 @@ def _checked_inflows(items: tuple) -> tuple[tuple[float, ...], float]:
         ) from None
 
 
+# the slots' own setters, for the builders on the rule path that skip
+# `__init__`; calling one costs less than `object.__setattr__`
+_set_values = _FloatVector._values.__set__
+_set_total = InflowProfile._total.__set__
+
+
+def _profile_of_floats(values: tuple[float, ...]) -> InflowProfile:
+    """`InflowProfile(values)` for a tuple of floats, such as a generated or
+    derived profile.
+
+    A valid tuple takes the one bulk check of `__init__`'s fast path (a
+    finite `fsum`, n >= 2, `min` >= 0) and skips its conversion pass and
+    frame; anything else goes to `InflowProfile`, so every error reads the
+    same.  `fsum` raises OverflowError when finite entries sum past the
+    float range.
+    """
+    try:
+        total = math.fsum(values)
+    except (ValueError, OverflowError):
+        return InflowProfile(values)
+    if not (math.isfinite(total) and len(values) >= 2 and min(values) >= 0.0):
+        return InflowProfile(values)
+    profile = object.__new__(InflowProfile)
+    _set_values(profile, values)
+    _set_total(profile, total)
+    return profile
+
+
 def _derived_profile(values: tuple[float, ...], cause: str, *args) -> InflowProfile:
     """The profile of `values`, made from a valid profile by the finite
     change that `cause.format(*args)` names.
@@ -245,7 +273,7 @@ def _derived_profile(values: tuple[float, ...], cause: str, *args) -> InflowProf
     float formatting.
     """
     try:
-        return InflowProfile(values)
+        return _profile_of_floats(values)
     except RiverShareError:
         cause = cause.format(*args)
         if min(values) >= 0.0:
@@ -458,7 +486,9 @@ def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
     """
     inflows = e.inflows
     total = e._total
-    tol = tolerance_for(total)
+    tol = RELATIVE_TOLERANCE * total  # `tolerance_for(total)`: the total is >= 0
+    if tol < TOLERANCE_FLOOR:
+        tol = TOLERANCE_FLOOR
     x = []
     incoming = 0.0  # this agent's equal parts of everything released upstream
     prefix_x = 0.0
@@ -476,7 +506,7 @@ def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
     if feasible and min(x) >= 0.0 and abs(math.fsum(x) - total) <= tol:
         # `Allocation._of_checked`, inlined on the path every rule call takes
         allocation = object.__new__(Allocation)
-        object.__setattr__(allocation, "_values", tuple(x))
+        _set_values(allocation, tuple(x))
         return allocation
     return _finalize(e, x)
 
@@ -493,9 +523,9 @@ def retention_rule(e, shares) -> Allocation:
 
 def source(e) -> int | None:
     """Most upstream non-terminal position with positive inflow, if any."""
-    e = as_profile(e)
-    for k in range(len(e) - 1):
-        if e[k] > 0.0:
+    inflows = as_profile(e).inflows
+    for k in range(len(inflows) - 1):
+        if inflows[k] > 0.0:
             return k
     return None
 
@@ -539,11 +569,12 @@ class RuleKind(enum.Enum):
 
 _WEIGHTED_KINDS = (RuleKind.COMPROMISE, RuleKind.PARTIAL_COMPROMISE)
 
-# the parameterless rules that are endpoints of the weighted families
+# the parameterless rules that are endpoints of the weighted families, by
+# the `RuleKind` values that key the share caches
 _FAMILY_ENDPOINTS = {
-    RuleKind.NO_TRANSFER: (RuleKind.COMPROMISE, 1.0),
-    RuleKind.EGALITARIAN_FULL_TRANSFER: (RuleKind.COMPROMISE, 0.0),
-    RuleKind.EGALITARIAN_PARTIAL_TRANSFER: (RuleKind.PARTIAL_COMPROMISE, 0.0),
+    RuleKind.NO_TRANSFER.value: (RuleKind.COMPROMISE.value, 1.0),
+    RuleKind.EGALITARIAN_FULL_TRANSFER.value: (RuleKind.COMPROMISE.value, 0.0),
+    RuleKind.EGALITARIAN_PARTIAL_TRANSFER.value: (RuleKind.PARTIAL_COMPROMISE.value, 0.0),
 }
 
 
@@ -618,8 +649,9 @@ class RuleSpec(_Record):
         """
         if n < 2:
             raise DimensionError(f"need n >= 2, got {n}")
-        if self.kind is not RuleKind.RETENTION:
-            return _named_shares(self.kind, self.weight, n)
+        if self.retention is None:
+            cache = _endpoint_shares if self.weight is None else _weighted_shares
+            return cache(self.kind._value_, self.weight, n)
         if self.retention.agent_count != n:
             raise DimensionError(
                 f"{len(self.retention)} retention shares imply {self.retention.agent_count} "
@@ -637,10 +669,11 @@ class RuleSpec(_Record):
 
     def apply(self, e) -> Allocation:
         e = as_profile(e)
-        if self.retention is None:
-            # a valid profile has n >= 2, the one check `shares` would add
-            return _retention_kernel(e, _named_shares(self.kind, self.weight, len(e.inflows)))
-        return _retention_kernel(e, self.shares(len(e.inflows)))
+        if self.retention is not None:
+            return _retention_kernel(e, self.shares(len(e.inflows)))
+        # `shares`, less the n >= 2 check that a valid profile already passed
+        cache = _endpoint_shares if self.weight is None else _weighted_shares
+        return _retention_kernel(e, cache(self.kind._value_, self.weight, len(e.inflows)))
 
 
 # the parameterless rules, built once for the module-level rule functions
@@ -650,17 +683,25 @@ _EGALITARIAN_PARTIAL_TRANSFER = RuleSpec.egalitarian_partial_transfer()
 _SHAPLEY = RuleSpec.shapley()
 
 
-# the named rules are applied over and over at a handful of sizes, and
-# building the tuple costs as much as the kernel that consumes it; the bound
-# keeps the memory held to a few share vectors of the largest river seen
-@functools.lru_cache(maxsize=32)
-def _named_shares(kind: RuleKind, weight: float | None, n: int) -> tuple[float, ...]:
+def _named_shares(kind: str, weight: float | None, n: int) -> tuple[float, ...]:
+    """The share vector of the named rule with `RuleKind` value `kind`."""
     kind, weight = _FAMILY_ENDPOINTS.get(kind, (kind, weight))
-    if kind is RuleKind.COMPROMISE:
+    if kind == RuleKind.COMPROMISE.value:
         return (weight,) * (n - 1)
-    if kind is RuleKind.PARTIAL_COMPROMISE:
+    if kind == RuleKind.PARTIAL_COMPROMISE.value:
         return tuple(1.0 - (1.0 - weight) * (n - 1 - k) / (n - 1) for k in range(n - 1))
     return tuple(1.0 / (n - k) for k in range(n - 1))  # Shapley
+
+
+# The named rules are applied over and over at a handful of sizes, and
+# building the tuple costs as much as the kernel that consumes it.  The
+# caches are keyed on the kind's value, a str whose hash is stored, since
+# `RuleKind.__hash__` is a Python function.  The parameterless kinds (nt,
+# eft, ept, shapley) have a cache of their own, so that a sweep over many
+# weights cannot evict them; each bound keeps the memory held to a few share
+# vectors of the largest river seen.
+_endpoint_shares = functools.lru_cache(maxsize=16)(_named_shares)
+_weighted_shares = functools.lru_cache(maxsize=16)(_named_shares)
 
 
 _RULE_GRAMMAR = "nt | eft | ept | shapley | compromise:<w> | partial:<w> | alpha:<a1,...>"

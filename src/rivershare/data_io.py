@@ -186,15 +186,16 @@ def _columns_dataset(names, inflows, withdrawals) -> BasinDataset | None:
 def _load_csv(text: str) -> BasinDataset:
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = [h.strip().casefold() for h in next(reader)]
+        if header not in (["agent", "inflow"], ["agent", "inflow", "withdrawal"]):
+            raise DatasetError(
+                f"line 1: header must be agent,inflow or agent,inflow,withdrawal, got {','.join(header)}"
+            )
+        rows = list(reader)
     except StopIteration:
         raise DatasetError("line 1: empty input, expected header agent,inflow[,withdrawal]") from None
-    header = [h.strip().casefold() for h in header]
-    if header not in (["agent", "inflow"], ["agent", "inflow", "withdrawal"]):
-        raise DatasetError(
-            f"line 1: header must be agent,inflow or agent,inflow,withdrawal, got {','.join(header)}"
-        )
-    rows = list(reader)
+    except csv.Error as exc:  # e.g. an over-long field, or a bare carriage return
+        raise DatasetError(f"line {reader.line_num}: invalid CSV: {exc}") from None
     dataset = _csv_columns(rows, len(header))
     return _walk_csv(rows, len(header)) if dataset is None else dataset
 

@@ -9,11 +9,13 @@ import random
 
 import pytest
 
+from rivershare import core
 from rivershare.axioms import (
     Axiom,
     AxiomReport,
     HypothesisNotMet,
     _below,
+    _draw,
     check_downstream_impartiality,
     check_equal_treatment_source,
     check_equal_treatment_upstream_total,
@@ -339,6 +341,73 @@ class TestRunAxiomSuite:
         rule = RuleSpec.retention_rule((0.5, 0.25))  # three agents
         reports = run_axiom_suite(rule, [Axiom.SCALE_INVARIANCE], 100, seed=5)
         assert reports[0].violations == 0
+
+
+@pytest.mark.parametrize(
+    "axioms", [["balance"], [Axiom.BALANCE, "bogus"], [Axiom.BALANCE, None], [[Axiom.BALANCE]]]
+)
+def test_suite_rejects_anything_but_axioms(axioms):
+    with pytest.raises(ParameterError, match="unknown axiom"):
+        run_axiom_suite(RuleSpec.shapley(), axioms, 10, seed=1)
+
+
+def test_search_rejects_anything_but_axioms():
+    with pytest.raises(ParameterError, match="unknown axiom 'balance'"):
+        find_counterexample(RuleSpec.shapley(), "balance")
+
+
+@pytest.mark.parametrize("n_range", [(5, 2), (1, 3), (0, 0)])
+def test_search_checks_the_agent_count_range(n_range):
+    with pytest.raises(ParameterError, match="invalid agent count range"):
+        find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, n_range=n_range)
+
+
+_LONG_ALPHA = RuleSpec.retention_rule([k / 41 for k in range(1, 40)]).label()
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        f"2024|nt|{Axiom.BALANCE.value}|0|0",
+        f"7|compromise:0.3|{Axiom.SCALE_INVARIANCE.value}|39|1",
+        f"{2**31 - 1}|{_LONG_ALPHA}|{Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS.value}|9999|63",
+        f"9|find|shapley|{Axiom.ORDER_PRESERVATION.value}|1999",
+        f"-3|find|{_LONG_ALPHA}|{Axiom.DOWNSTREAM_IMPARTIALITY.value}|0",
+    ],
+)
+def test_reseed_gives_the_state_of_a_string_seed(key):
+    # the suites and searches skip random.py's seed wrapper; the state must
+    # still be the one seeding with the key string makes
+    rng = random.Random("some earlier state")
+    rng.random()
+    state = _draw(rng, key, generate=lambda rng, n: rng.getstate(), fixed_n=2, lo=2, hi=2)
+    assert state == random.Random(key).getstate()
+
+
+def test_criterion_7_profiles_take_the_bulk_check(monkeypatch):
+    # generated, derived and library profiles are all valid, so none may fall
+    # back to the constructor or its entry-by-entry check
+    def refuse(*args):
+        raise AssertionError("a generated profile left the bulk check")
+
+    monkeypatch.setattr(core, "_checked_inflows", refuse)
+    monkeypatch.setattr(core.InflowProfile, "__init__", refuse)
+    pairs = [(RuleSpec.shapley(), list(STRUCTURAL) + [Axiom.BALANCE])]
+    for w in (0.0, 0.3, 0.7, 1.0):
+        pairs.append((RuleSpec.compromise(w), list(STRUCTURAL) + [Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS]))
+        pairs.append(
+            (RuleSpec.partial_compromise(w), list(STRUCTURAL) + [Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW])
+        )
+    pairs.append((RuleSpec.no_transfer(), [Axiom.ORDER_PRESERVATION]))
+    for rule, axioms in pairs:
+        assert all(r.passed for r in run_axiom_suite(rule, axioms, 200, seed=42))
+    for rule, axiom in [
+        (RuleSpec.shapley(), Axiom.ORDER_PRESERVATION),
+        (RuleSpec.compromise(0.5), Axiom.BALANCE),
+        (RuleSpec.egalitarian_full_transfer(), Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW),
+        (RuleSpec.shapley(), Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS),
+    ]:
+        assert find_counterexample(rule, axiom, seed=42) is not None
 
 
 # ---------------------------------------------------------------------------

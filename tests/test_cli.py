@@ -448,8 +448,14 @@ def test_integral_inputs_are_bounded(capsys, forbid_node_rule, argv):
             ("fit", "--family", "partial"),
             "too large to represent as a float",
         ),
+        (
+            "long.csv",
+            "agent,inflow\nA,1\nB,1" + "0" * 140_000 + "\n",
+            ("allocate", "--rule", "nt"),
+            "line 3: invalid CSV: field larger than field limit (131072)",
+        ),
     ],
-    ids=["withdrawal-total", "int-over-float-range", "int-over-digit-limit"],
+    ids=["withdrawal-total", "int-over-float-range", "int-over-digit-limit", "csv-field-limit"],
 )
 def test_out_of_range_numbers_are_one_error_line(capsys, tmp_path, name, text, command, message):
     path = tmp_path / name

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -713,6 +714,47 @@ def test_derived_profile_errors_name_the_argument(inflows, derive, error, messag
         derive(InflowProfile(inflows))
     assert str(caught.value) == message
     assert type(caught.value) is error
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (1.0, 2.0, 3.0),
+        (0.0, -0.0),
+        (5e-324, 1e308),
+        (1e308, 1e308),
+        (1.0, -1.0),
+        (1.0, math.nan),
+        (math.inf, 1.0),
+        (math.inf, -math.inf),
+        (4.0,),
+        (),
+    ],
+)
+def test_bulk_built_profiles_match_the_constructor(values):
+    # generated and derived profiles skip __init__; anything its fast path
+    # would reject must still end in the constructor's own error
+    try:
+        expected = InflowProfile(values)
+    except RiverShareError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            core._profile_of_floats(values)
+        return
+    built = core._profile_of_floats(values)
+    assert type(built) is InflowProfile
+    assert built.inflows == expected.inflows and built.total == expected.total
+
+
+def test_parameterless_share_vectors_survive_a_weight_sweep():
+    n = 1000
+    e = InflowProfile([1.0] * n)
+    cached = RuleSpec.shapley().shares(n)
+    rng = random.Random("weight sweep")
+    for k in range(40):
+        weighted = RuleSpec.compromise if k % 2 else RuleSpec.partial_compromise
+        weighted(rng.random()).apply(e)
+    assert RuleSpec.shapley().shares(n) is cached
+    assert cached == tuple(1.0 / (n - k) for k in range(n - 1))
 
 
 def test_a_negative_delta_that_keeps_the_inflow_non_negative_is_valid():

@@ -154,6 +154,21 @@ def test_load_csv_errors_name_the_line(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("agent,inflow\nA,1\rB,2\n", "line 2: invalid CSV: new-line character seen in unquoted field"),
+        ("agent,inflow\nA,1\nB," + "9" * 140_000 + "\n", "line 3: invalid CSV: field larger than field limit"),
+        ("agent," + "x" * 140_000 + "\nA,1\nB,2\n", "line 1: invalid CSV: field larger than field limit"),
+    ],
+    ids=["bare-carriage-return", "over-long-cell", "over-long-header"],
+)
+def test_malformed_csv_is_a_dataset_error_naming_the_line(text, message):
+    with pytest.raises(DatasetError) as err:
+        load_dataset(text, "csv")
+    assert str(err.value).startswith(message)
+
+
 def test_duplicate_error_points_at_first_occurrence():
     with pytest.raises(DatasetError) as err:
         load_dataset("agent,inflow\nA,1\nB,2\nA,3\n", "csv")
