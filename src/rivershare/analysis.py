@@ -140,21 +140,7 @@ class FitResult(_Record):
         "family", "parameter_star", "fitted_allocation", "residual_distance",
         "clipped", "unconstrained_parameter", "degenerate",
     )
-
-    def __init__(
-        self,
-        family: Family,
-        parameter_star: float,
-        fitted_allocation: Allocation,
-        residual_distance: float,
-        clipped: bool,
-        unconstrained_parameter: float | None,
-        degenerate: bool = False,
-    ):
-        self._set_fields(
-            family, parameter_star, fitted_allocation, residual_distance,
-            clipped, unconstrained_parameter, degenerate,
-        )
+    _defaults = {"degenerate": False}
 
     def to_dict(self) -> dict:
         return {
@@ -180,26 +166,11 @@ def fit_family(e, z, family) -> FitResult:
     e, z, family = _basin(e, z, family)
     _, b, direction, gram, scale, _ = _segment(e, family)
     if math.sqrt(gram) <= tolerance_for(e.total) * scale:
-        return FitResult(
-            family=family,
-            parameter_star=0.0,
-            fitted_allocation=b,
-            residual_distance=_distance(b, z, scale),
-            clipped=False,
-            unconstrained_parameter=None,
-            degenerate=True,
-        )
+        return FitResult(family, 0.0, b, _distance(b, z, scale), False, None, True)
     raw = math.fsum([(zi - bi) * scale * d for zi, bi, d in zip(z.amounts, b.amounts, direction)]) / gram
     t = min(1.0, max(0.0, raw))
     member = family_member(e, family, t)
-    return FitResult(
-        family=family,
-        parameter_star=t,
-        fitted_allocation=member,
-        residual_distance=_distance(member, z, scale),
-        clipped=(t != raw),
-        unconstrained_parameter=raw,
-    )
+    return FitResult(family, t, member, _distance(member, z, scale), t != raw, raw, False)
 
 
 def distance_at(e, z, family, parameter: float) -> float:
@@ -370,9 +341,6 @@ class LegitimacyReport(_Record):
 
     __slots__ = _fields = ("family", "entries")
 
-    def __init__(self, family: Family, entries: tuple[LegitimacyEntry, ...]):
-        self._set_fields(family, entries)
-
     @property
     def classifications(self) -> tuple[Legitimacy, ...]:
         return tuple(entry.classification for entry in self.entries)
@@ -417,7 +385,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
         )
         for i, (name, ai, bi, zi) in enumerate(zip(names, a.amounts, b.amounts, z.amounts))
     ]
-    return LegitimacyReport(family=family, entries=LegitimacyEntry._of_rows(rows))
+    return LegitimacyReport(family, LegitimacyEntry._of_rows(rows))
 
 
 def shares_of_total(values) -> tuple[float, ...]:
@@ -475,9 +443,6 @@ class ReferenceCheck(_Record):
 
     __slots__ = _fields = ("name", "expected", "actual", "tolerance", "ok")
 
-    def __init__(self, name: str, expected, actual, tolerance: float | None, ok: bool):
-        self._set_fields(name, expected, actual, tolerance, ok)
-
     def to_dict(self) -> dict:
         expected = self.expected
         actual = self.actual
@@ -500,13 +465,11 @@ def _close_check(name: str, expected, actual, tolerance: float) -> ReferenceChec
         ok = len(actual) == len(expected) and gap <= tolerance
     else:
         ok = abs(actual - expected) <= tolerance
-    return ReferenceCheck(name=name, expected=expected, actual=actual, tolerance=tolerance, ok=ok)
+    return ReferenceCheck(name, expected, actual, tolerance, ok)
 
 
 def _exact_check(name: str, expected, actual) -> ReferenceCheck:
-    return ReferenceCheck(
-        name=name, expected=expected, actual=actual, tolerance=None, ok=(expected == actual)
-    )
+    return ReferenceCheck(name, expected, actual, None, expected == actual)
 
 
 class CaseStudyResult(_Record):
@@ -519,34 +482,6 @@ class CaseStudyResult(_Record):
         "partial_integral_fine", "compromise_legitimacy", "partial_legitimacy",
         "inflow_shares", "observed_shares", "checks",
     )
-
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        inflows: tuple[float, ...],
-        withdrawals: tuple[float, ...],
-        observed: tuple[float, ...],
-        observed_exact: tuple[float, ...],
-        reporting_decimals: int | None,
-        table: tuple[tuple[str, tuple[float, ...]], ...],
-        compromise_fit: FitResult,
-        partial_fit: FitResult,
-        compromise_integral: float,
-        partial_integral: float,
-        compromise_integral_fine: float,
-        partial_integral_fine: float,
-        compromise_legitimacy: LegitimacyReport,
-        partial_legitimacy: LegitimacyReport,
-        inflow_shares: tuple[float, ...],
-        observed_shares: tuple[float, ...],
-        checks: tuple[ReferenceCheck, ...],
-    ):
-        self._set_fields(
-            names, inflows, withdrawals, observed, observed_exact, reporting_decimals,
-            table, compromise_fit, partial_fit, compromise_integral, partial_integral,
-            compromise_integral_fine, partial_integral_fine, compromise_legitimacy,
-            partial_legitimacy, inflow_shares, observed_shares, checks,
-        )
 
     @property
     def all_ok(self) -> bool:

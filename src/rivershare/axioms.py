@@ -38,6 +38,7 @@ from .core import (
     InflowProfile,
     ParameterError,
     RuleSpec,
+    _check_position,
     _profile_of_floats,
     _Record,
     as_profile,
@@ -72,16 +73,6 @@ class Counterexample(_Record):
 
     __slots__ = _fields = ("axiom", "rule", "inputs", "allocations", "violation")
 
-    def __init__(
-        self,
-        axiom: Axiom,
-        rule: str,
-        inputs: tuple[tuple[str, object], ...],
-        allocations: tuple[tuple[str, tuple[float, ...]], ...],
-        violation: str,
-    ):
-        self._set_fields(axiom, rule, inputs, allocations, violation)
-
     def to_dict(self) -> dict:
         return {
             "axiom": self.axiom.value,
@@ -112,7 +103,7 @@ class AxiomReport(_Record):
             raise ValueError("violations must lie in [0, trials]")
         if (first_counterexample is None) != (violations == 0):
             raise ValueError("counterexample must be present exactly when violations > 0")
-        self._set_fields(axiom, rule, trials, violations, rng_seed, first_counterexample)
+        _Record.__init__(self, axiom, rule, trials, violations, rng_seed, first_counterexample)
 
     @property
     def passed(self) -> bool:
@@ -214,8 +205,7 @@ def _downstream_detail(
 ) -> Counterexample | None:
     e = as_profile(e)
     delta = _positive_finite(delta, "inflow increase")
-    if not 0 <= position < len(e):
-        raise DimensionError(f"position {position} out of range for n={len(e)}")
+    _check_position(position, len(e))
     if not strict and not _tail_is_constant(e, position):
         return None  # hypothesis not met: the claim is vacuous here
     bumped = e.bumped(position, delta)
@@ -238,25 +228,47 @@ def _downstream_detail(
 
 
 def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
+    """The first pair i < j, in (i, j) order, with e_i >= e_j but x_i < x_j - tol.
+
+    Swept from the mouth up, a Fenwick tree over inflow ranks keeps the
+    largest x_j - tol passed at each inflow or less; the last agent below
+    one of those is the first i, and one scan from it finds j: O(n log n).
+    """
     e = as_profile(e)
     if tol is None:
         tol = tolerance_for(e.total)
     x = rule.apply(e)
     inflows = e.inflows
     amounts = x.amounts
-    n = len(inflows)
-    for i, (ei, xi) in enumerate(zip(inflows, amounts)):
-        for j, ej, xj in zip(range(i + 1, n), inflows[i + 1 :], amounts[i + 1 :]):
-            if ei >= ej and xi < xj - tol:
-                return Counterexample(
-                    Axiom.ORDER_PRESERVATION,
-                    rule.label(),
-                    (("e", inflows),),
-                    (("allocation", amounts),),
-                    f"inflows e[{i}]={ei} >= e[{j}]={ej} "
-                    f"but assignments x[{i}]={xi} < x[{j}]={xj}",
-                )
-    return None
+    rank = {v: r for r, v in enumerate(sorted(set(inflows)), start=1)}
+    size = len(rank)
+    top = [-math.inf] * (size + 1)  # top[r]: the maximum over the ranks that r covers
+    first = None
+    for i in range(len(inflows) - 1, -1, -1):
+        r = k = rank[inflows[i]]
+        xi = amounts[i]
+        while k:
+            if xi < top[k]:
+                first = i
+                break
+            k &= k - 1
+        value = xi - tol
+        while r <= size:
+            if top[r] < value:
+                top[r] = value
+            r += r & -r
+    if first is None:
+        return None
+    i, ei, xi = first, inflows[first], amounts[first]
+    j = next(j for j in range(i + 1, len(inflows)) if ei >= inflows[j] and xi < amounts[j] - tol)
+    return Counterexample(
+        Axiom.ORDER_PRESERVATION,
+        rule.label(),
+        (("e", inflows),),
+        (("allocation", amounts),),
+        f"inflows e[{i}]={ei} >= e[{j}]={inflows[j]} "
+        f"but assignments x[{i}]={xi} < x[{j}]={amounts[j]}",
+    )
 
 
 def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
@@ -340,8 +352,7 @@ def _equal_upstream_total_detail(
     rule: RuleSpec, e, other, position, tol=None
 ) -> Counterexample | None:
     e, other, tol = _same_river(e, other, tol)
-    if not 0 <= position < len(e):
-        raise DimensionError(f"position {position} out of range for n={len(e)}")
+    _check_position(position, len(e))
     own1, own2 = e.inflows[position], other.inflows[position]
     pre1 = math.fsum(e.inflows[:position])
     pre2 = math.fsum(other.inflows[:position])

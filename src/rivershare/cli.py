@@ -35,7 +35,7 @@ from .core import (
 from .data_io import BasinDataset, builtin_nile, read_dataset
 
 
-#: Largest river `axioms` generates: the order-preservation check is O(n^2).
+#: Largest river `axioms` generates: its slowest check, order preservation, is O(n log n).
 _MAX_AXIOM_AGENTS = 1000
 #: Most samples `fit --curve` writes; the CSV is built in memory.
 _MAX_CURVE_POINTS = 100_000

@@ -59,24 +59,47 @@ def tolerance_for(scale: float) -> float:
 
 
 def _as_floats(values: Iterable[float], what: str) -> tuple[float, ...]:
-    out = []
-    for k, v in enumerate(values):
-        f = float(v)
-        if not math.isfinite(f):
+    """`values` as a tuple of finite floats, checked in C builtins: a finite
+    sum means finite entries.  Any other input is walked, which names the
+    first bad entry, or finds none when the sum merely overflowed."""
+    items = tuple(values)
+    try:
+        floats = tuple(map(float, items))
+    except (TypeError, ValueError, OverflowError):
+        floats = (math.nan,)
+    if not math.isfinite(sum(floats)):
+        _walk_floats(items, what)
+    return floats
+
+
+def _walk_floats(items: tuple, what: str) -> None:
+    """Raise naming the first entry of `items` that is not a finite float."""
+    for k, v in enumerate(items):
+        if not math.isfinite(float(v)):
             raise RiverShareError(f"{what} at position {k} must be finite, got {v!r}")
-        out.append(f)
-    return tuple(out)
+
+
+def _walk_negatives(values: tuple[float, ...], what: str) -> None:
+    """Raise naming the first negative entry of `values`, if there is one."""
+    for k, v in enumerate(values):
+        if v < 0.0:
+            raise RiverShareError(f"{what} at position {k} must be >= 0, got {v}")
+
+
+def _check_position(position: int, n: int) -> None:
+    if not 0 <= position < n:
+        raise DimensionError(f"position {position} out of range for n={n}")
 
 
 class _Record:
     """Base of the package's immutable values: a `__slots__` class whose
     public fields are named in `_fields`.
 
-    Two records are equal when they are of the same class and their fields
-    are equal, and equal records hash alike; the repr lists the fields by
-    name.  Assigning or deleting an attribute raises AttributeError, so a
-    subclass's `__init__` stores its fields with `_set_fields` (the vector
-    types, built on every rule call, call `object.__setattr__` directly).
+    `__init__` stores the fields, given in order or by name, with
+    `_defaults` for trailing ones left out; a type with values to check
+    checks them in bulk in its own `__init__` first.  Records of one class
+    with equal fields are equal and hash alike; the repr lists the fields
+    by name.  Assigning or deleting an attribute raises AttributeError.
     Pickling and copying save every slot, including any kept outside
     `_fields` (such as a cached total), and restore them without running
     `__init__`.
@@ -84,12 +107,24 @@ class _Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
-    def _set_fields(self, *values) -> None:
-        """Store `values` in `_fields` order; for the `__init__` of a type
-        built too rarely for the loop to matter."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slots' own setters, which cost less to call than `object.__setattr__`
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
+
+    def __init__(self, *values, **named):
+        if named or len(values) != len(self._setters):
+            # the fields after the positional ones must each be named or defaulted
+            fields = self._fields
+            rest = fields[len(values):]
+            given = {**self._defaults, **named}
+            if len(values) > len(fields) or not named.keys() <= set(rest) <= given.keys():
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}, each once")
+            values += tuple([given[name] for name in rest])
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -140,15 +175,6 @@ class _FloatVector(_Record):
         super().__init_subclass__(**kwargs)
         setattr(cls, values, _FloatVector.__dict__["_values"])
         cls._fields = (values,)
-
-    @classmethod
-    def _of_checked(cls, values: tuple[float, ...]):
-        """An instance holding `values`, a tuple of finite floats the caller
-        has already checked.  `__init__` does not run, so this is only for a
-        type whose one slot is its vector."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_values", values)
-        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -205,8 +231,7 @@ class InflowProfile(_FloatVector, values="inflows"):
 
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
-        if not 0 <= position < len(self.inflows):
-            raise DimensionError(f"position {position} out of range for n={len(self)}")
+        _check_position(position, len(self.inflows))
         if not math.isfinite(delta):
             raise ParameterError(f"delta must be finite, got {delta}")
         values = list(self.inflows)
@@ -222,9 +247,7 @@ def _checked_inflows(items: tuple) -> tuple[tuple[float, ...], float]:
         raise DimensionError(
             f"an inflow profile needs at least two agents, got {len(values)}"
         )
-    for k, v in enumerate(values):
-        if v < 0.0:
-            raise RiverShareError(f"inflow at position {k} must be >= 0, got {v}")
+    _walk_negatives(values, "inflow")
     # the entries are finite, so fsum either returns a finite total or
     # raises on overflow
     try:
@@ -307,9 +330,8 @@ class ObservedAllocation(_FloatVector, values="amounts"):
 
     def __init__(self, amounts: Iterable[float]):
         values = _as_floats(amounts, "observed amount")
-        for k, v in enumerate(values):
-            if v < 0.0:
-                raise RiverShareError(f"observed amount at position {k} must be >= 0, got {v}")
+        if min(values, default=0.0) < 0.0:
+            _walk_negatives(values, "observed amount")
         object.__setattr__(self, "_values", values)
 
 
@@ -325,9 +347,7 @@ class ValidationResult(_Record):
     """Boolean verdict plus the first violated constraint, if any."""
 
     __slots__ = _fields = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str | None = None):
-        self._set_fields(ok, reason)
+    _defaults = {"reason": None}
 
     def __bool__(self) -> bool:
         return self.ok
@@ -386,13 +406,11 @@ def _finalize(e: InflowProfile, raw: list[float]) -> Allocation:
     if min(raw) < 0.0:
         # clamp float wobble in (-tol, 0) to exactly 0
         raw = [0.0 if -tol < v < 0.0 else v for v in raw]
-    amounts = tuple(raw)
-    if not all(map(math.isfinite, amounts)):
-        _as_floats(amounts, "amount")  # raises, naming the first bad entry
-    reason = _violation(e, amounts, tol)
+    x = Allocation(raw)  # a non-finite entry is named there
+    reason = _violation(e, x.amounts, tol)
     if reason is not None:
         raise AllocationError(f"rule produced an invalid allocation: {reason}")
-    return Allocation._of_checked(amounts)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +512,7 @@ def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
     prefix_x = 0.0
     prefix_e = 0.0
     feasible = True
+    # one fused loop: `accumulate` and `map` in C were bit-identical but slower
     for v, a, downstream in zip(inflows, shares, range(len(inflows) - 1, 0, -1)):
         xi = a * v + incoming
         x.append(xi)
@@ -504,7 +523,7 @@ def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
             feasible = False
     x.append(inflows[-1] + incoming)
     if feasible and min(x) >= 0.0 and abs(math.fsum(x) - total) <= tol:
-        # `Allocation._of_checked`, inlined on the path every rule call takes
+        # `Allocation(x)` less its checks, which the lines above have made
         allocation = object.__new__(Allocation)
         _set_values(allocation, tuple(x))
         return allocation
@@ -604,7 +623,7 @@ class RuleSpec(_Record):
         else:
             if weight is not None or retention is not None:
                 raise ParameterError(f"rule '{kind.value}' takes no parameters")
-        self._set_fields(kind, weight, retention)
+        _Record.__init__(self, kind, weight, retention)
 
     @classmethod
     def no_transfer(cls) -> "RuleSpec":

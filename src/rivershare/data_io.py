@@ -5,11 +5,12 @@ object with an ``agents`` array of ``{name, inflow, withdrawal?}``), rows
 ordered upstream to downstream.  Row order is river order; there is no
 reordering key.
 
-A dataset is checked column by column in one pass of C builtins, the way
-`InflowProfile` checks its inflows: the names must be non-empty and
-distinct, and every number must be a finite float >= 0 whose column total
-is finite.  Only input that this bulk check rejects is walked row by row;
-the walk words the error and names the offending line (CSV) or array index
+A loader hands the columns straight to the constructors, whose checks
+run in bulk, in C builtins: `BasinDataset` checks that the names are
+non-empty and distinct and that every withdrawal is a finite float >= 0,
+and `InflowProfile` the same of the inflows and that their total is
+finite.  Only input that these checks reject is walked row by row; the
+walk words the error and names the offending line (CSV) or array index
 (JSON).  A number outside the float range is an error too: a JSON integer
 too large to convert, a JSON integer longer than Python converts at all,
 or withdrawals whose total overflows when they are normalized.
@@ -54,29 +55,15 @@ class BasinDataset(_Record):
     ):
         if len(names) != len(inflows):
             raise DimensionError(f"{len(names)} names for {len(inflows)} inflows")
-        seen = set()
-        for name in names:
-            if not name:
-                raise DatasetError("agent names must be non-empty")
-            if name in seen:
-                raise DatasetError(f"duplicate agent name {name!r}")
-            seen.add(name)
+        if not all(names) or len(set(names)) != len(names):
+            _walk_names(names)
         if withdrawals is not None:
-            withdrawals = tuple(float(v) for v in withdrawals)
+            withdrawals = tuple(map(float, withdrawals))
             if len(withdrawals) != len(inflows):
                 raise DimensionError(f"{len(withdrawals)} withdrawals for {len(inflows)} inflows")
-            for k, v in enumerate(withdrawals):
-                if not math.isfinite(v) or v < 0.0:
-                    raise DatasetError(f"withdrawal at position {k} must be finite and >= 0, got {v}")
-        self._set_fields(names, inflows, withdrawals, units)
-
-    @classmethod
-    def _of_checked(cls, names, inflows, withdrawals) -> "BasinDataset":
-        """A dataset of fields the caller has already checked as `__init__`
-        would, built without running it."""
-        self = object.__new__(cls)
-        self._set_fields(names, inflows, withdrawals, "km³/year")
-        return self
+            if not (all(map(math.isfinite, withdrawals)) and min(withdrawals, default=0.0) >= 0.0):
+                _walk_withdrawals(withdrawals)
+        _Record.__init__(self, names, inflows, withdrawals, units)
 
     def __len__(self) -> int:
         return len(self.inflows)
@@ -89,6 +76,24 @@ class BasinDataset(_Record):
         if self.withdrawals is None:
             raise DatasetError("dataset has no withdrawal column")
         return normalize_withdrawals(self.inflows, self.withdrawals)
+
+
+def _walk_names(names) -> None:
+    """Raise naming the first empty or repeated name."""
+    seen = set()
+    for name in names:
+        if not name:
+            raise DatasetError("agent names must be non-empty")
+        if name in seen:
+            raise DatasetError(f"duplicate agent name {name!r}")
+        seen.add(name)
+
+
+def _walk_withdrawals(withdrawals: tuple[float, ...]) -> None:
+    """Raise naming the first withdrawal that is not finite and >= 0."""
+    for k, v in enumerate(withdrawals):
+        if not math.isfinite(v) or v < 0.0:
+            raise DatasetError(f"withdrawal at position {k} must be finite and >= 0, got {v}")
 
 
 def normalize_withdrawals(e, withdrawals) -> ObservedAllocation:
@@ -109,10 +114,7 @@ def normalize_withdrawals(e, withdrawals) -> ObservedAllocation:
     if not total > 0.0:
         raise DatasetError(f"withdrawals must have a positive total, got {total}")
     factor = e.total / total
-    amounts = tuple(map(mul, values, repeat(factor)))
-    if math.isfinite(sum(amounts)) and min(amounts) >= 0.0:
-        return ObservedAllocation._of_checked(amounts)
-    return ObservedAllocation(amounts)  # its entry checks name the fault
+    return ObservedAllocation(tuple(map(mul, values, repeat(factor))))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +137,7 @@ def _build_dataset(rows: list[tuple[str, str, float, float | None]]) -> BasinDat
     # rows: (where, name, inflow, withdrawal-or-None), already value-checked
     if len(rows) < 2:
         raise DatasetError(f"a dataset needs at least two agents, got {len(rows)}")
-    names = []
-    seen = {}
+    seen = {}  # name: where, in river order
     inflows = []
     withdrawals = []
     with_count = 0
@@ -144,7 +145,6 @@ def _build_dataset(rows: list[tuple[str, str, float, float | None]]) -> BasinDat
         if name in seen:
             raise DatasetError(f"{where}: duplicate agent name {name!r} (first at {seen[name]})")
         seen[name] = where
-        names.append(name)
         if inflow < 0.0:
             raise DatasetError(f"{where}: inflow must be >= 0, got {inflow}")
         inflows.append(inflow)
@@ -158,29 +158,20 @@ def _build_dataset(rows: list[tuple[str, str, float, float | None]]) -> BasinDat
         raise DatasetError(
             f"{missing}: withdrawal missing; provide the column for every agent or none"
         )
-    return BasinDataset._of_checked(
-        tuple(names), InflowProfile(tuple(inflows)), tuple(withdrawals) if with_count else None
+    return BasinDataset(
+        tuple(seen), InflowProfile(tuple(inflows)), tuple(withdrawals) if with_count else None
     )
 
 
 def _columns_dataset(names, inflows, withdrawals) -> BasinDataset | None:
-    """The dataset of these columns, or None when any check fails.
-
-    `names` is a tuple of strings; `inflows` and `withdrawals` (or None)
-    are columns of numbers or number texts, as long as `names`.  The
-    profile's own bulk check covers the inflows.
-    """
-    if not all(names) or len(set(names)) != len(names):
-        return None
+    """The dataset of these columns, or None when a constructor rejects them,
+    so that the row walk words the error.  `names` is a tuple of strings;
+    `inflows` and `withdrawals` (or None) are columns of numbers or number
+    texts, as long as `names`."""
     try:
-        profile = InflowProfile(tuple(map(float, inflows)))
-        if withdrawals is not None:
-            withdrawals = tuple(map(float, withdrawals))
-            if not (math.isfinite(math.fsum(withdrawals)) and min(withdrawals) >= 0.0):
-                return None
+        return BasinDataset(names, InflowProfile(inflows), withdrawals)
     except (ValueError, OverflowError):
         return None
-    return BasinDataset._of_checked(names, profile, withdrawals)
 
 
 def _load_csv(text: str) -> BasinDataset:
@@ -312,16 +303,18 @@ def _walk_json(agents: list) -> BasinDataset:
             raise DatasetError(f"{where}: 'name' must be a non-empty string")
         if "inflow" not in entry:
             raise DatasetError(f"{where}: 'inflow' is required")
-        if isinstance(entry["inflow"], bool) or not isinstance(entry["inflow"], (int, float)):
-            raise DatasetError(f"{where}: inflow must be a number, got {entry['inflow']!r}")
-        inflow = _parse_number(entry["inflow"], where, "inflow")
-        withdrawal = None
-        if "withdrawal" in entry:
-            if isinstance(entry["withdrawal"], bool) or not isinstance(entry["withdrawal"], (int, float)):
-                raise DatasetError(f"{where}: withdrawal must be a number, got {entry['withdrawal']!r}")
-            withdrawal = _parse_number(entry["withdrawal"], where, "withdrawal")
+        inflow = _json_number(entry, "inflow", where)
+        withdrawal = _json_number(entry, "withdrawal", where) if "withdrawal" in entry else None
         rows.append((where, name, inflow, withdrawal))
     return _build_dataset(rows)
+
+
+def _json_number(entry: dict, field: str, where: str) -> float:
+    """The number in `entry[field]`: a JSON number, not a boolean."""
+    value = entry[field]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DatasetError(f"{where}: {field} must be a number, got {value!r}")
+    return _parse_number(value, where, field)
 
 
 def load_dataset(source: str | TextIO, format: str) -> BasinDataset:

@@ -16,6 +16,7 @@ from rivershare.axioms import (
     HypothesisNotMet,
     _below,
     _draw,
+    _order_detail,
     check_downstream_impartiality,
     check_equal_treatment_source,
     check_equal_treatment_upstream_total,
@@ -145,6 +146,79 @@ class TestOrderPreservation:
 
     def test_full_transfer_fails_with_two_agents(self):
         assert not check_order_preservation(RuleSpec.egalitarian_full_transfer(), (1, 0))
+
+
+class _FixedRule:
+    """A rule whose output is a given vector, whether feasible or not."""
+
+    def __init__(self, amounts):
+        self.amounts = amounts
+
+    def label(self) -> str:
+        return "fixed"
+
+    def apply(self, e):
+        return core.Allocation(self.amounts)
+
+
+def _first_order_violation(inflows, amounts, tol):
+    """The order-preservation violation of the first pair i < j in (i, j)
+    order, found by trying every pair."""
+    for i in range(len(inflows)):
+        for j in range(i + 1, len(inflows)):
+            if inflows[i] >= inflows[j] and amounts[i] < amounts[j] - tol:
+                return (
+                    f"inflows e[{i}]={inflows[i]} >= e[{j}]={inflows[j]} "
+                    f"but assignments x[{i}]={amounts[i]} < x[{j}]={amounts[j]}"
+                )
+    return None
+
+
+def _order_cases():
+    rng = random.Random("order sweep")
+    rules = [RuleSpec.shapley(), RuleSpec.no_transfer(), RuleSpec.egalitarian_full_transfer(),
+             RuleSpec.compromise(0.5), RuleSpec.partial_compromise(0.3)]
+    for case in range(3000):
+        n = 2 + _below(rng, 39)
+        if case % 3 == 0:  # many ties, -0.0 among them
+            inflows = [float(_below(rng, 4)) or rng.choice([0.0, -0.0]) for _ in range(n)]
+        else:
+            inflows = [rng.random() for _ in range(n)]
+        if case % 2 == 0:
+            amounts = [float(_below(rng, 5)) if case % 4 == 0 else 3 * rng.random() for _ in range(n)]
+            yield inflows, _FixedRule(amounts), rng.choice([0.0, 1e-9, 0.5, 1.0])
+        else:
+            yield inflows, rules[case % 5], None
+    ascending = [float(k) for k in range(1000)]
+    yield ascending, RuleSpec.no_transfer(), None
+    yield ascending, _FixedRule([rng.random() for _ in range(1000)]), 0.25
+    tied = [float(_below(rng, 50)) for _ in range(1000)]
+    yield tied, _FixedRule([float(_below(rng, 100)) for _ in range(1000)]), 1e-9
+    descending = sorted(tied, reverse=True)
+    yield descending, RuleSpec.shapley(), None
+    yield descending, RuleSpec.no_transfer(), None  # every pair constrained, none violated
+    late = list(descending)
+    late[900] = -1.0  # the first violating pair is (900, 901)
+    yield descending, _FixedRule(late), None
+
+
+def test_order_sweep_finds_the_pair_the_double_loop_finds():
+    found = 0
+    for inflows, rule, tol in _order_cases():
+        e = core.InflowProfile(inflows)
+        amounts = rule.apply(e).amounts
+        expected = _first_order_violation(
+            e.inflows, amounts, tolerance_for(e.total) if tol is None else tol
+        )
+        counterexample = _order_detail(rule, e, tol)
+        if expected is None:
+            assert counterexample is None
+        else:
+            found += 1
+            assert counterexample.violation == expected
+            assert counterexample.inputs == (("e", e.inflows),)
+            assert counterexample.allocations == (("allocation", amounts),)
+    assert 1000 < found < 3000  # both verdicts are well covered
 
 
 class TestSourceShape:

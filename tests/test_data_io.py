@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rivershare import data_io
+from rivershare import core, data_io
 from rivershare.core import DimensionError, InflowProfile, ObservedAllocation, RiverShareError
 from rivershare.data_io import (
     BasinDataset,
@@ -395,6 +395,31 @@ def test_basin_dataset_validation():
         BasinDataset(names=("A", "B"), inflows=InflowProfile((1.0, 2.0)), withdrawals=(1.0, -1.0))
 
 
+def test_basin_dataset_messages():
+    profile = InflowProfile((1.0, 2.0))
+    cases = [
+        (DatasetError, "agent names must be non-empty", (("A", ""), profile)),
+        (DatasetError, "duplicate agent name 'A'", (("A", "A"), profile)),
+        (DatasetError, "agent names must be non-empty", (("", "A", "A"), InflowProfile((1, 2, 3)))),
+        (DimensionError, "1 names for 2 inflows", (("A",), profile)),
+        (DimensionError, "3 withdrawals for 2 inflows", (("A", "B"), profile, (1, 2, 3))),
+        (DatasetError, "withdrawal at position 1 must be finite and >= 0, got nan",
+         (("A", "B"), profile, (1.0, math.nan))),
+        (DatasetError, "withdrawal at position 0 must be finite and >= 0, got -1.0",
+         (("A", "B"), profile, (-1, math.inf))),
+        (DatasetError, "withdrawal at position 1 must be finite and >= 0, got inf",
+         (("A", "B"), profile, ("0", "inf"))),
+    ]
+    for error, message, args in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            BasinDataset(*args)
+    # withdrawals whose total overflows are a dataset; only normalizing them fails
+    big = BasinDataset(("A", "B"), profile, (1e308, 1e308))
+    assert big.withdrawals == (1e308, 1e308)
+    with pytest.raises(DatasetError, match="^withdrawal total is too large to represent as a float$"):
+        big.normalized_withdrawals()
+
+
 def test_len_and_units():
     ds = load_dataset(GOOD_CSV, "csv")
     assert len(ds) == 3
@@ -445,6 +470,29 @@ def test_well_formed_datasets_never_take_the_row_walk(monkeypatch, text, fmt):
     monkeypatch.setattr(data_io, "_walk_csv", refuse)
     monkeypatch.setattr(data_io, "_walk_json", refuse)
     assert _bits(load_dataset(text, fmt)) == _bits(walked)
+
+
+@pytest.mark.parametrize("text,fmt", WELL_FORMED)
+def test_well_formed_datasets_never_take_the_constructors_walks(monkeypatch, text, fmt):
+    # the constructors accept well-formed columns and normalized withdrawals
+    # in bulk; their entry-by-entry walks are only for naming a fault
+    walked = _walked(text, fmt)
+    expected = walked.normalized_withdrawals() if walked.has_withdrawals else None
+
+    def refuse(*args):
+        raise AssertionError("a well-formed dataset was walked entry by entry")
+
+    for module, name in [
+        (core, "_checked_inflows"), (core, "_walk_floats"), (core, "_walk_negatives"),
+        (data_io, "_walk_names"), (data_io, "_walk_withdrawals"),
+        (data_io, "_walk_csv"), (data_io, "_walk_json"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    ds = load_dataset(text, fmt)
+    assert _bits(ds) == _bits(walked)
+    if expected is not None:
+        normalized = ds.normalized_withdrawals()
+        assert list(map(float.hex, normalized)) == list(map(float.hex, expected))
 
 
 def _walked(text: str, fmt: str):

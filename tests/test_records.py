@@ -3,6 +3,8 @@
 Each record compares equal to an equal record of its own type and to
 nothing else, hashes like its equals, prints as `Type(field=value, ...)`,
 refuses assignment and deletion, and survives pickle and copy unchanged.
+Its fields can be given in order or by name, trailing ones with defaults
+can be left out, and any other call raises TypeError.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from rivershare.core import (
     InflowProfile,
     ObservedAllocation,
     RetentionShares,
+    RuleKind,
     RuleSpec,
     ValidationResult,
 )
@@ -280,3 +283,76 @@ def test_copies_keep_the_vector_behaviour():
         assert len(e2) == 5 and e2[3] == 65.3 and list(e2) == list(e)
         assert e2.scaled(2.0) == e.scaled(2.0)
         assert x2.total == 3.5 and tuple(x2) == (1.0, 2.5)
+
+
+def _fields_of(name):
+    """The record type, its field names and one record's field values."""
+    make, _, fields, _ = RECORDS[name]
+    record = make()
+    return type(record), fields, [getattr(record, field) for field in fields]
+
+
+@record_types
+def test_keyword_construction_equals_positional(name):
+    cls, fields, values = _fields_of(name)
+    positional = cls(*values)
+    assert positional == RECORDS[name][0]()
+    named = dict(zip(fields, values))
+    assert cls(**named) == positional
+    assert cls(**dict(reversed(named.items()))) == positional
+    first = named.pop(fields[0])
+    assert cls(first, **named) == positional
+
+
+# one record built from its required fields alone, and the defaults that
+# fill the trailing fields it leaves out; every other type has no defaults
+DEFAULTS = {
+    "ValidationResult": (lambda: ValidationResult(True), {"reason": None}),
+    "RuleSpec": (lambda: RuleSpec(RuleKind.SHAPLEY), {"weight": None, "retention": None}),
+    "BasinDataset": (
+        lambda: BasinDataset(("A", "B"), InflowProfile((3.0, 1.0))),
+        {"withdrawals": None, "units": "km³/year"},
+    ),
+    "AxiomReport": (
+        lambda: AxiomReport(Axiom.BALANCE, "shapley", 10, 0, 7), {"first_counterexample": None}
+    ),
+    "FitResult": (
+        lambda: FitResult(Family.COMPROMISE, 0.25, Allocation((1.0, 2.0)), 0.5, False, 0.25),
+        {"degenerate": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DEFAULTS))
+def test_defaults_fill_in_trailing_fields(name):
+    build, defaults = DEFAULTS[name]
+    record = build()
+    fields = RECORDS[name][2]
+    assert list(defaults) == list(fields[len(fields) - len(defaults):])
+    for field, value in defaults.items():
+        assert getattr(record, field) == value
+    required = {field: getattr(record, field) for field in fields if field not in defaults}
+    assert type(record)(**required) == record
+    assert type(record)(*required.values(), *defaults.values()) == record
+    assert type(record)(*required.values(), **defaults) == record
+
+
+@record_types
+def test_missing_unknown_or_repeated_fields_raise_type_error(name):
+    cls, fields, values = _fields_of(name)
+    named = dict(zip(fields, values))
+    without_first = dict(named)
+    del without_first[fields[0]]
+    required = len(fields) - len(DEFAULTS.get(name, (None, {}))[1])
+    calls = [
+        lambda: cls(**without_first),
+        lambda: cls(*values[:required - 1]),
+        lambda: cls(*values, None),
+        lambda: cls(*values, bogus=1),
+        lambda: cls(**named, bogus=1),
+        lambda: cls(*values, **{fields[0]: values[0]}),
+        lambda: cls(values[0], **named),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
