@@ -417,7 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit = commands.add_parser("fit", help="fit a rule family to observed withdrawals")
     fit.add_argument("--dataset", required=True, help="'nile' or a path to a dataset with withdrawals")
     fit.add_argument("--family", required=True, help="compromise or partial")
-    fit.add_argument("--nodes", type=int, default=64, help="quadrature nodes for the distance integral")
+    fit.add_argument(
+        "--nodes",
+        type=int,
+        help="integrate with this many Gauss-Legendre nodes instead of the exact closed form",
+    )
     fit.add_argument("--curve", help="write the distance profile to this CSV path")
     fit.add_argument("--curve-points", type=int, default=101, help="samples in the curve CSV")
     common(fit)
@@ -430,7 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the reporting-precision rounding of the observed column",
     )
-    case.add_argument("--nodes", type=int, default=64, help="quadrature nodes for the distance integrals")
+    case.add_argument(
+        "--nodes",
+        type=int,
+        default=64,
+        help="half the Gauss-Legendre nodes of the quadrature cross-check of the exact integrals",
+    )
     common(case)
     case.set_defaults(handler=cmd_case_study)
 

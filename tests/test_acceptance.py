@@ -138,7 +138,7 @@ def test_criterion_04_fits():
     return f"parameter {lam:.6f}, partial unconstrained {result.partial_fit.unconstrained_parameter:.3f}"
 
 
-@criterion(5, "distance integrals 46.52 and 78.27 ±0.01, 64 vs 128 nodes ≤1e-8, under 10 ms")
+@criterion(5, "distance integrals 46.52 and 78.27 ±0.01, exact vs 128-node quadrature ≤1e-8, under 10 ms")
 def test_criterion_05_integrals():
     result = nile_case_study()
     assert abs(result.compromise_integral - 46.52) <= 0.01, result.compromise_integral
@@ -147,7 +147,7 @@ def test_criterion_05_integrals():
     assert abs(result.partial_integral_fine - result.partial_integral) <= 1e-8
     e = InflowProfile(result.inflows)
     z = result.observed
-    integrate_distance(e, z, Family.COMPROMISE)  # warm the node cache
+    integrate_distance(e, z, Family.COMPROMISE)  # warm the segment memo
     elapsed = _best_time(
         lambda: (
             integrate_distance(e, z, Family.COMPROMISE),

@@ -1,9 +1,10 @@
 """Tests for family fitting, distance quadrature, legitimacy, case study.
 
-The fit is checked against a dense grid search and the quadrature against
-an adaptive Simpson refinement, the closed-form integral and numpy's
-Gauss-Legendre rule applied node by node, all written directly from the
-definitions rather than through the library's closed forms.  Per-call
+The fit is checked against a dense grid search and the integral against
+an adaptive Simpson refinement, the closed-form integral, numpy's
+Gauss-Legendre rule applied node by node, and mpmath's 30-digit
+antiderivative and quadrature, all written directly from the definitions
+rather than through the library's closed forms.  Per-call
 endpoint, fit, integral and legitimacy formulas are kept here as references
 for the family segment the library shares between calls.
 """
@@ -16,6 +17,11 @@ import random
 
 import numpy as np
 import pytest
+
+try:
+    import mpmath
+except ImportError:  # the mpmath oracles are skipped without it
+    mpmath = None
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,6 +161,88 @@ def random_observation(rng, e, family):
     t = rng.uniform(-0.6, 1.6)
     noisy = [bi + t * (ai - bi) + rng.gauss(0.0, 0.15 * (1.0 + e.total / len(e))) for ai, bi in zip(a, b)]
     return ObservedAllocation(tuple(max(0.0, v) for v in noisy))
+
+
+def drawn_family_basins(seed, count):
+    """`count` (e, z, family) cases over the whole range of basins.
+
+    n runs from 2 to 30, two agents in every fifth case, at one magnitude
+    in 1e-6..1e6, with a tenth of the inflows zero.  A third of the
+    observations lie on the family's line or within 1e-15..1e-4 of it, at
+    parameters from -0.5 to 1.5, so some lie beyond its endpoints; a third
+    are normalized withdrawals, which lie on the line for two agents; the
+    rest are uniform up to ten times the magnitude.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        n = 2 if k % 5 == 0 else rng.randint(3, 30)
+        magnitude = 10.0 ** rng.uniform(-6.0, 6.0)
+        e = InflowProfile(
+            tuple(0.0 if rng.random() < 0.1 else rng.uniform(0.0, magnitude) for _ in range(n))
+        )
+        family = (Family.COMPROMISE, Family.PARTIAL_COMPROMISE)[k % 2]
+        kind = k % 3 if e.total > 0.0 else 2
+        if kind == 0:
+            a, b = no_transfer(e), family_member(e, family, 0.0)
+            t = rng.uniform(-0.5, 1.5)
+            wobble = rng.choice((0.0, 1e-15, 1e-9, 1e-4))
+            z = [
+                max(0.0, (bi + t * (ai - bi)) * (1.0 + wobble * rng.uniform(-1.0, 1.0)))
+                for ai, bi in zip(a, b)
+            ]
+        elif kind == 1:
+            z = normalize_withdrawals(e, [rng.uniform(0.01, 100.0) for _ in range(n)])
+        else:
+            z = [rng.uniform(0.0, 10.0 * magnitude) for _ in range(n)]
+        cases.append((e, ObservedAllocation(z), family))
+    return cases
+
+
+def exact_quadratic(e, z, family):
+    """|B - z + t(A - B)|^2 = (a t^2 + 2 b t + c) / 4^shift, with a, b and c
+    exact integers: every float is an integer over a power of two, so over
+    the largest of those powers the endpoints and z are integers."""
+    values = (*no_transfer(e), *family_member(e, family, 0.0), *z)
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max(q for _, q in ratios).bit_length() - 1
+    ints = [p << (shift - q.bit_length() + 1) for p, q in ratios]
+    n = len(e)
+    d = [x - y for x, y in zip(ints[:n], ints[n : 2 * n])]
+    u = [y - w for y, w in zip(ints[n : 2 * n], ints[2 * n :])]
+    return (
+        sum(x * x for x in d),
+        sum(x * y for x, y in zip(u, d)),
+        sum(x * x for x in u),
+        shift,
+    )
+
+
+def mpmath_integral(mpmath, a, b, c, shift):
+    """The integral over [0, 1] of sqrt(a t^2 + 2 b t + c) / 2^shift, from
+    the antiderivative of `closed_form_integral` in mpmath.
+
+    It is evaluated at 30 digits plus two for each digit of the minimizer
+    t0, which covers what the difference of the antiderivative at the two
+    ends cancels when t0 lies far outside [0, 1].
+    """
+    mpf, sqrt = mpmath.mpf, mpmath.sqrt
+    if a == 0:
+        return mpmath.ldexp(sqrt(c), -shift)
+    with mpmath.workdps(30 + 2 * len(str(abs(b) // a))):
+        t0 = mpf(-b) / a
+        eta2 = mpf(a * c - b * b) / (a * a)
+        s0, s1 = -t0, 1 - t0
+        if eta2 == 0:
+            twice = s1 * abs(s1) - s0 * abs(s0)
+        else:
+            eta = sqrt(eta2)
+            twice = (
+                s1 * sqrt(s1 * s1 + eta2)
+                - s0 * sqrt(s0 * s0 + eta2)
+                + eta2 * (mpmath.asinh(s1 / eta) - mpmath.asinh(s0 / eta))
+            )
+        return mpmath.ldexp(sqrt(a) * twice / 2, -shift)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +556,59 @@ def test_integral_matches_closed_form_on_a_point_segment():
         assert integrate_distance(e, z, family) == closed_form_integral(e, z, family)
 
 
+def test_integral_matches_mpmath_on_drawn_basins():
+    # the default integral against a 30-digit antiderivative on 10^4
+    # family-basins, and that antiderivative against mpmath's own
+    # quadrature, split at t0, on the 200 cases where the integral is worst
+    pytest.importorskip("mpmath")
+    worst = []
+    for e, z, family in drawn_family_basins(1402, 10_000):
+        quadratic = exact_quadratic(e, z, family)
+        expected = float(mpmath_integral(mpmath, *quadratic))
+        integral = integrate_distance(e, z, family)
+        if expected == 0.0:
+            assert integral == 0.0
+            continue
+        error = abs(integral - expected) / expected
+        assert error <= 1e-14, (e, z, family, integral, expected)
+        if quadratic[0] != 0:
+            worst.append((error, quadratic))
+    worst.sort(key=lambda case: case[0])
+    for _, (a, b, c, shift) in worst[-200:]:
+        with mpmath.workdps(30):
+            t0 = mpmath.mpf(-b) / a
+            eta = mpmath.sqrt(mpmath.mpf(a * c - b * b)) / a
+            pieces = [0, t0, 1] if 0 < t0 < 1 else [0, 1]
+            area = mpmath.quad(lambda t: mpmath.hypot(t - t0, eta), pieces)
+            quadrature = mpmath.ldexp(mpmath.sqrt(a) * area, -shift)
+            reference = mpmath_integral(mpmath, a, b, c, shift)
+            assert abs(quadrature - reference) <= 1e-20 * reference
+
+
+def test_default_integral_builds_no_node_rule(forbid_node_rule):
+    rng = random.Random(606)
+    cases = [(NILE.inflows, NILE_Z, family) for family in Family]
+    for _ in range(40):
+        e, family = random_case(rng)
+        cases.append((e, random_observation(rng, e, family), family))
+    for e, z, family in cases:
+        closed = closed_form_integral(e, z, family)
+        assert integrate_distance(e, z, family) == pytest.approx(closed, rel=1e-12)
+
+
+def test_closed_form_on_the_line_and_far_from_it():
+    # on the family's line the profile is |t - t0| exactly, beyond either
+    # end as well as between them
+    for t0, integral in ((-2.0, 2.5), (-0.5, 1.0), (0.0, 0.5), (0.25, 0.3125), (1.0, 0.5), (3.0, 2.5)):
+        assert analysis._hyperbola_integral(t0, 0.0) == integral
+        assert analysis._hyperbola_integral(t0, 1e-170) == integral
+    # far from a short segment the profile is nearly flat at hypot(1/2 - t0, h),
+    # and no square may overflow on the way there
+    for t0, height in ((0.5, 1e200), (-1e200, 1.0), (1e200, 1e200), (2.0, 1e160)):
+        expected = math.hypot(0.5 - t0, height)
+        assert analysis._hyperbola_integral(t0, height) == pytest.approx(expected, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # legitimacy
 
@@ -561,8 +702,8 @@ def reference_endpoints(e, family):
     return no_transfer(e), family_member(e, family, 0.0)
 
 
-def reference_fit(e, z, family):
-    a, b = reference_endpoints(e, family)
+def reference_fit(e, z, family, ends=None):
+    a, b = ends or reference_endpoints(e, family)
     direction = [ai - bi for ai, bi in zip(a, b)]
     gram = math.fsum(d * d for d in direction)
     if math.sqrt(gram) <= tolerance_for(e.total):
@@ -573,8 +714,8 @@ def reference_fit(e, z, family):
     return FitResult(family, t, member, reference_distance(member, z), t != raw, raw)
 
 
-def reference_integral(e, z, family, nodes=64):
-    a, b = reference_endpoints(e, family)
+def reference_integral(e, z, family, nodes=64, ends=None):
+    a, b = ends or reference_endpoints(e, family)
     u = [bi - zi for bi, zi in zip(b, z)]
     direction = [ai - bi for ai, bi in zip(a, b)]
     gram = math.fsum(d * d for d in direction)
@@ -587,8 +728,8 @@ def reference_integral(e, z, family, nodes=64):
     return length * math.fsum(w * math.hypot(t - t0, height) for t, w in rule)
 
 
-def reference_legitimacy(e, z, family):
-    a, b = reference_endpoints(e, family)
+def reference_legitimacy(e, z, family, ends=None):
+    a, b = ends or reference_endpoints(e, family)
     tol = tolerance_for(max(e.total, z.total))
     entries = []
     for i in range(len(e)):
@@ -629,9 +770,15 @@ def test_segment_matches_the_per_call_formulas(basin, t):
     e, z, family = basin
     # the first call builds the segment, the rest read it
     assert exact(fit_family(e, z, family)) == exact(reference_fit(e, z, family))
-    integral = integrate_distance(e, z, family)
+    integral = integrate_distance(e, z, family, nodes=64)
     assert exact(integral) == exact(reference_integral(e, z, family))
     assert integral == pytest.approx(numpy_integral(e, z, family), rel=1e-14, abs=0.0)
+    if mpmath is not None:
+        # the tests' float closed form cancels when t0 lies far outside
+        # [0, 1] (1e-109 basins reach t0 = -2e108), so the pin is exact;
+        # below about 1e-154 squares underflow (ROADMAP item 2, open)
+        closed = float(mpmath_integral(mpmath, *exact_quadratic(e, z, family)))
+        assert integrate_distance(e, z, family) == pytest.approx(closed, rel=1e-14, abs=1e-150)
     assert exact(legitimacy_bounds(e, z, family)) == exact(reference_legitimacy(e, z, family))
     assert distance_at(e, z, family, 0.0) == reference_distance(family_member(e, family, 0.0), z)
     for s in (t, 1.0):
@@ -674,6 +821,60 @@ def test_segment_memo_is_keyed_on_the_profile_object(monkeypatch):
         assert exact(call(e, z, family)) == result
 
 
+def test_projection_memo_is_keyed_on_the_observation_object(monkeypatch):
+    e = InflowProfile((0.0, 3.0, 1.5, 0.0, 2.0))
+    values = (0.0, 2.0, 0.5, 1.0, 2.0)
+    first = ObservedAllocation(values)
+    equal = ObservedAllocation(values)
+    signed = ObservedAllocation((-0.0,) + values[1:])
+    assert first == equal == signed
+    calls = [
+        (call, z, family)
+        for call in (
+            fit_family,
+            integrate_distance,
+            lambda e, z, family: integrate_distance(e, z, family, nodes=64),
+        )
+        for z in (first, equal, signed)
+        for family in Family
+    ]
+    random.Random(47).shuffle(calls)
+    warm = []
+    for call, z, family in calls:
+        warm.append(exact(call(e, z, family)))
+        # an equal observation that is another object misses the projection
+        _, observation, projection = analysis._last_segments[2][family]
+        assert observation is z
+        call(e, z, family)
+        assert analysis._last_segments[2][family][2] is projection
+    for (call, z, family), result in zip(calls, warm):
+        monkeypatch.setattr(analysis, "_last_segments", (None, None, {}))
+        assert exact(call(e, z, family)) == result
+
+
+def test_family_readers_keep_their_values_on_drawn_basins():
+    # fit, legitimacy, distance and the Gauss-Legendre integral read the
+    # memo's segment and projection, and must give the per-call formulas'
+    # values bit for bit; repr shows each float's every bit
+    rng = random.Random(77)
+
+    def rows(report):
+        values = [entry._key() for entry in report.entries]
+        return [row[5] for row in values], repr([row[2:5] for row in values])
+
+    for e, z, family in drawn_family_basins(2718, 10_000):
+        ends = reference_endpoints(e, family)
+        fit = fit_family(e, z, family)
+        assert repr(fit) == repr(reference_fit(e, z, family, ends))
+        assert rows(legitimacy_bounds(e, z, family)) == rows(reference_legitimacy(e, z, family, ends))
+        a, b = ends
+        for t in (0.0, fit.parameter_star, rng.random(), 1.0):
+            member = [bi + t * (ai - bi) for ai, bi in zip(a, b)]
+            assert repr(distance_at(e, z, family, t)) == repr(reference_distance(member, z))
+        integral = integrate_distance(e, z, family, nodes=64)
+        assert repr(integral) == repr(reference_integral(e, z, family, ends=ends))
+
+
 # ---------------------------------------------------------------------------
 # shares
 
@@ -692,6 +893,20 @@ def test_shares_reject_bad_totals():
         shares_of_total((0.0, 0.0))
     with pytest.raises(ParameterError):
         shares_of_total((1.0, float("nan")))
+
+
+def test_shares_name_the_bad_entry_or_the_overflowing_total():
+    with pytest.raises(ParameterError, match=r"^shares need a positive total, got 0\.0$"):
+        shares_of_total((0.0, -0.0))
+    with pytest.raises(ParameterError, match=r"^entry at position 1 must be finite, got nan$"):
+        shares_of_total((1.0, float("nan"), 2.0))
+    # entries that are finite but sum past the float range, in any order
+    # next to a bad entry, which is named first
+    with pytest.raises(ParameterError, match=r"^entry at position 2 must be finite, got inf$"):
+        shares_of_total((1e308, 1e308, float("inf")))
+    with pytest.raises(ParameterError, match="^the total of the entries is too large to represent as a float$"):
+        shares_of_total((1e308, 1e308))
+    assert shares_of_total((3.0, -1.0)) == (1.5, -0.5)
 
 
 # ---------------------------------------------------------------------------

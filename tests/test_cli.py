@@ -328,6 +328,24 @@ def test_fit_nile_partial_clips_to_zero(capsys):
     assert fit["unconstrained_parameter"] < 0.0
 
 
+def test_fit_reports_the_exact_integral_unless_given_nodes(capsys, forbid_node_rule, monkeypatch):
+    nile = builtin_nile()
+    z = nile.normalized_withdrawals()
+    for family in Family:
+        code, out, _ = run_cli(capsys, "fit", "--dataset", "nile", "--family", family.value, "--json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["inputs"]["nodes"] is None
+        assert record["outputs"]["integral"] == analysis.integrate_distance(nile.inflows, z, family)
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "fit", "--dataset", "nile", "--family", "compromise", "--nodes", "64", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["inputs"]["nodes"] == 64
+    quadrature = analysis.integrate_distance(nile.inflows, z, Family.COMPROMISE, nodes=64)
+    assert record["outputs"]["integral"] == quadrature
+
+
 def test_fit_recovers_synthetic_member(capsys, tmp_path):
     e = builtin_nile().inflows
     member = family_member(e, Family.COMPROMISE, 0.3)
