@@ -8,18 +8,20 @@ module provides the distance profile along a family, its quadrature
 average, per-agent legitimacy intervals, and the embedded Nile basin case
 study with its reference checks.
 
-The two endpoints of a family are built once per profile object: the last
-profile's segments are kept, so fits, integrals, legitimacy intervals and
-distance curves over the same profile apply each endpoint rule once between
-them.  `distance_at` reads the member at t off the segment, as
-B + t(A - B), instead of applying the family's rule.  Amounts are scaled
-down by a power of two before they are squared, so a basin with any finite
-total, observed on the same scale, does not overflow.
+A family's segment is built once per basin: the memo keeps the last
+profile and observation objects with one record per family, so fits,
+integrals, legitimacy intervals and distance curves over the same basin
+apply each endpoint rule once between them.  `distance_at` reads the
+member at t off the segment, as B + t(A - B), instead of applying the
+family's rule.  The record also holds the projection of the observation
+onto the family's line: the parameter of the member nearest z, which is
+the fit's unclipped parameter, and the distance from z to the line.
+Amounts far from 1 are scaled by a power of two picked from the basin's
+total and the largest observed amount, up or down, before they are
+squared, so tiny and huge basins neither underflow nor overflow; ordinary
+ones are not scaled at all.
 
-Beside each segment the memo keeps the projection of the last observation
-onto it: the parameter of the member nearest z, which is the fit's
-unclipped parameter, and the distance from z to the family's line.  Along
-the segment the distance to z is a hyperbola in t, so the distance
+Along the segment the distance to z is a hyperbola in t, so the distance
 integral is its closed-form antiderivative, read off that projection in
 constant time whatever the number of agents.  Gauss-Legendre quadrature of
 the same hyperbola remains as a cross-check; its nodes and weights are
@@ -34,9 +36,10 @@ from collections import deque
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
+    RELATIVE_TOLERANCE,
     Allocation,
     DimensionError,
     InflowProfile,
@@ -85,94 +88,89 @@ def family_member(e, family, parameter: float) -> Allocation:
     return RuleSpec(_FAMILY_KIND[as_family(family)], weight=parameter).apply(e)
 
 
-def _basin(e, z, family) -> tuple[InflowProfile, ObservedAllocation, Family]:
-    """The arguments every family reader takes, coerced and checked."""
+class _Segment(NamedTuple):
+    """A family's segment on one basin and the observation's projection
+    onto its line, in amounts multiplied by `scale`.
+
+    a and b are the no-transfer and full-transfer `Allocation`s, direction
+    the tuple (a - b) * scale, gram the fsum of its squares and scaled_b
+    the tuple b * scale.  raw is the parameter of the member nearest z,
+    unclipped, length = sqrt(gram), and height the distance from z to the
+    line over length, so that along the segment the distance to z is
+    length * hypot(t - raw, height) / scale.  The last three are None when
+    the endpoints coincide (gram = 0).
+    """
+
+    a: Allocation
+    b: Allocation
+    scale: float
+    direction: tuple
+    gram: float
+    scaled_b: tuple
+    raw: float | None
+    length: float | None
+    height: float | None
+
+
+#: The segments of the last basin, as (profile, observation, {family:
+#: segment}).  The key is the pair of objects, never equal ones: equal
+#: vectors need not be bit-identical (-0.0 == 0.0), and holding them keeps
+#: their ids from being reused.  Every update replaces the whole tuple in
+#: one assignment, so a reader never sees a half-built entry.
+_last_basin: tuple = (None, None, {})
+
+
+def _basin(e, z, family) -> tuple[InflowProfile, ObservedAllocation, Family, _Segment]:
+    """The arguments every family reader takes, coerced and checked, and
+    the family's `_Segment` on them, from the memo or built into it.
+
+    The scale is a power of two, so scaling is exact while amounts stay
+    normal.  It is 1 while e.total and max(z) are each zero or within
+    [2^-450, 2^450], where squares of the leading amounts stay far inside
+    the normal range: there the readers give the unscaled formulas' results
+    bit for bit.  Otherwise it brings the larger of the two into [0.5, 1),
+    so no square overflows and the leading ones do not underflow.
+    """
+    global _last_basin
     e = as_profile(e)
     z = as_observed(z)
     family = as_family(family)
     if len(z) != len(e):
         raise DimensionError(f"observation has {len(z)} entries for {len(e)} agents")
-    return e, z, family
+    profile, observation, segments = _last_basin
+    if profile is e and observation is z:
+        segment = segments.get(family)
+        if segment is not None:
+            return e, z, family, segment
+    else:
+        segments = {}
+    # the no-transfer endpoint is the same for both families
+    a = next(iter(segments.values())).a if segments else no_transfer(e)
+    b = family_member(e, family, 0.0)
+    sizes = [size for size in (e.total, max(z.amounts)) if size]
+    if all(2.0**-450 <= size <= 2.0**450 for size in sizes):
+        scale = 1.0
+    else:
+        # below 2^-1024 the power that would bring the larger one into
+        # [0.5, 1) is past the float range; 2^1023 brings it into [2^-51, 0.5)
+        scale = math.ldexp(1.0, min(-math.frexp(max(sizes))[1], 1023))
+    direction = tuple([(ai - bi) * scale for ai, bi in zip(a.amounts, b.amounts)])
+    gram = math.fsum([d * d for d in direction])
+    raw = length = height = None
+    if gram != 0.0:
+        offsets = [(zi - bi) * scale for zi, bi in zip(z.amounts, b.amounts)]
+        raw = math.fsum([g * d for g, d in zip(offsets, direction)]) / gram
+        length = math.sqrt(gram)
+        height = math.hypot(*[raw * d - g for g, d in zip(offsets, direction)]) / length
+    scaled_b = tuple([bi * scale for bi in b.amounts])
+    segment = _Segment(a, b, scale, direction, gram, scaled_b, raw, length, height)
+    _last_basin = (e, z, {**segments, family: segment})
+    return e, z, family, segment
 
 
 def _distance(x: Sequence[float], z: Sequence[float], scale: float) -> float:
     """|x - z|, each difference multiplied by `scale` before it is squared."""
     return math.sqrt(math.fsum([(g := (a - b) * scale) * g for a, b in zip(x, z)])) / scale
-
-
-#: The segments of the last profile, as
-#: (profile, A, {family: (segment, observation, projection)}).  The key is
-#: the profile object, never an equal one: equal profiles need not be
-#: bit-identical (-0.0 == 0.0), and holding the profile keeps its id from
-#: being reused.  Each family's projection is keyed the same way on the
-#: observation object, None until one is projected.  Every update replaces
-#: the whole tuple in one assignment, so a reader never sees a half-built
-#: entry.
-_last_segments: tuple = (None, None, {})
-
-
-def _entry(e: InflowProfile, family: Family) -> tuple:
-    """The memo's (segment, observation, projection) for the family on `e`,
-    with the segment built and stored if it is missing."""
-    global _last_segments
-    profile, a, entries = _last_segments
-    if profile is e:
-        entry = entries.get(family)
-        if entry is not None:
-            return entry
-    else:
-        a, entries = no_transfer(e), {}
-    b = family_member(e, family, 0.0)
-    scale = math.ldexp(1.0, -max(0, math.frexp(e.total)[1]))
-    direction = tuple([(ai - bi) * scale for ai, bi in zip(a.amounts, b.amounts)])
-    gram = math.fsum([d * d for d in direction])
-    entry = ((a, b, direction, gram, scale, tuple([bi * scale for bi in b.amounts])), None, None)
-    _last_segments = (e, a, {**entries, family: entry})
-    return entry
-
-
-def _segment(e: InflowProfile, family: Family) -> tuple:
-    """The family's segment on `e`: (A, B, D, gram, scale, Bs).
-
-    A is the no-transfer allocation and B the family's full-transfer
-    endpoint (both `Allocation`s).  `scale` is the power of two that brings
-    e.total below one, or 1 when it is already there; D is the tuple
-    (A - B) * scale, gram the fsum of D squared and Bs the tuple B * scale.
-    Every amount of the basin is at most e.total, so squares and products
-    of scaled amounts cannot overflow, and scaling by a power of two is
-    exact: a reader that multiplies its other amounts by `scale` and
-    divides a length by it at the end gets the unscaled result bit for bit.
-    """
-    return _entry(e, family)[0]
-
-
-def _projection(e: InflowProfile, z: ObservedAllocation, family: Family) -> tuple:
-    """The family's segment on `e` and the projection of `z` onto its line,
-    as (segment, (raw, length, height)).
-
-    raw = <z - B, D> / gram is the parameter of the member nearest z,
-    unclipped; length = |D|, and height is the distance from z to the line
-    divided by length, so that along the segment the distance to z is
-    length * hypot(t - raw, height) / scale.  The projection is None when
-    the endpoints coincide (gram = 0).
-    """
-    global _last_segments
-    segment, observation, projection = _entry(e, family)
-    if observation is z:
-        return segment, projection
-    _, b, direction, gram, scale, _ = segment
-    if gram == 0.0:
-        projection = None
-    else:
-        offsets = [(zi - bi) * scale for zi, bi in zip(z.amounts, b.amounts)]
-        raw = math.fsum([g * d for g, d in zip(offsets, direction)]) / gram
-        length = math.sqrt(gram)
-        height = math.hypot(*[raw * d - g for g, d in zip(offsets, direction)]) / length
-        projection = (raw, length, height)
-    profile, a, entries = _last_segments
-    if profile is e:
-        _last_segments = (e, a, {**entries, family: (segment, z, projection)})
-    return segment, projection
 
 
 class FitResult(_Record):
@@ -205,12 +203,13 @@ def fit_family(e, z, family) -> FitResult:
     endpoints coincide (within tolerance) every parameter fits equally
     well; the result is flagged degenerate and pinned at parameter 0.
     """
-    e, z, family = _basin(e, z, family)
-    segment, projection = _projection(e, z, family)
-    _, b, _, gram, scale, _ = segment
-    if math.sqrt(gram) <= tolerance_for(e.total) * scale:
-        return FitResult(family, 0.0, b, _distance(b, z, scale), False, None, True)
-    raw = projection[0]
+    e, z, family, segment = _basin(e, z, family)
+    scale = segment.scale
+    # relative to the basin alone, with no absolute floor, so that a tiny
+    # basin is not degenerate for being tiny
+    if math.sqrt(segment.gram) <= RELATIVE_TOLERANCE * e.total * scale:
+        return FitResult(family, 0.0, segment.b, _distance(segment.b, z, scale), False, None, True)
+    raw = segment.raw
     t = min(1.0, max(0.0, raw))
     member = family_member(e, family, t)
     return FitResult(family, t, member, _distance(member, z, scale), t != raw, raw, False)
@@ -222,15 +221,15 @@ def distance_at(e, z, family, parameter: float) -> float:
     The member at t is read off the segment as B + t(A - B), which can
     differ from `family_member` in the last bit; at t = 0 it is B exactly.
     """
-    e, z, family = _basin(e, z, family)
+    e, z, family, segment = _basin(e, z, family)
     t = _check_weight(parameter, _FAMILY_KIND[family])
-    _, _, direction, _, scale, scaled_b = _segment(e, family)
+    scale = segment.scale
     # `_distance` from the member B + tD to z, in one pass over the agents;
     # scaling by a power of two commutes with rounding, so each term is
     # (B + tD/scale - z) * scale to the bit
     squares = [
         (g := bs + t * d - zi * scale) * g
-        for bs, d, zi in zip(scaled_b, direction, z.amounts)
+        for bs, d, zi in zip(segment.scaled_b, segment.direction, z.amounts)
     ]
     return math.sqrt(math.fsum(squares)) / scale
 
@@ -342,14 +341,13 @@ def integrate_distance(e, z, family, nodes: int | None = None) -> float:
     the line: there 64 nodes can be off by a few parts in 10^4 and 256 by
     a few parts in 10^5.
     """
-    e, z, family = _basin(e, z, family)
+    e, z, family, segment = _basin(e, z, family)
     if nodes is not None:
         _check_nodes(nodes)
-    segment, projection = _projection(e, z, family)
-    _, b, _, _, scale, _ = segment
-    if projection is None:
-        return _distance(b, z, scale)
-    t0, length, height = projection
+    scale = segment.scale
+    if segment.raw is None:
+        return _distance(segment.b, z, scale)
+    t0, length, height = segment.raw, segment.length, segment.height
     if nodes is None:
         return length * _hyperbola_integral(t0, height) / scale
     hypot = math.hypot
@@ -449,7 +447,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
     interval (within tolerance) are legitimate; the rest fall below the
     lower bound or above the upper one.
     """
-    e, z, family = _basin(e, z, family)
+    e, z, family, segment = _basin(e, z, family)
     if names is None:
         names = tuple(f"agent {i}" for i in range(len(e)))
     else:
@@ -458,7 +456,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
             raise DimensionError(f"{len(names)} names for {len(e)} agents")
     if tol is None:
         tol = tolerance_for(max(e.total, z.total))
-    a, b = _segment(e, family)[:2]
+    a, b = segment.a, segment.b
     below, above, inside = Legitimacy.BELOW_LOWER, Legitimacy.ABOVE_UPPER, Legitimacy.LEGITIMATE
     # lower and upper are min(A_i, B_i) and max(A_i, B_i) without the calls:
     # on a tie both keep A_i, as min and max do, so a zero keeps its sign

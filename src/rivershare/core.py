@@ -61,7 +61,8 @@ def tolerance_for(scale: float) -> float:
 def _as_floats(values: Iterable[float], what: str) -> tuple[float, ...]:
     """`values` as a tuple of finite floats, checked in C builtins: a finite
     sum means finite entries.  Any other input is walked, which names the
-    first bad entry, or finds none when the sum merely overflowed."""
+    first bad entry; when there is none, the sum merely overflowed, and the
+    entries are rejected if their `fsum`, which `total` reads, does too."""
     items = tuple(values)
     try:
         floats = tuple(map(float, items))
@@ -69,6 +70,10 @@ def _as_floats(values: Iterable[float], what: str) -> tuple[float, ...]:
         floats = (math.nan,)
     if not math.isfinite(sum(floats)):
         _walk_floats(items, what)
+        try:
+            math.fsum(floats)
+        except OverflowError:
+            raise RiverShareError(f"total {what} is too large to represent as a float") from None
     return floats
 
 

@@ -22,7 +22,7 @@ try:
     import mpmath
 except ImportError:  # the mpmath oracles are skipped without it
     mpmath = None
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rivershare import analysis
@@ -42,11 +42,13 @@ from rivershare.analysis import (
     shares_of_total,
 )
 from rivershare.core import (
+    RELATIVE_TOLERANCE,
     Allocation,
     DimensionError,
     InflowProfile,
     ObservedAllocation,
     ParameterError,
+    RiverShareError,
     egalitarian_full_transfer,
     egalitarian_partial_transfer,
     no_transfer,
@@ -367,6 +369,58 @@ def test_large_basins_fit_like_the_unit_basin(magnitude):
         )
 
 
+#: ROADMAP item 2's grid: a unit basin at these magnitudes, observed at
+#: 1e-150 to 1e150 times the basin wherever that stays a normal float.
+GRID_BASIN, GRID_OBSERVATION = InflowProfile((1.0, 2.0, 0.0)), (2.0, 0.5, 1.0)
+GRID = [
+    (magnitude, 10.0**k)
+    for magnitude in (1e-300, 1e-200, 1e-160, 1e160, 1e300)
+    for k in range(-150, 151, 50)
+    if 2.0**-1022 <= magnitude * 10.0**k and math.isfinite(magnitude * 10.0**k * 2.0)
+]
+
+
+@pytest.mark.parametrize("magnitude,ratio", GRID)
+def test_tiny_and_huge_basins_fit_like_the_unit_basin(magnitude, ratio):
+    # every result is the unit basin's, observed at the same ratio, times
+    # the magnitude; the observation is off the family's line and not
+    # orthogonal to it, so every length is non-zero and every parameter
+    # well conditioned
+    unit_z = ObservedAllocation([ratio * v for v in GRID_OBSERVATION])
+    e = GRID_BASIN.scaled(magnitude)
+    z = ObservedAllocation([magnitude * v for v in unit_z])
+    for family in Family:
+        fit, unit_fit = fit_family(e, z, family), fit_family(GRID_BASIN, unit_z, family)
+        assert not fit.degenerate and not unit_fit.degenerate
+        assert fit.parameter_star == pytest.approx(unit_fit.parameter_star, rel=0.0, abs=1e-14)
+        assert fit.unconstrained_parameter == pytest.approx(
+            unit_fit.unconstrained_parameter, rel=1e-14, abs=1e-14
+        )
+        lengths = [(fit.residual_distance, unit_fit.residual_distance)]
+        lengths += [
+            (distance_at(e, z, family, t), distance_at(GRID_BASIN, unit_z, family, t))
+            for t in (0.0, 0.5, 1.0)
+        ]
+        lengths.append((integrate_distance(e, z, family), integrate_distance(GRID_BASIN, unit_z, family)))
+        for value, unit in lengths:
+            assert math.isfinite(value) and value > 0.0
+            assert value == pytest.approx(magnitude * unit, rel=1e-14, abs=0.0)
+
+
+def test_a_tiny_basin_is_not_degenerate_for_being_tiny():
+    # its endpoints differ by 1e-200, far below the absolute tolerance floor
+    e = InflowProfile((1e-200, 3e-200, 0.0))
+    z = ObservedAllocation((1e-200, 1e-200, 2e-200))
+    unit = fit_family((1.0, 3.0, 0.0), (1.0, 1.0, 2.0), Family.COMPROMISE)
+    fit = fit_family(e, z, Family.COMPROMISE)
+    assert not fit.degenerate and not unit.degenerate
+    assert fit.parameter_star == pytest.approx(unit.parameter_star, rel=1e-14)
+    assert fit.residual_distance == pytest.approx(1e-200 * unit.residual_distance, rel=1e-14, abs=0.0)
+    # endpoints that coincide within 1e-9 of the total still are
+    e = InflowProfile((1e-210, 0.0, 1e-200))
+    assert fit_family(e, (0.0, 0.0, 1e-200), Family.COMPROMISE).degenerate
+
+
 def test_as_family_coercion():
     assert as_family("compromise") is Family.COMPROMISE
     assert as_family("partial") is Family.PARTIAL_COMPROMISE
@@ -416,8 +470,9 @@ def test_distance_profile_is_convex():
 
 def test_integral_matches_adaptive_simpson():
     # observations close to the family segment make the distance profile
-    # sharply curved near its minimum; 64 nodes leave a ~1e-6 relative
-    # residue there, and 256 resolve it completely
+    # sharply curved near its minimum; the exact integral meets Simpson to
+    # the oracle's own accuracy there (5e-13 of the scale at worst), and
+    # 256 Gauss-Legendre nodes resolve it as well
     rng = random.Random(4242)
     cases = [(NILE.inflows, NILE_Z, family) for family in Family]
     for _ in range(25):
@@ -426,7 +481,7 @@ def test_integral_matches_adaptive_simpson():
     for e, z, family in cases:
         oracle = simpson_integral(e, z, family)
         scale = max(1.0, oracle)
-        assert integrate_distance(e, z, family) == pytest.approx(oracle, abs=1e-5 * scale)
+        assert integrate_distance(e, z, family) == pytest.approx(oracle, rel=0.0, abs=1e-12 * scale)
         assert integrate_distance(e, z, family, nodes=256) == pytest.approx(oracle, abs=1e-9 * scale)
 
 
@@ -449,10 +504,12 @@ def test_integral_of_linear_profile_is_exact():
 
 
 def test_integral_node_count_consistency():
+    # on the Nile 64 and 128 nodes both reach the exact integral's last digit
     for family in Family:
-        coarse = integrate_distance(NILE.inflows, NILE_Z, family, nodes=64)
-        fine = integrate_distance(NILE.inflows, NILE_Z, family, nodes=128)
-        assert abs(coarse - fine) <= 1e-8
+        exact = integrate_distance(NILE.inflows, NILE_Z, family)
+        for nodes in (64, 128):
+            quadrature = integrate_distance(NILE.inflows, NILE_Z, family, nodes=nodes)
+            assert quadrature == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 RULE_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 64, 128, 1024)
@@ -532,10 +589,10 @@ def test_integral_matches_closed_form_on_nile():
 def test_integral_matches_closed_form_on_random_basins():
     # basins drawn as the fit-basins benchmark draws them: a tenth of the
     # inflows zero, withdrawals uniform and rescaled to the total inflow.
+    # The exact integral stays within 7e-16 relative of the closed form.
     # Where z lies close to the family's line the profile has a sharp kink
     # that 64 nodes resolve only to ~1e-7 relative (basin 284 here, n = 5,
-    # compromise: 6.9e-8; about one family-basin in 4000 misses 1e-10);
-    # 256 nodes resolve every one of them
+    # compromise: 6.9e-8); 256 nodes resolve every one of them
     rng = random.Random(8080)
     for k in range(520):
         n = (5, 10, 30, 100)[k % 4]
@@ -544,7 +601,7 @@ def test_integral_matches_closed_form_on_random_basins():
         for family in Family:
             exact = closed_form_integral(e, z, family)
             assert integrate_distance(e, z, family, nodes=256) == pytest.approx(exact, rel=1e-10)
-            assert integrate_distance(e, z, family) == pytest.approx(exact, rel=1e-6)
+            assert integrate_distance(e, z, family) == pytest.approx(exact, rel=2e-15, abs=0.0)
 
 
 def test_integral_matches_closed_form_on_a_point_segment():
@@ -676,13 +733,19 @@ def test_legitimacy_bounds_keep_min_and_max_on_tied_zeros(monkeypatch):
     # the sign of A_i's zero
     a = Allocation((0.0, -0.0, 1.0, 2.0))
     b = Allocation((-0.0, 0.0, 1.0, 0.5))
-    segment = analysis._segment
-    monkeypatch.setattr(analysis, "_segment", lambda e, family: (a, b) + segment(e, family)[2:])
+    monkeypatch.setattr(analysis, "no_transfer", lambda e: a)
+    monkeypatch.setattr(analysis, "family_member", lambda e, family, parameter: b)
+    monkeypatch.setattr(analysis, "_last_basin", (None, None, {}))
     e = InflowProfile((1.0, 1.0, 1.0, 1.0))
     report = legitimacy_bounds(e, ObservedAllocation((0.0, 0.0, 1.0, 3.0)), Family.COMPROMISE, tol=0.0)
     bounds = [(entry.lower, entry.upper) for entry in report.entries]
     assert repr(bounds) == repr([(min(ai, bi), max(ai, bi)) for ai, bi in zip(a, b)])
     assert report.classifications[-1] is Legitimacy.ABOVE_UPPER
+
+
+def test_legitimacy_rejects_an_observation_whose_total_overflows():
+    with pytest.raises(RiverShareError, match="^total observed amount is too large to represent as a float$"):
+        legitimacy_bounds((1, 2, 0), (1e308, 1e308, 0), "compromise")
 
 
 def test_legitimacy_name_length_mismatch():
@@ -706,7 +769,7 @@ def reference_fit(e, z, family, ends=None):
     a, b = ends or reference_endpoints(e, family)
     direction = [ai - bi for ai, bi in zip(a, b)]
     gram = math.fsum(d * d for d in direction)
-    if math.sqrt(gram) <= tolerance_for(e.total):
+    if math.sqrt(gram) <= RELATIVE_TOLERANCE * e.total:
         return FitResult(family, 0.0, b, reference_distance(b, z), False, None, degenerate=True)
     raw = math.fsum((zi - bi) * d for zi, bi, d in zip(z, b, direction)) / gram
     t = min(1.0, max(0.0, raw))
@@ -764,26 +827,60 @@ def scaled_basins(draw):
     return e, z, draw(st.sampled_from(Family))
 
 
+def unscaled(e, z) -> bool:
+    """Whether the family readers leave the amounts unscaled: e.total and
+    max(z) are each zero or within [2^-450, 2^450]."""
+    return all(2.0**-450 <= v <= 2.0**450 for v in (e.total, max(z)) if v)
+
+
+def exact_distance(quadratic, t: float):
+    """|B - z + t(A - B)| at the float t, from the integers of
+    `exact_quadratic`: squared exactly, rooted at 30 digits."""
+    a, b, c, shift = quadratic
+    p, q = t.as_integer_ratio()
+    with mpmath.workdps(30):
+        root = mpmath.sqrt(mpmath.mpf(a * p * p + 2 * b * p * q + c * q * q)) / q
+        return mpmath.ldexp(root, -shift)
+
+
 @settings(deadline=None)
 @given(basin=scaled_basins(), t=st.floats(0.0, 1.0))
+# a subnormal inflow beside a total near 1.5e6, which a scale of 2^-21
+# picked from the total alone rounded away
+@example(
+    basin=(
+        InflowProfile((4.94066e-319, 0.0, 1.5e6, 0.0)),
+        ObservedAllocation((1e5, 1e5, 1e5, 1e6)),
+        Family.PARTIAL_COMPROMISE,
+    ),
+    t=0.5,
+)
 def test_segment_matches_the_per_call_formulas(basin, t):
     e, z, family = basin
-    # the first call builds the segment, the rest read it
-    assert exact(fit_family(e, z, family)) == exact(reference_fit(e, z, family))
-    integral = integrate_distance(e, z, family, nodes=64)
-    assert exact(integral) == exact(reference_integral(e, z, family))
-    assert integral == pytest.approx(numpy_integral(e, z, family), rel=1e-14, abs=0.0)
+    size = e.total + z.total
+    if unscaled(e, z):
+        # the first call builds the segment, the rest read it
+        assert exact(fit_family(e, z, family)) == exact(reference_fit(e, z, family))
+        integral = integrate_distance(e, z, family, nodes=64)
+        assert exact(integral) == exact(reference_integral(e, z, family))
+        assert integral == pytest.approx(numpy_integral(e, z, family), rel=1e-14, abs=0.0)
+        assert distance_at(e, z, family, 0.0) == reference_distance(family_member(e, family, 0.0), z)
+        for s in (t, 1.0):
+            gap = distance_at(e, z, family, s) - reference_distance(family_member(e, family, s), z)
+            assert abs(gap) <= 1e-15 * size
+    elif mpmath is not None:
+        # squares of the unscaled amounts underflow here, so the per-call
+        # formulas are no reference; the exact profile is
+        quadratic = exact_quadratic(e, z, family)
+        for s in (0.0, t, 1.0):
+            gap = distance_at(e, z, family, s) - float(exact_distance(quadratic, s))
+            assert abs(gap) <= 1e-15 * size
     if mpmath is not None:
         # the tests' float closed form cancels when t0 lies far outside
-        # [0, 1] (1e-109 basins reach t0 = -2e108), so the pin is exact;
-        # below about 1e-154 squares underflow (ROADMAP item 2, open)
+        # [0, 1] (1e-109 basins reach t0 = -2e108), so the pin is exact
         closed = float(mpmath_integral(mpmath, *exact_quadratic(e, z, family)))
-        assert integrate_distance(e, z, family) == pytest.approx(closed, rel=1e-14, abs=1e-150)
+        assert integrate_distance(e, z, family) == pytest.approx(closed, rel=1e-14, abs=0.0)
     assert exact(legitimacy_bounds(e, z, family)) == exact(reference_legitimacy(e, z, family))
-    assert distance_at(e, z, family, 0.0) == reference_distance(family_member(e, family, 0.0), z)
-    for s in (t, 1.0):
-        gap = distance_at(e, z, family, s) - reference_distance(family_member(e, family, s), z)
-        assert abs(gap) <= 1e-15 * (e.total + z.total)
 
 
 def test_segment_memo_is_keyed_on_the_profile_object(monkeypatch):
@@ -815,9 +912,9 @@ def test_segment_memo_is_keyed_on_the_profile_object(monkeypatch):
     for call, e, z, family in calls:
         warm.append(exact(call(e, z, family)))
         # an equal profile that is another object misses the memo
-        assert analysis._last_segments[0] is e
+        assert analysis._last_basin[0] is e
     for (call, e, z, family), result in zip(calls, warm):
-        monkeypatch.setattr(analysis, "_last_segments", (None, None, {}))
+        monkeypatch.setattr(analysis, "_last_basin", (None, None, {}))
         assert exact(call(e, z, family)) == result
 
 
@@ -842,13 +939,14 @@ def test_projection_memo_is_keyed_on_the_observation_object(monkeypatch):
     warm = []
     for call, z, family in calls:
         warm.append(exact(call(e, z, family)))
-        # an equal observation that is another object misses the projection
-        _, observation, projection = analysis._last_segments[2][family]
-        assert observation is z
+        # an equal observation that is another object misses the memo
+        profile, observation, segments = analysis._last_basin
+        assert profile is e and observation is z
+        segment = segments[family]
         call(e, z, family)
-        assert analysis._last_segments[2][family][2] is projection
+        assert analysis._last_basin[2][family] is segment
     for (call, z, family), result in zip(calls, warm):
-        monkeypatch.setattr(analysis, "_last_segments", (None, None, {}))
+        monkeypatch.setattr(analysis, "_last_basin", (None, None, {}))
         assert exact(call(e, z, family)) == result
 
 

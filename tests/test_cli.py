@@ -430,6 +430,26 @@ def test_fit_at_large_magnitudes_prints_finite_numbers(capsys, tmp_path, family,
     assert "nan" not in out and "inf" not in out
 
 
+@pytest.mark.parametrize("family", ["compromise", "partial"])
+@pytest.mark.parametrize("magnitude", [1e-300, 1e300])
+def test_fit_json_on_tiny_and_huge_basins_is_the_unit_basins_scaled(capsys, tmp_path, family, magnitude):
+    def fit(m):
+        path = tmp_path / "basin.csv"
+        path.write_text(f"agent,inflow,withdrawal\na,{m!r},{2 * m!r}\nb,{2 * m!r},{0.5 * m!r}\nc,0,{m!r}\n")
+        code, out, err = run_cli(capsys, "fit", "--dataset", str(path), "--family", family, "--json")
+        assert code == 0 and err == ""
+        return json.loads(out)["outputs"]
+
+    unit, scaled = fit(1.0), fit(magnitude)
+    assert not scaled["fit"]["degenerate"]
+    for key in ("parameter", "unconstrained_parameter"):
+        assert scaled["fit"][key] == pytest.approx(unit["fit"][key], rel=0.0, abs=1e-14)
+    lengths = ((scaled["fit"]["residual"], unit["fit"]["residual"]), (scaled["integral"], unit["integral"]))
+    for value, unit_value in lengths:
+        assert math.isfinite(value) and value > 0.0
+        assert value == pytest.approx(magnitude * unit_value, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -24,6 +24,7 @@ from rivershare import (
     AllocationError,
     DimensionError,
     InflowProfile,
+    ObservedAllocation,
     ParameterError,
     RetentionShares,
     RiverShareError,
@@ -416,6 +417,28 @@ def test_validate_allocation_tolerates_float_wobble():
 def test_validate_allocation_length_mismatch():
     with pytest.raises(DimensionError):
         validate_allocation((1, 1), (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: validate_allocation((1, 2), (1e308, 1e308)), "total amount"),
+        (lambda: Allocation((1e308, 1e308)), "total amount"),
+        (lambda: ObservedAllocation((1e308, 1e308)), "total observed amount"),
+        # fsum overflows on the way to 1e308, so `total` could not be read
+        (lambda: Allocation((1e308, 1e308, -1e308)), "total amount"),
+    ],
+)
+def test_finite_entries_whose_total_overflows_are_one_error(build, message):
+    with pytest.raises(RiverShareError) as caught:
+        build()
+    assert str(caught.value) == f"{message} is too large to represent as a float"
+    assert type(caught.value) is RiverShareError
+
+
+def test_a_bad_entry_is_named_before_an_overflowing_total():
+    with pytest.raises(RiverShareError, match=r"^amount at position 2 must be finite, got nan$"):
+        Allocation((1e308, 1e308, math.nan))
 
 
 def validate_by_loop(e, amounts, tol=None):
