@@ -11,22 +11,21 @@ study with its reference checks.
 A family's segment is built once per basin: the memo keeps the last
 profile and observation objects with one record per family, so fits,
 integrals, legitimacy intervals and distance curves over the same basin
-apply each endpoint rule once between them.  `distance_at` reads the
-member at t off the segment, as B + t(A - B), instead of applying the
-family's rule.  The record also holds the projection of the observation
-onto the family's line: the parameter of the member nearest z, which is
-the fit's unclipped parameter, and the distance from z to the line.
-Amounts far from 1 are scaled by a power of two picked from the basin's
-total and the largest observed amount, up or down, before they are
-squared, so tiny and huge basins neither underflow nor overflow; ordinary
-ones are not scaled at all.
+apply each endpoint rule once between them.  The record also holds the
+projection of the observation onto the family's line: the parameter of the
+member nearest z, which is the fit's unclipped parameter, the length of the
+segment and the distance from z to the line.  Amounts far from 1 are
+scaled by a power of two picked from the basin's total and the largest
+observed amount, up or down, before they are squared, so tiny and huge
+basins neither underflow nor overflow; ordinary ones are not scaled at all.
 
-Along the segment the distance to z is a hyperbola in t, so the distance
-integral is its closed-form antiderivative, read off that projection in
-constant time whatever the number of agents.  Gauss-Legendre quadrature of
-the same hyperbola remains as a cross-check; its nodes and weights are
-computed here in pure Python, so the module needs nothing beyond the
-standard library.  Quadrature takes at most 1024 nodes (`_MAX_NODES`).
+Along the segment the distance to z is a hyperbola in t, which
+`distance_at` reads off that projection in constant time whatever the
+number of agents, and the distance integral is its closed-form
+antiderivative.  Gauss-Legendre quadrature of the same hyperbola remains as
+a cross-check; its nodes and weights are computed here in pure Python, so
+the module needs nothing beyond the standard library.  Quadrature takes at
+most 1024 nodes (`_MAX_NODES`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from collections import deque
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
-from typing import NamedTuple, Sequence
 
 from .core import (
     RELATIVE_TOLERANCE,
@@ -88,28 +86,20 @@ def family_member(e, family, parameter: float) -> Allocation:
     return RuleSpec(_FAMILY_KIND[as_family(family)], weight=parameter).apply(e)
 
 
-class _Segment(NamedTuple):
+class _Segment(_Record):
     """A family's segment on one basin and the observation's projection
     onto its line, in amounts multiplied by `scale`.
 
-    a and b are the no-transfer and full-transfer `Allocation`s, direction
-    the tuple (a - b) * scale, gram the fsum of its squares and scaled_b
-    the tuple b * scale.  raw is the parameter of the member nearest z,
-    unclipped, length = sqrt(gram), and height the distance from z to the
-    line over length, so that along the segment the distance to z is
-    length * hypot(t - raw, height) / scale.  The last three are None when
-    the endpoints coincide (gram = 0).
+    a and b are the no-transfer and full-transfer `Allocation`s.  raw is the
+    parameter of the member nearest z, unclipped, length the scaled |A - B|,
+    and height the distance from z to the line over length, so that along
+    the segment the distance to z is length * hypot(t - raw, height) / scale.
+    The last three are None when every member is B to the float: the
+    endpoints coincide or lie under 2^-537 apart in the band, or z is too
+    far for the hyperbola to be a float.
     """
 
-    a: Allocation
-    b: Allocation
-    scale: float
-    direction: tuple
-    gram: float
-    scaled_b: tuple
-    raw: float | None
-    length: float | None
-    height: float | None
+    __slots__ = _fields = ("a", "b", "scale", "raw", "length", "height")
 
 
 #: The segments of the last basin, as (profile, observation, {family:
@@ -129,7 +119,10 @@ def _basin(e, z, family) -> tuple[InflowProfile, ObservedAllocation, Family, _Se
     [2^-450, 2^450], where squares of the leading amounts stay far inside
     the normal range: there the readers give the unscaled formulas' results
     bit for bit.  Otherwise it brings the larger of the two into [0.5, 1),
-    so no square overflows and the leading ones do not underflow.
+    so no square overflows and the leading ones do not underflow.  The
+    scaled A - B gets a power of two of its own, `lift`, picked the same way,
+    when its squares sum below 2^-900, unless in the band they underflow to
+    zero: a segment under 2^-537 there is a point next to the basin.
     """
     global _last_basin
     e = as_profile(e)
@@ -154,21 +147,29 @@ def _basin(e, z, family) -> tuple[InflowProfile, ObservedAllocation, Family, _Se
         # below 2^-1024 the power that would bring the larger one into
         # [0.5, 1) is past the float range; 2^1023 brings it into [2^-51, 0.5)
         scale = math.ldexp(1.0, min(-math.frexp(max(sizes))[1], 1023))
-    direction = tuple([(ai - bi) * scale for ai, bi in zip(a.amounts, b.amounts)])
+    direction = [(ai - bi) * scale for ai, bi in zip(a.amounts, b.amounts)]
     gram = math.fsum([d * d for d in direction])
+    lift = 1.0
+    if gram < 2.0**-900 and (gram or scale != 1.0) and (peak := max(map(abs, direction))):
+        lift = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
+        direction = [d * lift for d in direction]
+        gram = math.fsum([d * d for d in direction])
     raw = length = height = None
     if gram != 0.0:
         offsets = [(zi - bi) * scale for zi, bi in zip(z.amounts, b.amounts)]
-        raw = math.fsum([g * d for g, d in zip(offsets, direction)]) / gram
-        length = math.sqrt(gram)
-        height = math.hypot(*[raw * d - g for g, d in zip(offsets, direction)]) / length
-    scaled_b = tuple([bi * scale for bi in b.amounts])
-    segment = _Segment(a, b, scale, direction, gram, scaled_b, raw, length, height)
+        along = math.fsum([g * d for g, d in zip(offsets, direction)]) / gram  # raw / lift
+        length = math.sqrt(gram) / lift
+        height = math.hypot(*[along * d - g for g, d in zip(offsets, direction)]) / length
+        raw = along * lift
+        # beyond this every member is B to the last bit and the integral overflows
+        if math.hypot(abs(raw) + 1.0, height) >= 2.0**1022:
+            raw = length = height = None
+    segment = _Segment(a, b, scale, raw, length, height)
     _last_basin = (e, z, {**segments, family: segment})
     return e, z, family, segment
 
 
-def _distance(x: Sequence[float], z: Sequence[float], scale: float) -> float:
+def _distance(x, z, scale: float) -> float:
     """|x - z|, each difference multiplied by `scale` before it is squared."""
     return math.sqrt(math.fsum([(g := (a - b) * scale) * g for a, b in zip(x, z)])) / scale
 
@@ -207,7 +208,7 @@ def fit_family(e, z, family) -> FitResult:
     scale = segment.scale
     # relative to the basin alone, with no absolute floor, so that a tiny
     # basin is not degenerate for being tiny
-    if math.sqrt(segment.gram) <= RELATIVE_TOLERANCE * e.total * scale:
+    if segment.length is None or segment.length <= RELATIVE_TOLERANCE * e.total * scale:
         return FitResult(family, 0.0, segment.b, _distance(segment.b, z, scale), False, None, True)
     raw = segment.raw
     t = min(1.0, max(0.0, raw))
@@ -218,20 +219,15 @@ def fit_family(e, z, family) -> FitResult:
 def distance_at(e, z, family, parameter: float) -> float:
     """Euclidean distance from the observation to the family at `parameter`.
 
-    The member at t is read off the segment as B + t(A - B), which can
-    differ from `family_member` in the last bit; at t = 0 it is B exactly.
+    Read off the projection as |A - B| hypot(t - t0, h / |A - B|), with t0
+    the parameter nearest z and h the distance from z to the line, it can
+    differ from the distance to `family_member` at t in the last bits.
     """
     e, z, family, segment = _basin(e, z, family)
     t = _check_weight(parameter, _FAMILY_KIND[family])
-    scale = segment.scale
-    # `_distance` from the member B + tD to z, in one pass over the agents;
-    # scaling by a power of two commutes with rounding, so each term is
-    # (B + tD/scale - z) * scale to the bit
-    squares = [
-        (g := bs + t * d - zi * scale) * g
-        for bs, d, zi in zip(segment.scaled_b, segment.direction, z.amounts)
-    ]
-    return math.sqrt(math.fsum(squares)) / scale
+    if segment.raw is None:
+        return _distance(segment.b, z, segment.scale)
+    return segment.length * math.hypot(t - segment.raw, segment.height) / segment.scale
 
 
 #: Most Gauss-Legendre nodes a distance integral may use.  Building a rule

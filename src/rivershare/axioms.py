@@ -29,8 +29,8 @@ import _random
 import enum
 import math
 import random
+from collections.abc import Iterable
 from operator import sub
-from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     Allocation,
@@ -46,6 +46,9 @@ from .core import (
     source,
     tolerance_for,
 )
+
+if random._sha512 is None:  # Python 3.13 binds the hash `_draw` uses at the first string seed
+    random.Random("")
 
 
 class Axiom(enum.Enum):
@@ -531,15 +534,13 @@ def _library_profiles(n: int) -> list[InflowProfile]:
 # one record per axiom
 
 
-class _Case(NamedTuple):
+class _Case(_Record):
     """One axiom: `generate(rng, n)` draws an instance for n agents, checked
     by `detail(rule, *instance, *trailing(tol, strict_impartiality))`, and
     `directed(n, _library_profiles(n))` yields the search's fixed cases."""
 
-    generate: Callable
-    detail: Callable
-    directed: Callable
-    trailing: Callable = lambda tol, strict: (tol,)
+    __slots__ = _fields = ("generate", "detail", "directed", "trailing")
+    _defaults = {"trailing": lambda tol, strict: (tol,)}
 
 
 def _source_shape_case(shape: Axiom) -> _Case:
@@ -644,8 +645,9 @@ def run_axiom_suite(
     for axiom in Axiom:
         if axiom not in requested:
             continue
-        generate, detail, _, trailing = requested[axiom]
-        trailing = trailing(tol, strict_impartiality)
+        case = requested[axiom]
+        generate, detail = case.generate, case.detail
+        trailing = case.trailing(tol, strict_impartiality)
         key = f"{seed}|{label}|{axiom.value}|"
         violations = 0
         first = None
@@ -692,22 +694,22 @@ def find_counterexample(
     stress cases for these rules; the random phase reuses the suite
     generators.  Returns None when nothing is found.
     """
-    generate, detail, directed, trailing = _case(axiom)
-    trailing = trailing(tol, strict_impartiality)
+    case = _case(axiom)
+    trailing = case.trailing(tol, strict_impartiality)
     lo, hi = _n_range(n_range)
     fixed_n = rule.fixed_agent_count
     key = f"{seed}|find|{rule.label()}|{axiom.value}|"
 
     def instances():  # directed cases first; only a random phase builds a `Random`
         for n in range(lo, hi + 1) if fixed_n is None else (fixed_n,):
-            yield from directed(n, _library_profiles(n))
+            yield from case.directed(n, _library_profiles(n))
         rng = random.Random()
         for trial in range(random_trials):
-            yield _draw(rng, f"{key}{trial}", generate, fixed_n, lo, hi)
+            yield _draw(rng, f"{key}{trial}", case.generate, fixed_n, lo, hi)
 
     for instance in instances():
         try:
-            found = detail(rule, *instance, *trailing)
+            found = case.detail(rule, *instance, *trailing)
         except HypothesisNotMet:
             continue
         if found is not None:

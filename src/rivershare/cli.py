@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import __version__, analysis, axioms
 from .core import (

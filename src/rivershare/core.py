@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 RELATIVE_TOLERANCE = 1e-9
 TOLERANCE_FLOOR = 1e-12

@@ -22,11 +22,10 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from itertools import repeat
 from operator import mul
-from pathlib import Path
-from typing import TextIO
 
 from .core import (
     DimensionError,
@@ -34,6 +33,7 @@ from .core import (
     ObservedAllocation,
     RiverShareError,
     _Record,
+    as_profile,
 )
 
 
@@ -42,7 +42,7 @@ class DatasetError(RiverShareError):
 
 
 class BasinDataset(_Record):
-    """Named agents along one river with inflows and optional withdrawals."""
+    """Named agents along one river, their inflows as an `InflowProfile`, and optional withdrawals."""
 
     __slots__ = _fields = ("names", "inflows", "withdrawals", "units")
 
@@ -53,6 +53,7 @@ class BasinDataset(_Record):
         withdrawals: tuple[float, ...] | None = None,
         units: str = "km³/year",
     ):
+        inflows = as_profile(inflows)
         if len(names) != len(inflows):
             raise DimensionError(f"{len(names)} names for {len(inflows)} inflows")
         if not all(names) or len(set(names)) != len(names):
@@ -317,7 +318,7 @@ def _json_number(entry: dict, field: str, where: str) -> float:
     return _parse_number(value, where, field)
 
 
-def load_dataset(source: str | TextIO, format: str) -> BasinDataset:
+def load_dataset(source: str | io.TextIOBase, format: str) -> BasinDataset:
     """Parse a dataset from text or a readable stream.
 
     `format` is "csv" or "json".  Errors carry the offending line (CSV) or
@@ -334,18 +335,18 @@ def load_dataset(source: str | TextIO, format: str) -> BasinDataset:
 
 def read_dataset(path) -> BasinDataset:
     """Load a dataset file, inferring the format from the extension."""
-    p = Path(path)
-    suffix = p.suffix.casefold()
+    suffix = os.path.splitext(path)[1].casefold()
     if suffix == ".csv":
         fmt = "csv"
     elif suffix == ".json":
         fmt = "json"
     else:
-        raise DatasetError(f"cannot infer format from {p.name!r}; use a .csv or .json file")
+        raise DatasetError(f"cannot infer format from {os.path.basename(path)!r}; use a .csv or .json file")
     try:
-        text = p.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
-        raise DatasetError(f"cannot read {p}: {exc}") from None
+        raise DatasetError(f"cannot read {path}: {exc}") from None
     return load_dataset(text, fmt)
 
 

@@ -421,6 +421,46 @@ def test_a_tiny_basin_is_not_degenerate_for_being_tiny():
     assert fit_family(e, (0.0, 0.0, 1e-200), Family.COMPROMISE).degenerate
 
 
+def test_observations_far_above_the_basin_keep_every_digit():
+    # z up to 1e300 / |e| times the basin: scaled by z's power of two, |A - B|^2
+    # is subnormal from r = 1e155 and zero from 1e162, so only the
+    # direction's own power of two keeps the projection's digits
+    pytest.importorskip("mpmath")
+    e = InflowProfile((1.1234567, 2.7182818, 0.3141592))
+    for k in range(-150, 301):
+        r = 10.0**k
+        if r > 1e300 / e.total:
+            break
+        z = ObservedAllocation([r * v for v in (2.0, 0.5, 1.1)])
+        for family in Family:
+            quadratic = exact_quadratic(e, z, family)
+            a, b = quadratic[:2]
+            with mpmath.workdps(30):
+                t0 = float(mpmath.mpf(-b) / a)
+            fit = fit_family(e, z, family)
+            assert not fit.degenerate, (r, family)
+            assert fit.unconstrained_parameter == pytest.approx(t0, rel=1e-14, abs=0.0)
+            for t in (0.0, 0.5, 1.0):
+                exact_value = float(exact_distance(quadratic, t))
+                assert distance_at(e, z, family, t) == pytest.approx(exact_value, rel=1e-14, abs=0.0)
+            integral = float(mpmath_integral(mpmath, *quadratic))
+            assert integrate_distance(e, z, family) == pytest.approx(integral, rel=1e-14, abs=0.0)
+
+
+def test_a_segment_far_below_the_observation_reads_as_its_endpoint():
+    # |A - B| is some 2^-1020 of |B - z|, so every member is B to the last
+    # bit of its distance, and the hyperbola through the projection would
+    # overflow: each reader gives |B - z|, finite
+    e = InflowProfile((1e-308, 2e-308, 0.0))
+    z = ObservedAllocation((2.0, 0.5, 1.1))
+    for family in Family:
+        gap = reference_distance(family_member(e, family, 0.0), z)
+        fit = fit_family(e, z, family)
+        assert fit.degenerate and fit.residual_distance == gap
+        assert integrate_distance(e, z, family) == gap
+        assert [distance_at(e, z, family, t) for t in (0.0, 0.5, 1.0)] == [gap] * 3
+
+
 def test_as_family_coercion():
     assert as_family("compromise") is Family.COMPROMISE
     assert as_family("partial") is Family.PARTIAL_COMPROMISE
@@ -843,6 +883,23 @@ def exact_distance(quadratic, t: float):
         return mpmath.ldexp(root, -shift)
 
 
+def assert_distance_near_exact(e, z, family, parameters):
+    """`distance_at` at each parameter within 2 * 2^-52 (d* + |A - B| + |B - z|)
+    of the exact distance d*: a few roundings of the projection's terms.
+    The per-member sum |B + t(A - B) - z| exceeds this fourfold on drawn
+    basins.  A subnormal result is a multiple of 2^-1074, so 2^-1075 more
+    is allowed for its rounding."""
+    quadratic = exact_quadratic(e, z, family)
+    a, _, c, shift = quadratic
+    with mpmath.workdps(30):
+        sides = mpmath.ldexp(mpmath.sqrt(a) + mpmath.sqrt(c), -shift)
+        for t in parameters:
+            expected = exact_distance(quadratic, t)
+            gap = abs(distance_at(e, z, family, t) - expected)
+            bound = 2 * 2.0**-52 * (expected + sides) + mpmath.ldexp(1, -1075)
+            assert gap <= bound, (e, z, family, t)
+
+
 @settings(deadline=None)
 @given(basin=scaled_basins(), t=st.floats(0.0, 1.0))
 # a subnormal inflow beside a total near 1.5e6, which a scale of 2^-21
@@ -855,6 +912,15 @@ def exact_distance(quadratic, t: float):
     ),
     t=0.5,
 )
+# in the band, a direction whose squares underflow keeps the per-call bits
+@example(
+    basin=(
+        InflowProfile((1.3130926960584463e-211, 0.08750000000000001)),
+        ObservedAllocation((0.0, 0.0)),
+        Family.COMPROMISE,
+    ),
+    t=0.0,
+)
 def test_segment_matches_the_per_call_formulas(basin, t):
     e, z, family = basin
     size = e.total + z.total
@@ -864,10 +930,6 @@ def test_segment_matches_the_per_call_formulas(basin, t):
         integral = integrate_distance(e, z, family, nodes=64)
         assert exact(integral) == exact(reference_integral(e, z, family))
         assert integral == pytest.approx(numpy_integral(e, z, family), rel=1e-14, abs=0.0)
-        assert distance_at(e, z, family, 0.0) == reference_distance(family_member(e, family, 0.0), z)
-        for s in (t, 1.0):
-            gap = distance_at(e, z, family, s) - reference_distance(family_member(e, family, s), z)
-            assert abs(gap) <= 1e-15 * size
     elif mpmath is not None:
         # squares of the unscaled amounts underflow here, so the per-call
         # formulas are no reference; the exact profile is
@@ -876,6 +938,9 @@ def test_segment_matches_the_per_call_formulas(basin, t):
             gap = distance_at(e, z, family, s) - float(exact_distance(quadratic, s))
             assert abs(gap) <= 1e-15 * size
     if mpmath is not None:
+        # `distance_at` reads the projection, not the member, so its
+        # reference is the exact profile on either side of the band
+        assert_distance_near_exact(e, z, family, (0.0, t, 1.0))
         # the tests' float closed form cancels when t0 lies far outside
         # [0, 1] (1e-109 basins reach t0 = -2e108), so the pin is exact
         closed = float(mpmath_integral(mpmath, *exact_quadratic(e, z, family)))
@@ -951,9 +1016,10 @@ def test_projection_memo_is_keyed_on_the_observation_object(monkeypatch):
 
 
 def test_family_readers_keep_their_values_on_drawn_basins():
-    # fit, legitimacy, distance and the Gauss-Legendre integral read the
-    # memo's segment and projection, and must give the per-call formulas'
-    # values bit for bit; repr shows each float's every bit
+    # fit, legitimacy and the Gauss-Legendre integral read the memo's
+    # segment and projection, and must give the per-call formulas' values
+    # bit for bit; repr shows each float's every bit.  The distance reads
+    # the projection too, so it is held to the exact profile instead
     rng = random.Random(77)
 
     def rows(report):
@@ -965,10 +1031,8 @@ def test_family_readers_keep_their_values_on_drawn_basins():
         fit = fit_family(e, z, family)
         assert repr(fit) == repr(reference_fit(e, z, family, ends))
         assert rows(legitimacy_bounds(e, z, family)) == rows(reference_legitimacy(e, z, family, ends))
-        a, b = ends
-        for t in (0.0, fit.parameter_star, rng.random(), 1.0):
-            member = [bi + t * (ai - bi) for ai, bi in zip(a, b)]
-            assert repr(distance_at(e, z, family, t)) == repr(reference_distance(member, z))
+        if mpmath is not None:
+            assert_distance_near_exact(e, z, family, (0.0, fit.parameter_star, rng.random(), 1.0))
         integral = integrate_distance(e, z, family, nodes=64)
         assert repr(integral) == repr(reference_integral(e, z, family, ends=ends))
 

@@ -718,7 +718,9 @@ def run(*argv):
 
 
 def heavy():
-    return [name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules]
+    return [
+        name for name in ("dataclasses", "inspect", "numpy", "typing", "pathlib") if name in sys.modules
+    ]
 
 
 # what the `rivershare` script runs
@@ -759,7 +761,8 @@ print("ok")
 
 
 def test_import_loads_every_module_and_commands_load_nothing_heavy():
-    done = run_child([sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT], text=True)
+    # -S: a site .pth file may import `typing` and `pathlib` at start-up
+    done = run_child([sys.executable, "-S", "-c", _IMPORT_CONTRACT_SCRIPT], text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("ok\n")
 

@@ -395,6 +395,16 @@ def test_basin_dataset_validation():
         BasinDataset(names=("A", "B"), inflows=InflowProfile((1.0, 2.0)), withdrawals=(1.0, -1.0))
 
 
+def test_basin_dataset_checks_plain_inflows():
+    # a plain sequence is checked as a profile, so a bad one fails here and
+    # not later in a writer
+    with pytest.raises(RiverShareError, match="^inflow at position 1 must be finite, got nan$"):
+        BasinDataset(("a", "b"), (-1.0, math.nan), (1, 2))
+    dataset = BasinDataset(("a", "b"), (1, 2.5), (1, 2))
+    assert dataset.inflows == InflowProfile((1.0, 2.5))
+    assert dump_dataset(dataset, "csv") == "agent,inflow,withdrawal\na,1.0,1.0\nb,2.5,2.0\n"
+
+
 def test_basin_dataset_messages():
     profile = InflowProfile((1.0, 2.0))
     cases = [
