@@ -46,12 +46,13 @@ from .core import (
     RuleKind,
     RuleSpec,
     _check_weight,
+    _checked_floats,
     _Record,
+    _resolved_tolerance,
     as_observed,
     as_profile,
     no_transfer,
     parse_rule,
-    tolerance_for,
 )
 from .data_io import builtin_nile
 
@@ -450,8 +451,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
         names = tuple(map(str, names))
         if len(names) != len(e):
             raise DimensionError(f"{len(names)} names for {len(e)} agents")
-    if tol is None:
-        tol = tolerance_for(max(e.total, z.total))
+    tol = _resolved_tolerance(tol, max(e.total, z.total))
     a, b = segment.a, segment.b
     below, above, inside = Legitimacy.BELOW_LOWER, Legitimacy.ABOVE_UPPER, Legitimacy.LEGITIMATE
     # lower and upper are min(A_i, B_i) and max(A_i, B_i) without the calls:
@@ -467,21 +467,9 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
 
 
 def shares_of_total(values) -> tuple[float, ...]:
-    """Each entry divided by the (positive) total of all entries.
-
-    Valid input is checked in C builtins: a finite `fsum` means finite
-    entries.  Otherwise the entries are walked, which names the first one
-    that is not finite, or finds none when the total overflowed.
-    """
-    items = tuple(map(float, values))
-    try:
-        total = math.fsum(items)
-    except (ValueError, OverflowError):
-        total = math.nan
-    if not math.isfinite(total):
-        for k, v in enumerate(items):
-            if not math.isfinite(v):
-                raise ParameterError(f"entry at position {k} must be finite, got {v}")
+    """Each entry divided by the (positive) total of all entries."""
+    items, total = _checked_floats(values, "entry", ParameterError, False)
+    if total == math.inf:
         raise ParameterError("the total of the entries is too large to represent as a float")
     if not total > 0.0:
         raise ParameterError(f"shares need a positive total, got {total}")

@@ -41,10 +41,10 @@ from .core import (
     _check_position,
     _profile_of_floats,
     _Record,
+    _resolved_tolerance,
     as_profile,
     as_retention,
     source,
-    tolerance_for,
 )
 
 if random._sha512 is None:  # Python 3.13 binds the hash `_draw` uses at the first string seed
@@ -157,8 +157,7 @@ def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
     e = as_profile(e)
     gamma = _positive_finite(gamma, "scale factor")
     scaled = e.scaled(gamma)
-    if tol is None:
-        tol = tolerance_for(max(e.total, scaled.total))
+    tol = _resolved_tolerance(tol, max(e.total, scaled.total))
     base = rule.apply(e)
     left = rule.apply(scaled)
     right = [gamma * v for v in base.amounts]
@@ -179,8 +178,7 @@ def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexa
     e = as_profile(e)
     delta = _positive_finite(delta, "inflow increase")
     bumped = e.bumped(position, delta)
-    if tol is None:
-        tol = tolerance_for(bumped.total)
+    tol = _resolved_tolerance(tol, bumped.total)
     base = rule.apply(e)
     after = rule.apply(bumped)
     # extra water entering at `position` must not change anybody upstream
@@ -212,8 +210,7 @@ def _downstream_detail(
     if not strict and not _tail_is_constant(e, position):
         return None  # hypothesis not met: the claim is vacuous here
     bumped = e.bumped(position, delta)
-    if tol is None:
-        tol = tolerance_for(bumped.total)
+    tol = _resolved_tolerance(tol, bumped.total)
     base = rule.apply(e)
     after = rule.apply(bumped)
     gains = list(map(sub, after.amounts[position + 1 :], base.amounts[position + 1 :]))
@@ -238,8 +235,7 @@ def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
     one of those is the first i, and one scan from it finds j: O(n log n).
     """
     e = as_profile(e)
-    if tol is None:
-        tol = tolerance_for(e.total)
+    tol = _resolved_tolerance(tol, e.total)
     x = rule.apply(e)
     inflows = e.inflows
     amounts = x.amounts
@@ -277,8 +273,7 @@ def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
 def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
     # e must have its only positive inflow at `position` (a non-terminal agent)
     e = as_profile(e)
-    if tol is None:
-        tol = tolerance_for(e.total)
+    tol = _resolved_tolerance(tol, e.total)
     x = rule.apply(e)
     downstream = x.amounts[position + 1 :]
     mean = math.fsum(downstream) / len(downstream)
@@ -327,7 +322,7 @@ def _same_river(e, other, tol):
     e, other = as_profile(e), as_profile(other)
     if len(e) != len(other):
         raise DimensionError("both profiles must describe the same river")
-    return e, other, tolerance_for(max(e.total, other.total)) if tol is None else tol
+    return e, other, _resolved_tolerance(tol, max(e.total, other.total))
 
 
 def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> Counterexample | None:

@@ -43,16 +43,6 @@ _MAX_CURVE_POINTS = 100_000
 _MAX_TRIALS = 1_000_000
 
 
-def _parse_inflows(text: str) -> InflowProfile:
-    values = []
-    for token in text.split(","):
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise ParameterError(f"--inflows: {token!r} is not a number") from None
-    return InflowProfile(tuple(values))
-
-
 def _resolve_dataset(name: str) -> BasinDataset:
     if name.strip().casefold() == "nile":
         return builtin_nile()
@@ -63,7 +53,7 @@ def _load_profile(args) -> tuple[BasinDataset | None, InflowProfile, tuple[str, 
     if args.inflows is not None and args.dataset is not None:
         raise ParameterError("pass either --inflows or --dataset, not both")
     if args.inflows is not None:
-        e = _parse_inflows(args.inflows)
+        e = InflowProfile(args.inflows.split(","))
         return None, e, tuple(f"agent {i}" for i in range(len(e)))
     if args.dataset is not None:
         dataset = _resolve_dataset(args.dataset)

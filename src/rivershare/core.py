@@ -20,6 +20,14 @@ valid result becomes an `Allocation` without being converted or checked
 again; any other goes through the checker `validate_allocation` uses, which
 names the first violated constraint.
 
+Every float vector the package takes in (inflows, amounts, retention
+shares, withdrawals, the entries of `analysis.shares_of_total`) passes one
+check, `_checked_floats`, so a bad entry is one `RiverShareError` naming
+its position wherever it enters.  Comparisons use `tolerance_for(scale)`,
+1e-9 relative with a floor at the smallest normal float, 2^-1022, so
+verdicts are the same at every magnitude down to there; a `tol` given
+instead must be finite and >= 0.
+
 The value types here, in `data_io`, in `axioms` and in `analysis` are
 immutable records on one `__slots__` base, `_Record`, rather than
 dataclasses, so that importing the package does not import `dataclasses`
@@ -34,7 +42,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 RELATIVE_TOLERANCE = 1e-9
-TOLERANCE_FLOOR = 1e-12
+TOLERANCE_FLOOR = 2.0**-1022  # the smallest normal float
 
 
 class RiverShareError(ValueError):
@@ -58,37 +66,64 @@ def tolerance_for(scale: float) -> float:
     return max(RELATIVE_TOLERANCE * abs(scale), TOLERANCE_FLOOR)
 
 
-def _as_floats(values: Iterable[float], what: str) -> tuple[float, ...]:
-    """`values` as a tuple of finite floats, checked in C builtins: a finite
-    sum means finite entries.  Any other input is walked, which names the
-    first bad entry; when there is none, the sum merely overflowed, and the
-    entries are rejected if their `fsum`, which `total` reads, does too."""
+def _resolved_tolerance(tol: float | None, scale: float) -> float:
+    """`tol`, or `tolerance_for(scale)` when it is None.  A given `tol` must
+    be finite and >= 0: a NaN would pass every comparison."""
+    if tol is None:
+        return tolerance_for(scale)
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
+def _checked_floats(
+    values: Iterable[float], what: str, error: type, non_negative: bool
+) -> tuple[tuple[float, ...], float]:
+    """`values` as a tuple of floats and its `fsum`: the one check of every
+    float vector the package takes in.
+
+    Valid input passes in one pass of C builtins: a finite `fsum` means
+    every entry is a finite number.  Anything else (and an empty vector
+    that must be non-negative, which `min` refuses) goes to `_walk_floats`,
+    which raises `error` naming the first bad entry.  When it finds none
+    and the entries sum past the float range, the total is returned as inf
+    for the caller to word.
+    """
     items = tuple(values)
     try:
         floats = tuple(map(float, items))
+        total = math.fsum(floats)
+        if math.isfinite(total) and (not non_negative or min(floats) >= 0.0):
+            return floats, total
     except (TypeError, ValueError, OverflowError):
-        floats = (math.nan,)
-    if not math.isfinite(sum(floats)):
-        _walk_floats(items, what)
-        try:
-            math.fsum(floats)
-        except OverflowError:
-            raise RiverShareError(f"total {what} is too large to represent as a float") from None
-    return floats
+        pass
+    floats = _walk_floats(items, what, error, non_negative)
+    try:
+        return floats, math.fsum(floats)
+    except OverflowError:
+        return floats, math.inf
 
 
-def _walk_floats(items: tuple, what: str) -> None:
-    """Raise naming the first entry of `items` that is not a finite float."""
+def _walk_floats(items: tuple, what: str, error: type, non_negative: bool) -> tuple[float, ...]:
+    """`items` as floats, or `error` naming the first entry that is not a
+    finite number or, failing that, the first negative one when
+    `non_negative`."""
+    floats = []
     for k, v in enumerate(items):
-        if not math.isfinite(float(v)):
-            raise RiverShareError(f"{what} at position {k} must be finite, got {v!r}")
-
-
-def _walk_negatives(values: tuple[float, ...], what: str) -> None:
-    """Raise naming the first negative entry of `values`, if there is one."""
-    for k, v in enumerate(values):
-        if v < 0.0:
-            raise RiverShareError(f"{what} at position {k} must be >= 0, got {v}")
+        try:
+            f = float(v)
+        except OverflowError:  # an int beyond the float range, whose repr may fail too
+            raise error(f"{what} at position {k} is too large to represent as a float") from None
+        except (TypeError, ValueError):
+            raise error(f"{what} at position {k} must be a number, got {v!r}") from None
+        if not math.isfinite(f):
+            raise error(f"{what} at position {k} must be finite, got {v!r}")
+        floats.append(f)
+    if non_negative:
+        for k, f in enumerate(floats):
+            if f < 0.0:
+                raise error(f"{what} at position {k} must be >= 0, got {f}")
+    return tuple(floats)
 
 
 def _check_position(position: int, n: int) -> None:
@@ -209,19 +244,13 @@ class InflowProfile(_FloatVector, values="inflows"):
     __slots__ = ("_total",)
 
     def __init__(self, inflows: Iterable[float]):
-        # accept the common case in one pass of C builtins: a finite fsum
-        # means every entry is finite and the total does not overflow
-        items = tuple(inflows)
-        try:
-            values = tuple(map(float, items))
-            total = math.fsum(values)
-        except (TypeError, ValueError, OverflowError):
-            total = math.nan
-        if not (math.isfinite(total) and len(values) >= 2 and min(values) >= 0.0):
-            # something is off: the entry-by-entry checks name it
-            values, total = _checked_inflows(items)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_total", total)
+        values, total = _checked_floats(inflows, "inflow", RiverShareError, True)
+        if len(values) < 2:
+            raise DimensionError(f"an inflow profile needs at least two agents, got {len(values)}")
+        if total == math.inf:
+            raise RiverShareError("total inflow is too large to represent as a float")
+        _set_values(self, values)
+        _set_total(self, total)
 
     @property
     def total(self) -> float:
@@ -244,27 +273,8 @@ class InflowProfile(_FloatVector, values="inflows"):
         return _derived_profile(tuple(values), "delta {} at position {}", delta, position)
 
 
-def _checked_inflows(items: tuple) -> tuple[tuple[float, ...], float]:
-    """The inflows and total of `items`, checked entry by entry, so that an
-    error names the first bad entry."""
-    values = _as_floats(items, "inflow")
-    if len(values) < 2:
-        raise DimensionError(
-            f"an inflow profile needs at least two agents, got {len(values)}"
-        )
-    _walk_negatives(values, "inflow")
-    # the entries are finite, so fsum either returns a finite total or
-    # raises on overflow
-    try:
-        return values, math.fsum(values)
-    except OverflowError:
-        raise RiverShareError(
-            "total inflow is too large to represent as a float"
-        ) from None
-
-
-# the slots' own setters, for the builders on the rule path that skip
-# `__init__`; calling one costs less than `object.__setattr__`
+# the slots' own setters, for `InflowProfile.__init__` and the builders on
+# the rule path that skip it; calling one costs less than `object.__setattr__`
 _set_values = _FloatVector._values.__set__
 _set_total = InflowProfile._total.__set__
 
@@ -321,7 +331,10 @@ class Allocation(_FloatVector, values="amounts"):
     __slots__ = ()
 
     def __init__(self, amounts: Iterable[float]):
-        object.__setattr__(self, "_values", _as_floats(amounts, "amount"))
+        values, total = _checked_floats(amounts, "amount", RiverShareError, False)
+        if total == math.inf:
+            raise RiverShareError("total amount is too large to represent as a float")
+        object.__setattr__(self, "_values", values)
 
 
 class ObservedAllocation(_FloatVector, values="amounts"):
@@ -334,9 +347,9 @@ class ObservedAllocation(_FloatVector, values="amounts"):
     __slots__ = ()
 
     def __init__(self, amounts: Iterable[float]):
-        values = _as_floats(amounts, "observed amount")
-        if min(values, default=0.0) < 0.0:
-            _walk_negatives(values, "observed amount")
+        values, total = _checked_floats(amounts, "observed amount", RiverShareError, True)
+        if total == math.inf:
+            raise RiverShareError("total observed amount is too large to represent as a float")
         object.__setattr__(self, "_values", values)
 
 
@@ -365,14 +378,12 @@ def validate_allocation(e, x, tol: float | None = None) -> ValidationResult:
     tolerance; otherwise the result is falsy and names the first violation.
     """
     e = as_profile(e)
-    amounts = x.amounts if isinstance(x, (Allocation, ObservedAllocation)) else _as_floats(x, "amount")
+    amounts = (x if isinstance(x, (Allocation, ObservedAllocation)) else Allocation(x)).amounts
     if len(amounts) != len(e):
         raise DimensionError(
             f"allocation has {len(amounts)} entries but the profile has {len(e)}"
         )
-    if tol is None:
-        tol = tolerance_for(e.total)
-    reason = _violation(e, amounts, tol)
+    reason = _violation(e, amounts, _resolved_tolerance(tol, e.total))
     return ValidationResult(reason is None, reason)
 
 
@@ -478,7 +489,7 @@ class RetentionShares(_FloatVector, values="shares"):
     __slots__ = ()
 
     def __init__(self, shares: Iterable[float]):
-        values = _as_floats(shares, "retention share")
+        values, _ = _checked_floats(shares, "retention share", ParameterError, False)
         if len(values) < 1:
             raise DimensionError("need at least one retention share (n >= 2)")
         for k, v in enumerate(values):
@@ -734,7 +745,8 @@ _RULE_GRAMMAR = "nt | eft | ept | shapley | compromise:<w> | partial:<w> | alpha
 def parse_rule(text: str) -> RuleSpec:
     """Inverse of RuleSpec.label(); errors name the offending token.
 
-    Range checks are left to RuleSpec and RetentionShares.
+    Range checks are left to RuleSpec, and the retention shares' number
+    checks to RetentionShares, whose errors name the share's position.
     """
     head, sep, tail = text.strip().partition(":")
     try:
@@ -752,13 +764,7 @@ def parse_rule(text: str) -> RuleSpec:
     if kind is RuleKind.RETENTION:
         if not tail:
             raise ParameterError("alpha: expected comma-separated retention shares after the colon")
-        shares = []
-        for token in tail.split(","):
-            try:
-                shares.append(float(token))
-            except ValueError:
-                raise ParameterError(f"alpha: {token!r} is not a number") from None
-        return RuleSpec(kind, retention=shares)
+        return RuleSpec(kind, retention=tail.split(","))
     if sep:
         raise ParameterError(f"rule {head!r} takes no parameter, got {tail!r}")
     return RuleSpec(kind)

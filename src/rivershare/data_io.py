@@ -7,13 +7,14 @@ reordering key.
 
 A loader hands the columns straight to the constructors, whose checks
 run in bulk, in C builtins: `BasinDataset` checks that the names are
-non-empty and distinct and that every withdrawal is a finite float >= 0,
-and `InflowProfile` the same of the inflows and that their total is
-finite.  Only input that these checks reject is walked row by row; the
-walk words the error and names the offending line (CSV) or array index
-(JSON).  A number outside the float range is an error too: a JSON integer
-too large to convert, a JSON integer longer than Python converts at all,
-or withdrawals whose total overflows when they are normalized.
+non-empty and distinct, and its withdrawals and `InflowProfile`'s inflows
+pass the package's one float-vector check (every entry a finite number
+>= 0; for the inflows, a finite total too).  Only input that these checks
+reject is walked row by row; the walk words the error and names the
+offending line (CSV) or array index (JSON).  A number outside the float
+range is an error too: a JSON integer too large to convert, a JSON
+integer longer than Python converts at all, or withdrawals whose total
+overflows when they are normalized.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     InflowProfile,
     ObservedAllocation,
     RiverShareError,
+    _checked_floats,
     _Record,
     as_profile,
 )
@@ -59,11 +61,10 @@ class BasinDataset(_Record):
         if not all(names) or len(set(names)) != len(names):
             _walk_names(names)
         if withdrawals is not None:
-            withdrawals = tuple(map(float, withdrawals))
+            # a total past the float range is allowed: only normalizing fails on it
+            withdrawals, _ = _checked_floats(withdrawals, "withdrawal", DatasetError, True)
             if len(withdrawals) != len(inflows):
                 raise DimensionError(f"{len(withdrawals)} withdrawals for {len(inflows)} inflows")
-            if not (all(map(math.isfinite, withdrawals)) and min(withdrawals, default=0.0) >= 0.0):
-                _walk_withdrawals(withdrawals)
         _Record.__init__(self, names, inflows, withdrawals, units)
 
     def __len__(self) -> int:
@@ -90,28 +91,18 @@ def _walk_names(names) -> None:
         seen.add(name)
 
 
-def _walk_withdrawals(withdrawals: tuple[float, ...]) -> None:
-    """Raise naming the first withdrawal that is not finite and >= 0."""
-    for k, v in enumerate(withdrawals):
-        if not math.isfinite(v) or v < 0.0:
-            raise DatasetError(f"withdrawal at position {k} must be finite and >= 0, got {v}")
-
-
 def normalize_withdrawals(e, withdrawals) -> ObservedAllocation:
     """Rescale withdrawals proportionally so they sum to the total inflow.
 
     Idempotent: vectors already summing to the total inflow pass through
     with a scaling factor of one (up to float rounding).
     """
-    if not isinstance(e, InflowProfile):
-        e = InflowProfile(tuple(e))
-    values = list(map(float, withdrawals))
+    e = as_profile(e)
+    values, total = _checked_floats(withdrawals, "withdrawal", DatasetError, False)
     if len(values) != len(e):
         raise DimensionError(f"{len(values)} withdrawals for {len(e)} inflows")
-    try:
-        total = math.fsum(values)
-    except OverflowError:
-        raise DatasetError("withdrawal total is too large to represent as a float") from None
+    if total == math.inf:
+        raise DatasetError("withdrawal total is too large to represent as a float")
     if not total > 0.0:
         raise DatasetError(f"withdrawals must have a positive total, got {total}")
     factor = e.total / total
@@ -171,7 +162,7 @@ def _columns_dataset(names, inflows, withdrawals) -> BasinDataset | None:
     texts, as long as `names`."""
     try:
         return BasinDataset(names, InflowProfile(inflows), withdrawals)
-    except (ValueError, OverflowError):
+    except RiverShareError:
         return None
 
 

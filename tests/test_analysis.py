@@ -873,6 +873,15 @@ def unscaled(e, z) -> bool:
     return all(2.0**-450 <= v <= 2.0**450 for v in (e.total, max(z)) if v)
 
 
+def lifted(e, family) -> bool:
+    """Whether `_basin` lifts an in-band direction: the squares of the
+    unscaled A - B sum to a positive value below 2^-900, where the per-call
+    formulas lose digits."""
+    a, b = reference_endpoints(e, family)
+    gram = math.fsum((ai - bi) * (ai - bi) for ai, bi in zip(a, b))
+    return 0.0 < gram < 2.0**-900
+
+
 def exact_distance(quadratic, t: float):
     """|B - z + t(A - B)| at the float t, from the integers of
     `exact_quadratic`: squared exactly, rooted at 30 digits."""
@@ -921,18 +930,28 @@ def assert_distance_near_exact(e, z, family, parameters):
     ),
     t=0.0,
 )
+# in the band, a lifted direction: the per-call 64-node integral is 1.4e-11
+# off here, while the lifted projection's equals mpmath's
+@example(
+    basin=(
+        InflowProfile((7.925795888524132e-158, 7.945141796411701)),
+        ObservedAllocation((1.9123072555150755, 9.977260070718351)),
+        Family.COMPROMISE,
+    ),
+    t=0.5,
+)
 def test_segment_matches_the_per_call_formulas(basin, t):
     e, z, family = basin
     size = e.total + z.total
-    if unscaled(e, z):
+    if unscaled(e, z) and not lifted(e, family):
         # the first call builds the segment, the rest read it
         assert exact(fit_family(e, z, family)) == exact(reference_fit(e, z, family))
         integral = integrate_distance(e, z, family, nodes=64)
         assert exact(integral) == exact(reference_integral(e, z, family))
         assert integral == pytest.approx(numpy_integral(e, z, family), rel=1e-14, abs=0.0)
     elif mpmath is not None:
-        # squares of the unscaled amounts underflow here, so the per-call
-        # formulas are no reference; the exact profile is
+        # squares of the unscaled amounts or of A - B underflow here, so
+        # the per-call formulas are no reference; the exact profile is
         quadratic = exact_quadratic(e, z, family)
         for s in (0.0, t, 1.0):
             gap = distance_at(e, z, family, s) - float(exact_distance(quadratic, s))

@@ -464,7 +464,7 @@ def test_criterion_7_profiles_take_the_bulk_check(monkeypatch):
     def refuse(*args):
         raise AssertionError("a generated profile left the bulk check")
 
-    monkeypatch.setattr(core, "_checked_inflows", refuse)
+    monkeypatch.setattr(core, "_walk_floats", refuse)
     monkeypatch.setattr(core.InflowProfile, "__init__", refuse)
     pairs = [(RuleSpec.shapley(), list(STRUCTURAL) + [Axiom.BALANCE])]
     for w in (0.0, 0.3, 0.7, 1.0):

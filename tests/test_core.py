@@ -44,6 +44,9 @@ from rivershare import (
     tolerance_for,
     validate_allocation,
 )
+from rivershare.analysis import Family, legitimacy_bounds, shares_of_total
+from rivershare.axioms import check_order_preservation, check_scale_invariance
+from rivershare.data_io import BasinDataset, normalize_withdrawals
 
 # ---------------------------------------------------------------------------
 # exact-arithmetic oracles
@@ -689,7 +692,7 @@ def _falling_profile():
         ((5.0,), DimensionError, "an inflow profile needs at least two agents, got 1"),
         ((math.nan, "x"), RiverShareError, "inflow at position 0 must be finite, got nan"),
         ((math.inf, -math.inf), RiverShareError, "inflow at position 0 must be finite, got inf"),
-        ((1.0, "x"), ValueError, "could not convert string to float: 'x'"),
+        ((1.0, "x"), RiverShareError, "inflow at position 1 must be a number, got 'x'"),
     ],
 )
 def test_inflow_profile_messages(inflows, error, message):
@@ -861,3 +864,118 @@ def test_allocation_error_reachable():
     assert not validate_allocation((0, 2), (1, 1))
     with pytest.raises(AllocationError):
         raise AllocationError("synthetic")
+
+
+# ---------------------------------------------------------------------------
+# one check for every float vector, and one tolerance at every magnitude
+
+
+def _vector_entry_points():
+    unit = InflowProfile((1.0, 1.0))
+    return [
+        (InflowProfile, "inflow", lambda v: InflowProfile((1.0, v))),
+        (Allocation, "amount", lambda v: Allocation((1.0, v))),
+        (ObservedAllocation, "observed amount", lambda v: ObservedAllocation((1.0, v))),
+        (RetentionShares, "retention share", lambda v: RetentionShares((0.5, v))),
+        ("BasinDataset inflows", "inflow", lambda v: BasinDataset(("a", "b"), (1.0, v))),
+        ("BasinDataset withdrawals", "withdrawal", lambda v: BasinDataset(("a", "b"), unit, (1.0, v))),
+        (normalize_withdrawals, "withdrawal", lambda v: normalize_withdrawals(unit, (1.0, v))),
+        (shares_of_total, "entry", lambda v: shares_of_total((1.0, v))),
+        (validate_allocation, "amount", lambda v: validate_allocation(unit, (1.0, v))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value,wording",
+    [
+        ("a", "must be a number, got 'a'"),
+        (None, "must be a number, got None"),
+        # ints beyond the float range; repr(10**5000) itself raises ValueError
+        (10**400, "is too large to represent as a float"),
+        (10**5000, "is too large to represent as a float"),
+    ],
+    ids=["text", "None", "10**400", "10**5000"],
+)
+def test_every_vector_entry_point_names_a_non_number(value, wording):
+    for entry_point, what, build in _vector_entry_points():
+        with pytest.raises(RiverShareError) as caught:
+            build(value)
+        assert str(caught.value) == f"{what} at position 1 {wording}", entry_point
+
+
+def test_tolerance_floor_is_the_smallest_normal_float():
+    assert core.TOLERANCE_FLOOR == 2.0**-1022 == tolerance_for(0.0)
+    # nothing allocated, and a 2.5e-6 relative over-allocation: both passed
+    # on an absolute floor of 1e-12
+    assert not validate_allocation((1e-200, 1e-200), (0, 0))
+    assert not validate_allocation((1e-7, 1e-7), (0, 2e-7 + 5e-13))
+    # a 1e-200 basin classifies like the unit basin
+    tiny = legitimacy_bounds((1e-200, 2e-200, 0.0), (2e-200, 0.5e-200, 1e-200), "compromise")
+    unit = legitimacy_bounds((1.0, 2.0, 0.0), (2.0, 0.5, 1.0), "compromise")
+    assert tiny.classifications == unit.classifications
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_a_given_tolerance_must_be_finite_and_non_negative(tol):
+    checks = [
+        lambda: validate_allocation((1, 1), (0, 0), tol=tol),
+        lambda: legitimacy_bounds((1, 2, 0), (2, 0.5, 1), "compromise", tol=tol),
+        lambda: check_order_preservation(RuleSpec.shapley(), (5, 1, 1), tol=tol),
+        lambda: check_scale_invariance(RuleSpec.shapley(), (5, 1, 1), 2.0, tol=tol),
+    ]
+    for check in checks:
+        with pytest.raises(ParameterError, match=f"^tolerance must be finite and >= 0, got {tol}$"):
+            check()
+    # zero is a tolerance, and the default still decides this instance
+    assert not check_order_preservation(RuleSpec.shapley(), (5, 1, 1))
+    assert not validate_allocation((1, 1), (0, 0), tol=0)
+
+
+_GRID = st.integers(0, 64).map(lambda i: i / 64)  # shares whose complements stay normal when scaled
+
+
+@st.composite
+def unit_basins(draw):
+    """2-30 agents with inflows and observed amounts in {0} u [1e-3, 1e3],
+    at least one inflow positive, and one rule of each kind."""
+    n = draw(st.integers(2, 30))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    inflows = draw(st.lists(entry, min_size=n, max_size=n).filter(any))
+    observed = draw(st.lists(entry, min_size=n, max_size=n))
+    rules = [
+        RuleSpec.no_transfer(),
+        RuleSpec.egalitarian_full_transfer(),
+        RuleSpec.egalitarian_partial_transfer(),
+        RuleSpec.shapley(),
+        RuleSpec.compromise(draw(_GRID)),
+        RuleSpec.partial_compromise(draw(_GRID)),
+        RuleSpec.retention_rule(draw(st.lists(_GRID, min_size=n - 1, max_size=n - 1))),
+    ]
+    return inflows, observed, rules
+
+
+def _verdicts(inflows, observed, rules, k):
+    """On the basin scaled by 2^k: per rule, whether its output validates
+    and whether a 1e-6-relative over-allocation does; per rule, the order
+    preservation verdict; per family, the legitimacy classes."""
+    e = InflowProfile([math.ldexp(v, k) for v in inflows])
+    z = ObservedAllocation([math.ldexp(v, k) for v in observed])
+    validations = []
+    for rule in rules:
+        x = rule.apply(e)
+        over = x.amounts[:-1] + (x.amounts[-1] + 1e-6 * e.total,)
+        validations.append((validate_allocation(e, x).ok, validate_allocation(e, over).ok))
+    orders = [check_order_preservation(rule, e) for rule in rules]
+    legitimacy = [legitimacy_bounds(e, z, family).classifications for family in Family]
+    return validations, orders, legitimacy
+
+
+@settings(deadline=None, max_examples=30)
+@given(unit_basins())
+def test_verdicts_are_the_same_at_every_magnitude(basin):
+    # powers of two scale exactly, so the verdicts must be equal, not close
+    inflows, observed, rules = basin
+    unit = _verdicts(inflows, observed, rules, 0)
+    assert unit[0] == [(True, False)] * len(rules)
+    for k in range(-960, 961, 40):
+        assert _verdicts(inflows, observed, rules, k) == unit, k

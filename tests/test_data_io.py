@@ -413,11 +413,13 @@ def test_basin_dataset_messages():
         (DatasetError, "agent names must be non-empty", (("", "A", "A"), InflowProfile((1, 2, 3)))),
         (DimensionError, "1 names for 2 inflows", (("A",), profile)),
         (DimensionError, "3 withdrawals for 2 inflows", (("A", "B"), profile, (1, 2, 3))),
-        (DatasetError, "withdrawal at position 1 must be finite and >= 0, got nan",
+        (DatasetError, "withdrawal at position 1 must be finite, got nan",
          (("A", "B"), profile, (1.0, math.nan))),
-        (DatasetError, "withdrawal at position 0 must be finite and >= 0, got -1.0",
+        (DatasetError, "withdrawal at position 0 must be >= 0, got -1.0",
+         (("A", "B"), profile, (-1, 2))),
+        (DatasetError, "withdrawal at position 1 must be finite, got inf",
          (("A", "B"), profile, (-1, math.inf))),
-        (DatasetError, "withdrawal at position 1 must be finite and >= 0, got inf",
+        (DatasetError, "withdrawal at position 1 must be finite, got 'inf'",
          (("A", "B"), profile, ("0", "inf"))),
     ]
     for error, message, args in cases:
@@ -493,8 +495,7 @@ def test_well_formed_datasets_never_take_the_constructors_walks(monkeypatch, tex
         raise AssertionError("a well-formed dataset was walked entry by entry")
 
     for module, name in [
-        (core, "_checked_inflows"), (core, "_walk_floats"), (core, "_walk_negatives"),
-        (data_io, "_walk_names"), (data_io, "_walk_withdrawals"),
+        (core, "_walk_floats"), (data_io, "_walk_names"),
         (data_io, "_walk_csv"), (data_io, "_walk_json"),
     ]:
         monkeypatch.setattr(module, name, refuse)
