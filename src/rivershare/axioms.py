@@ -39,6 +39,7 @@ from .core import (
     ParameterError,
     RuleSpec,
     _check_position,
+    _checked_scalar,
     _profile_of_floats,
     _Record,
     _resolved_tolerance,
@@ -145,7 +146,7 @@ def _first_mismatch(xs, ys, tol):
 
 
 def _positive_finite(value, what: str) -> float:
-    value = float(value)
+    value = _checked_scalar(value, what)
     if value <= 0:
         raise ParameterError(f"{what} must be > 0, got {value}")
     if not math.isfinite(value):

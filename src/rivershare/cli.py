@@ -369,14 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub):
+    def common(sub, tolerance=True):
         sub.add_argument("--json", action="store_true", help="emit a JSON run record instead of tables")
-        sub.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="override the default comparison tolerance",
-        )
+        if tolerance:
+            sub.add_argument(
+                "--tolerance",
+                type=float,
+                default=None,
+                help="override the default comparison tolerance",
+            )
 
     allocate = commands.add_parser("allocate", help="compute one rule's allocation")
     allocate.add_argument("--rule", required=True, help=f"rule spec: {_RULE_GRAMMAR}")
@@ -430,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="half the Gauss-Legendre nodes of the quadrature cross-check of the exact integrals",
     )
-    common(case)
+    # each reference check has its own stated tolerance
+    common(case, tolerance=False)
     case.set_defaults(handler=cmd_case_study)
 
     return parser
@@ -458,8 +460,9 @@ def _main(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
-            raise ParameterError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and not 0.0 <= tolerance < math.inf:
+            raise ParameterError(f"--tolerance must be a finite number >= 0, got {tolerance}")
         return args.handler(args)
     except RiverShareError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,10 +23,13 @@ names the first violated constraint.
 Every float vector the package takes in (inflows, amounts, retention
 shares, withdrawals, the entries of `analysis.shares_of_total`) passes one
 check, `_checked_floats`, so a bad entry is one `RiverShareError` naming
-its position wherever it enters.  Comparisons use `tolerance_for(scale)`,
-1e-9 relative with a floor at the smallest normal float, 2^-1022, so
-verdicts are the same at every magnitude down to there; a `tol` given
-instead must be finite and >= 0.
+its position wherever it enters.  Every scalar parameter (a rule weight, a
+tolerance, a scale factor, an inflow change) passes one conversion,
+`_checked_scalar`, so a value that is not a number, or an int beyond the
+float range, is one `ParameterError` naming the parameter.  Comparisons
+use `tolerance_for(scale)`, 1e-9 relative with a floor at the smallest
+normal float, 2^-1022, so verdicts are the same at every magnitude down to
+there; a `tol` given instead must be finite and >= 0.
 
 The value types here, in `data_io`, in `axioms` and in `analysis` are
 immutable records on one `__slots__` base, `_Record`, rather than
@@ -71,6 +74,7 @@ def _resolved_tolerance(tol: float | None, scale: float) -> float:
     be finite and >= 0: a NaN would pass every comparison."""
     if tol is None:
         return tolerance_for(scale)
+    tol = _checked_scalar(tol, "tolerance")
     if not 0.0 <= tol < math.inf:
         raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
     return tol
@@ -102,6 +106,19 @@ def _checked_floats(
         return floats, math.fsum(floats)
     except OverflowError:
         return floats, math.inf
+
+
+def _checked_scalar(value, what: str) -> float:
+    """`value` as a float: the one conversion of every scalar parameter the
+    package takes in (a rule weight, a tolerance, a scale factor, an inflow
+    change, an axiom's factor).  Anything `float` refuses is one
+    `ParameterError` naming `what`; the range checks are the caller's."""
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range, whose repr may fail too
+        raise ParameterError(f"{what} is too large to represent as a float") from None
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} must be a number, got {value!r}") from None
 
 
 def _walk_floats(items: tuple, what: str, error: type, non_negative: bool) -> tuple[float, ...]:
@@ -257,6 +274,7 @@ class InflowProfile(_FloatVector, values="inflows"):
         return self._total
 
     def scaled(self, factor: float) -> "InflowProfile":
+        factor = _checked_scalar(factor, "scale factor")
         if factor < 0:
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
         if not math.isfinite(factor):
@@ -266,6 +284,7 @@ class InflowProfile(_FloatVector, values="inflows"):
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
         _check_position(position, len(self.inflows))
+        delta = _checked_scalar(delta, "delta")
         if not math.isfinite(delta):
             raise ParameterError(f"delta must be finite, got {delta}")
         values = list(self.inflows)
@@ -462,8 +481,13 @@ def egalitarian_partial_transfer(e) -> Allocation:
 
 
 def _check_weight(weight: float, kind: RuleKind) -> float:
-    weight = float(weight)
-    if not (0.0 <= weight <= 1.0) or not math.isfinite(weight):
+    """`weight` as a float in [0, 1].  `kind` names it in an error: a
+    weighted `RuleKind`, or the `analysis.Family` of the same value."""
+    try:
+        weight = float(weight)
+    except (TypeError, ValueError, OverflowError):
+        _checked_scalar(weight, f"{kind.value} weight")  # words the error
+    if not 0.0 <= weight <= 1.0:
         raise ParameterError(f"{kind.value} weight must lie in [0, 1], got {weight}")
     return weight
 

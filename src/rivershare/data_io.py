@@ -26,7 +26,7 @@ import math
 import os
 import sys
 from itertools import repeat
-from operator import mul
+from operator import mul, ne
 
 from .core import (
     DimensionError,
@@ -341,20 +341,43 @@ def read_dataset(path) -> BasinDataset:
     return load_dataset(text, fmt)
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: in quotes, with each quote doubled, when it
+    holds a comma, a quote or a line break, else as it is."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def dump_dataset(dataset: BasinDataset, format: str) -> str:
-    """Serialize a dataset so that load_dataset round-trips it exactly."""
+    """Serialize a dataset so that load_dataset round-trips it exactly.
+
+    The CSV form writes numbers as their `repr` and quotes a name only when
+    it holds a comma, a quote, "\n" or "\r" (`_csv_field`): the bytes of
+    `csv.writer` with minimal quoting, except that a name holding "\r" is
+    quoted, as the loader needs.  The loader strips the whitespace around
+    each field, so the CSV form refuses a name that starts or ends with
+    whitespace, naming it; the JSON form carries every name.
+    """
     fmt = format.strip().casefold()
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        inflows = map(repr, dataset.inflows.inflows)
+        names = dataset.names
+        if any(map(ne, names, map(str.strip, names))):
+            name = next(name for name in names if name != name.strip())
+            raise DatasetError(
+                f"agent name {name!r} starts or ends with whitespace, which the CSV form"
+                " does not keep; dump the dataset as JSON"
+            )
+        names = map(_csv_field, names)
+        inflows = dataset.inflows.inflows
         if dataset.has_withdrawals:
-            writer.writerow(["agent", "inflow", "withdrawal"])
-            writer.writerows(zip(dataset.names, inflows, map(repr, dataset.withdrawals)))
-        else:
-            writer.writerow(["agent", "inflow"])
-            writer.writerows(zip(dataset.names, inflows))
-        return buffer.getvalue()
+            rows = [
+                f"{name},{inflow!r},{withdrawal!r}\n"
+                for name, inflow, withdrawal in zip(names, inflows, dataset.withdrawals)
+            ]
+            return "agent,inflow,withdrawal\n" + "".join(rows)
+        rows = [f"{name},{inflow!r}\n" for name, inflow in zip(names, inflows)]
+        return "agent,inflow\n" + "".join(rows)
     if fmt == "json":
         # the bytes of json.dumps({"agents": [...]}, indent=2), written
         # directly: with an indent json.dumps never uses its C encoder

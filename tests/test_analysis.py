@@ -774,7 +774,7 @@ def test_legitimacy_bounds_keep_min_and_max_on_tied_zeros(monkeypatch):
     a = Allocation((0.0, -0.0, 1.0, 2.0))
     b = Allocation((-0.0, 0.0, 1.0, 0.5))
     monkeypatch.setattr(analysis, "no_transfer", lambda e: a)
-    monkeypatch.setattr(analysis, "family_member", lambda e, family, parameter: b)
+    monkeypatch.setattr(analysis, "_member", lambda e, family, parameter: b)
     monkeypatch.setattr(analysis, "_last_basin", (None, None, {}))
     e = InflowProfile((1.0, 1.0, 1.0, 1.0))
     report = legitimacy_bounds(e, ObservedAllocation((0.0, 0.0, 1.0, 3.0)), Family.COMPROMISE, tol=0.0)

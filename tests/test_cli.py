@@ -176,7 +176,6 @@ def test_allocate_overflowing_total_is_one_error_line(capsys):
         ("allocate", "--inflows", "1,2", "--rule", "shapley"),
         ("axioms", "--rule", "shapley", "--trials", "1"),
         ("fit", "--dataset", "nile", "--family", "compromise"),
-        ("case-study",),
     ],
 )
 def test_tolerance_must_be_finite_and_non_negative(capsys, argv, value):
@@ -184,6 +183,13 @@ def test_tolerance_must_be_finite_and_non_negative(capsys, argv, value):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --tolerance") and len(err.splitlines()) == 1
+
+
+def test_case_study_takes_no_tolerance(capsys):
+    # each reference check has its own stated tolerance
+    code, out, err = run_cli(capsys, "case-study", "--tolerance", "0.1")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --tolerance 0.1\n"
 
 
 def test_allocate_failed_validation_exits_two(capsys, monkeypatch):
@@ -912,7 +918,6 @@ def fuzz_grammar(tmp_path_factory):
             "--decimals": (["1", "0"], ["-3", "x"]),
             "--full-precision": None,
             "--nodes": (["8", "64"], ["0", "513", "x"]),
-            "--tolerance": _TOLERANCES,
             "--json": None,
         },
     }

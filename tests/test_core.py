@@ -44,8 +44,17 @@ from rivershare import (
     tolerance_for,
     validate_allocation,
 )
-from rivershare.analysis import Family, legitimacy_bounds, shares_of_total
-from rivershare.axioms import check_order_preservation, check_scale_invariance
+from rivershare.analysis import Family, distance_at, legitimacy_bounds, shares_of_total
+from rivershare import axioms
+from rivershare.axioms import (
+    Axiom,
+    check_downstream_impartiality,
+    check_equal_treatment_source,
+    check_equal_treatment_upstream_total,
+    check_order_preservation,
+    check_scale_invariance,
+    check_upstream_invariance,
+)
 from rivershare.data_io import BasinDataset, normalize_withdrawals
 
 # ---------------------------------------------------------------------------
@@ -903,6 +912,52 @@ def test_every_vector_entry_point_names_a_non_number(value, wording):
         assert str(caught.value) == f"{what} at position 1 {wording}", entry_point
 
 
+_UNIT = InflowProfile((1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "what,call",
+    [
+        pytest.param("compromise weight", lambda v: compromise((1, 2), v), id="compromise"),
+        pytest.param(
+            "partial weight",
+            lambda v: distance_at(_UNIT, (1.0, 2.0), Family.PARTIAL_COMPROMISE, v),
+            id="distance_at",
+        ),
+        pytest.param("scale factor", lambda v: _UNIT.scaled(v), id="scaled"),
+        pytest.param("delta", lambda v: _UNIT.bumped(0, v), id="bumped"),
+        pytest.param(
+            "scale factor",
+            lambda v: check_scale_invariance(RuleSpec.shapley(), (1, 2), v),
+            id="check_scale_invariance",
+        ),
+        pytest.param(
+            "inflow increase",
+            lambda v: check_upstream_invariance(RuleSpec.shapley(), (1, 2), 0, v),
+            id="check_upstream_invariance",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "value,wording",
+    [
+        ("x", "must be a number, got 'x'"),
+        (None, "must be a number, got None"),
+        (10**400, "is too large to represent as a float"),
+    ],
+    ids=["text", "None", "10**400"],
+)
+def test_every_scalar_parameter_is_one_parameter_error(what, call, value, wording):
+    with pytest.raises(ParameterError) as caught:
+        call(value)
+    message = str(caught.value)
+    if what == "compromise weight" and value is None:
+        # None is a weight left out, which `RuleSpec` words itself
+        assert message == "rule 'compromise' needs a weight in [0, 1]"
+    else:
+        assert message == f"{what} {wording}"
+
+
 def test_tolerance_floor_is_the_smallest_normal_float():
     assert core.TOLERANCE_FLOOR == 2.0**-1022 == tolerance_for(0.0)
     # nothing allocated, and a 2.5e-6 relative over-allocation: both passed
@@ -913,6 +968,14 @@ def test_tolerance_floor_is_the_smallest_normal_float():
     tiny = legitimacy_bounds((1e-200, 2e-200, 0.0), (2e-200, 0.5e-200, 1e-200), "compromise")
     unit = legitimacy_bounds((1.0, 2.0, 0.0), (2.0, 0.5, 1.0), "compromise")
     assert tiny.classifications == unit.classifications
+
+
+def test_a_given_tolerance_must_be_a_number():
+    # None is no tolerance given, so it is not in the scalar test above
+    with pytest.raises(ParameterError, match="^tolerance must be a number, got 'x'$"):
+        validate_allocation((1, 1), (0, 0), tol="x")
+    with pytest.raises(ParameterError, match="^tolerance is too large to represent as a float$"):
+        validate_allocation((1, 1), (0, 0), tol=10**400)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
@@ -937,7 +1000,9 @@ _GRID = st.integers(0, 64).map(lambda i: i / 64)  # shares whose complements sta
 @st.composite
 def unit_basins(draw):
     """2-30 agents with inflows and observed amounts in {0} u [1e-3, 1e3],
-    at least one inflow positive, and one rule of each kind."""
+    at least one inflow positive, and one rule of each kind; then the axiom
+    instances' parameters: a non-terminal position, a second source
+    position, an inflow increase and a scale factor."""
     n = draw(st.integers(2, 30))
     entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
     inflows = draw(st.lists(entry, min_size=n, max_size=n).filter(any))
@@ -951,13 +1016,50 @@ def unit_basins(draw):
         RuleSpec.partial_compromise(draw(_GRID)),
         RuleSpec.retention_rule(draw(st.lists(_GRID, min_size=n - 1, max_size=n - 1))),
     ]
-    return inflows, observed, rules
+    positions = st.integers(0, n - 2)
+    instance = (draw(positions), draw(positions), draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)))
+    return inflows, observed, rules, instance
 
 
-def _verdicts(inflows, observed, rules, k):
+def _axiom_verdicts(inflows, rules, instance, k):
+    """Per rule, the verdicts of the nine axiom checkers on instances built
+    from the basin and scaled by 2^k: their profiles and the inflow increase
+    scale, the scale factor and the positions do not."""
+    position, other, delta, gamma = instance
+    n = len(inflows)
+
+    def scaled(values):
+        return InflowProfile([math.ldexp(v, k) for v in values])
+
+    e = scaled(inflows)
+    increase = math.ldexp(delta, k)
+    lone = scaled([0.0] * position + [1.0] + [0.0] * (n - 1 - position))
+    # sources at `position` and `other` with the same inflow
+    first = scaled([0.0] * position + [delta] + inflows[position + 1 :])
+    second = scaled([0.0] * other + [delta] + inflows[::-1][other + 1 :])
+    # the same own inflow at `position` and the upstream inflows reversed,
+    # whose total `fsum` rounds the same
+    reversed_upstream = scaled(inflows[:position][::-1] + inflows[position:])
+    shapes = (Axiom.PROGRESSIVITY, Axiom.REGRESSIVITY, Axiom.BALANCE)
+    return [
+        (
+            check_scale_invariance(rule, e, gamma),
+            check_upstream_invariance(rule, e, position, increase),
+            check_downstream_impartiality(rule, e, position, increase, strict=True),
+            check_order_preservation(rule, e),
+            # `check_source_shape` puts a unit inflow at the source; this is its check
+            *[axioms._source_shape_profile_detail(rule, lone, position, shape) is None for shape in shapes],
+            check_equal_treatment_source(rule, first, second),
+            check_equal_treatment_upstream_total(rule, e, reversed_upstream, position),
+        )
+        for rule in rules
+    ]
+
+
+def _verdicts(inflows, observed, rules, instance, k):
     """On the basin scaled by 2^k: per rule, whether its output validates
-    and whether a 1e-6-relative over-allocation does; per rule, the order
-    preservation verdict; per family, the legitimacy classes."""
+    and whether a 1e-6-relative over-allocation does; per rule, the nine
+    axiom verdicts; per family, the legitimacy classes."""
     e = InflowProfile([math.ldexp(v, k) for v in inflows])
     z = ObservedAllocation([math.ldexp(v, k) for v in observed])
     validations = []
@@ -965,17 +1067,17 @@ def _verdicts(inflows, observed, rules, k):
         x = rule.apply(e)
         over = x.amounts[:-1] + (x.amounts[-1] + 1e-6 * e.total,)
         validations.append((validate_allocation(e, x).ok, validate_allocation(e, over).ok))
-    orders = [check_order_preservation(rule, e) for rule in rules]
+    verdicts = _axiom_verdicts(inflows, rules, instance, k)
     legitimacy = [legitimacy_bounds(e, z, family).classifications for family in Family]
-    return validations, orders, legitimacy
+    return validations, verdicts, legitimacy
 
 
 @settings(deadline=None, max_examples=30)
 @given(unit_basins())
 def test_verdicts_are_the_same_at_every_magnitude(basin):
     # powers of two scale exactly, so the verdicts must be equal, not close
-    inflows, observed, rules = basin
-    unit = _verdicts(inflows, observed, rules, 0)
+    inflows, observed, rules, instance = basin
+    unit = _verdicts(inflows, observed, rules, instance, 0)
     assert unit[0] == [(True, False)] * len(rules)
     for k in range(-960, 961, 40):
-        assert _verdicts(inflows, observed, rules, k) == unit, k
+        assert _verdicts(inflows, observed, rules, instance, k) == unit, k

@@ -352,6 +352,50 @@ def test_json_dump_of_fixed_datasets_is_the_standard_encoding(ds):
     assert dump_dataset(ds, "json") == reference_json(ds)
 
 
+def reference_csv(ds: BasinDataset) -> str:
+    """The CSV dump as the standard library's writer writes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    columns = (ds.names, map(repr, ds.inflows))
+    if ds.has_withdrawals:
+        writer.writerow(["agent", "inflow", "withdrawal"])
+        writer.writerows(zip(*columns, map(repr, ds.withdrawals)))
+    else:
+        writer.writerow(["agent", "inflow"])
+        writer.writerows(zip(*columns))
+    return buffer.getvalue()
+
+
+# names built from the characters CSV has to quote or strip
+_csv_name = st.text(alphabet=st.sampled_from(',"\r\n ab'), min_size=1, max_size=6).filter(str.strip)
+
+
+@settings(deadline=None)
+@example(names=["a\rb", "c"], with_w=True)
+@example(names=[" a", "b"], with_w=False)
+@given(names=st.lists(_csv_name, min_size=2, max_size=6, unique=True), with_w=st.booleans())
+def test_csv_dump_round_trips_or_names_the_agent_it_cannot_carry(names, with_w):
+    n = len(names)
+    withdrawals = tuple(float(k) for k in range(n)) if with_w else None
+    ds = BasinDataset(tuple(names), InflowProfile([0.1 * k for k in range(n)]), withdrawals)
+    assert load_dataset(dump_dataset(ds, "json"), "json") == ds
+    spaced = [name for name in names if name != name.strip()]
+    if spaced:
+        with pytest.raises(DatasetError) as caught:
+            dump_dataset(ds, "csv")
+        assert str(caught.value).startswith(f"agent name {spaced[0]!r} starts or ends with whitespace")
+        return
+    text = dump_dataset(ds, "csv")
+    assert load_dataset(text, "csv") == ds
+    if not any("\r" in name for name in names):
+        assert text == reference_csv(ds)
+
+
+@pytest.mark.parametrize("ds", [builtin_nile(), AWKWARD, load_dataset(GOOD_CSV_NO_W, "csv")])
+def test_csv_dump_of_fixed_datasets_is_the_standard_writing(ds):
+    assert dump_dataset(ds, "csv") == reference_csv(ds)
+
+
 # ---------------------------------------------------------------------------
 # files
 
