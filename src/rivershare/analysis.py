@@ -515,25 +515,30 @@ NILE_REFERENCE_TABLE: tuple[tuple[str, tuple[float, ...]], ...] = (
     ("shapley", (3.36, 7.41, 13.28, 45.93, 45.93)),
 )
 
-#: Reference fit, integral, and share statistics for the same analysis.
+#: Every other reference check of the same analysis, in report order:
+#: name -> (expected, tolerance), where a tolerance of None asks for
+#: equality.  The `quadrature:*` rows compare each exact distance integral
+#: with Gauss-Legendre quadrature on twice the nodes.
 NILE_REFERENCE_STATS: dict = {
     "fit:compromise:parameter": (0.068, 0.001),
     "fit:compromise:allocation": ((1.1, 5.0, 10.2, 21.6, 78.0), 0.1),
-    "fit:partial:parameter": 0.0,
+    "fit:partial:parameter": (0.0, None),
+    "fit:partial:clipped": (True, None),
     "integral:compromise": (46.52, 0.01),
     "integral:partial": (78.27, 0.01),
+    "quadrature:compromise": (0.0, 1e-8),
+    "quadrature:partial": (0.0, 1e-8),
     "legitimacy:compromise": (
-        "legitimate", "below-lower", "below-lower", "legitimate", "legitimate",
+        ("legitimate", "below-lower", "below-lower", "legitimate", "legitimate"), None,
     ),
     "legitimacy:partial": (
-        "legitimate", "below-lower", "below-lower", "below-lower", "above-upper",
+        ("legitimate", "below-lower", "below-lower", "below-lower", "above-upper"), None,
     ),
     "share:observed:Egypt": (0.70, 0.005),
     "share:inflow:Tanzania": (0.145, 0.001),
 }
 
 _TABLE_TOLERANCE = 0.01
-_QUADRATURE_CONSISTENCY = 1e-8
 
 
 class ReferenceCheck(_Record):
@@ -557,17 +562,17 @@ class ReferenceCheck(_Record):
         }
 
 
-def _close_check(name: str, expected, actual, tolerance: float) -> ReferenceCheck:
-    if isinstance(expected, tuple):
+def _reference_check(name: str, expected, actual, tolerance: float | None) -> ReferenceCheck:
+    """`actual` against `expected`: equal when `tolerance` is None, else
+    within `tolerance`, entry by entry for a tuple."""
+    if tolerance is None:
+        ok = expected == actual
+    elif isinstance(expected, tuple):
         gap = max(abs(a - b) for a, b in zip(actual, expected))
         ok = len(actual) == len(expected) and gap <= tolerance
     else:
         ok = abs(actual - expected) <= tolerance
     return ReferenceCheck(name, expected, actual, tolerance, ok)
-
-
-def _exact_check(name: str, expected, actual) -> ReferenceCheck:
-    return ReferenceCheck(name, expected, actual, None, expected == actual)
 
 
 class CaseStudyResult(_Record):
@@ -673,48 +678,33 @@ def nile_case_study(reporting_decimals: int | None = 1, nodes: int = 64) -> Case
     inflow_shares = shares_of_total(e)
     observed_shares = shares_of_total(observed)
 
-    checks = [
-        _close_check(f"table:{label}", reference, computed[label], _TABLE_TOLERANCE)
-        for label, reference in NILE_REFERENCE_TABLE
-    ]
-    stats = NILE_REFERENCE_STATS
-    expected, tol = stats["fit:compromise:parameter"]
-    checks.append(_close_check("fit:compromise:parameter", expected, compromise_fit.parameter_star, tol))
-    expected, tol = stats["fit:compromise:allocation"]
-    checks.append(
-        _close_check("fit:compromise:allocation", expected, tuple(compromise_fit.fitted_allocation), tol)
-    )
-    checks.append(
-        _exact_check("fit:partial:parameter", stats["fit:partial:parameter"], partial_fit.parameter_star)
-    )
-    checks.append(_exact_check("fit:partial:clipped", True, partial_fit.clipped))
-    expected, tol = stats["integral:compromise"]
-    checks.append(_close_check("integral:compromise", expected, integrals[Family.COMPROMISE], tol))
-    expected, tol = stats["integral:partial"]
-    checks.append(_close_check("integral:partial", expected, integrals[Family.PARTIAL_COMPROMISE], tol))
-    for family in Family:
-        checks.append(
-            _close_check(
-                f"quadrature:{family.value}",
-                0.0,
-                abs(integrals_fine[family] - integrals[family]),
-                _QUADRATURE_CONSISTENCY,
-            )
-        )
-    for family in Family:
-        checks.append(
-            _exact_check(
-                f"legitimacy:{family.value}",
-                stats[f"legitimacy:{family.value}"],
-                tuple(c.value for c in legitimacy[family].classifications),
-            )
-        )
     egypt = dataset.names.index("Egypt")
     tanzania = dataset.names.index("Tanzania")
-    expected, tol = stats["share:observed:Egypt"]
-    checks.append(_close_check("share:observed:Egypt", expected, observed_shares[egypt], tol))
-    expected, tol = stats["share:inflow:Tanzania"]
-    checks.append(_close_check("share:inflow:Tanzania", expected, inflow_shares[tanzania], tol))
+    actual = {
+        "fit:compromise:parameter": compromise_fit.parameter_star,
+        "fit:compromise:allocation": tuple(compromise_fit.fitted_allocation),
+        "fit:partial:parameter": partial_fit.parameter_star,
+        "fit:partial:clipped": partial_fit.clipped,
+        "integral:compromise": integrals[Family.COMPROMISE],
+        "integral:partial": integrals[Family.PARTIAL_COMPROMISE],
+        **{
+            f"quadrature:{family.value}": abs(integrals_fine[family] - integrals[family])
+            for family in Family
+        },
+        **{
+            f"legitimacy:{family.value}": tuple(c.value for c in legitimacy[family].classifications)
+            for family in Family
+        },
+        "share:observed:Egypt": observed_shares[egypt],
+        "share:inflow:Tanzania": inflow_shares[tanzania],
+    }
+    checks = [
+        _reference_check(f"table:{label}", reference, computed[label], _TABLE_TOLERANCE)
+        for label, reference in NILE_REFERENCE_TABLE
+    ] + [
+        _reference_check(name, expected, actual[name], tolerance)
+        for name, (expected, tolerance) in NILE_REFERENCE_STATS.items()
+    ]
 
     return CaseStudyResult(
         names=dataset.names,

@@ -38,8 +38,9 @@ from .core import (
     InflowProfile,
     ParameterError,
     RuleSpec,
+    _as_float,
+    _check_int,
     _check_position,
-    _checked_scalar,
     _profile_of_floats,
     _Record,
     _resolved_tolerance,
@@ -146,7 +147,7 @@ def _first_mismatch(xs, ys, tol):
 
 
 def _positive_finite(value, what: str) -> float:
-    value = _checked_scalar(value, what)
+    value = _as_float(value, ParameterError, what)
     if value <= 0:
         raise ParameterError(f"{what} must be > 0, got {value}")
     if not math.isfinite(value):
@@ -304,6 +305,8 @@ def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
 def _source_shape_detail(
     rule: RuleSpec, position, shape, agent_count=None, tol=None
 ) -> Counterexample | None:
+    if agent_count is not None:
+        _check_int(agent_count, "agent_count")
     n = rule.fixed_agent_count or agent_count
     if n is None:
         raise DimensionError("agent_count is required for size-generic rules")
@@ -311,7 +314,7 @@ def _source_shape_detail(
         raise DimensionError(
             f"rule is pinned to {rule.fixed_agent_count} agents, agent_count={agent_count} given"
         )
-    if not 0 <= position < n - 1:
+    if not 0 <= _check_int(position, "position") < n - 1:
         raise ParameterError(
             f"source position must be a non-terminal agent (0..{n - 2}), got {position}"
         )

@@ -112,10 +112,6 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
 def cmd_allocate(args) -> int:
     rule = parse_rule(args.rule)
     dataset, e, names = _load_profile(args)
-    if rule.fixed_agent_count is not None and rule.fixed_agent_count != len(e):
-        raise ParameterError(
-            f"rule {rule.label()!r} is for {rule.fixed_agent_count} agents, dataset has {len(e)}"
-        )
     allocation = rule.apply(e)
     verdict = validate_allocation(e, allocation, tol=args.tolerance)
     record = run_record(

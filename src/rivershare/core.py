@@ -23,13 +23,16 @@ names the first violated constraint.
 Every float vector the package takes in (inflows, amounts, retention
 shares, withdrawals, the entries of `analysis.shares_of_total`) passes one
 check, `_checked_floats`, so a bad entry is one `RiverShareError` naming
-its position wherever it enters.  Every scalar parameter (a rule weight, a
-tolerance, a scale factor, an inflow change) passes one conversion,
-`_checked_scalar`, so a value that is not a number, or an int beyond the
-float range, is one `ParameterError` naming the parameter.  Comparisons
-use `tolerance_for(scale)`, 1e-9 relative with a floor at the smallest
-normal float, 2^-1022, so verdicts are the same at every magnitude down to
-there; a `tol` given instead must be finite and >= 0.
+its position wherever it enters.  Every number the package reads (a
+scalar parameter such as a rule weight, a tolerance, a scale factor or an
+inflow change; a vector entry; a dataset cell) passes one conversion,
+`_as_float`, or `_as_finite_float` where it must be finite, so a value
+that is not a number, or an int beyond the float range, is one error
+naming the parameter, the position or the cell.  Positions and agent
+counts pass one integer check, `_check_int`, which refuses a bool.
+Comparisons use `tolerance_for(scale)`, 1e-9 relative with a floor at the
+smallest normal float, 2^-1022, so verdicts are the same at every
+magnitude down to there; a `tol` given instead must be finite and >= 0.
 
 The value types here, in `data_io`, in `axioms` and in `analysis` are
 immutable records on one `__slots__` base, `_Record`, rather than
@@ -74,7 +77,7 @@ def _resolved_tolerance(tol: float | None, scale: float) -> float:
     be finite and >= 0: a NaN would pass every comparison."""
     if tol is None:
         return tolerance_for(scale)
-    tol = _checked_scalar(tol, "tolerance")
+    tol = _as_float(tol, ParameterError, "tolerance")
     if not 0.0 <= tol < math.inf:
         raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
     return tol
@@ -108,42 +111,51 @@ def _checked_floats(
         return floats, math.inf
 
 
-def _checked_scalar(value, what: str) -> float:
-    """`value` as a float: the one conversion of every scalar parameter the
-    package takes in (a rule weight, a tolerance, a scale factor, an inflow
-    change, an axiom's factor).  Anything `float` refuses is one
-    `ParameterError` naming `what`; the range checks are the caller's."""
+def _as_float(value, error: type, what: str, *args) -> float:
+    """`value` as a float: the one conversion of every number the package
+    reads (a scalar parameter, a vector entry, a dataset cell).  Anything
+    `float` refuses is one `error` naming `what.format(*args)`; the name is
+    formatted only then, and the range checks are the caller's."""
     try:
         return float(value)
     except OverflowError:  # an int beyond the float range, whose repr may fail too
-        raise ParameterError(f"{what} is too large to represent as a float") from None
+        raise error(f"{what.format(*args)} is too large to represent as a float") from None
     except (TypeError, ValueError):
-        raise ParameterError(f"{what} must be a number, got {value!r}") from None
+        raise error(f"{what.format(*args)} must be a number, got {value!r}") from None
+
+
+def _as_finite_float(value, error: type, what: str, *args) -> float:
+    """`_as_float(value, error, what, *args)`, which must also be finite."""
+    f = _as_float(value, error, what, *args)
+    if not math.isfinite(f):
+        raise error(f"{what.format(*args)} must be finite, got {value!r}")
+    return f
 
 
 def _walk_floats(items: tuple, what: str, error: type, non_negative: bool) -> tuple[float, ...]:
     """`items` as floats, or `error` naming the first entry that is not a
     finite number or, failing that, the first negative one when
     `non_negative`."""
-    floats = []
-    for k, v in enumerate(items):
-        try:
-            f = float(v)
-        except OverflowError:  # an int beyond the float range, whose repr may fail too
-            raise error(f"{what} at position {k} is too large to represent as a float") from None
-        except (TypeError, ValueError):
-            raise error(f"{what} at position {k} must be a number, got {v!r}") from None
-        if not math.isfinite(f):
-            raise error(f"{what} at position {k} must be finite, got {v!r}")
-        floats.append(f)
+    floats = tuple(
+        [_as_finite_float(v, error, "{} at position {}", what, k) for k, v in enumerate(items)]
+    )
     if non_negative:
         for k, f in enumerate(floats):
             if f < 0.0:
                 raise error(f"{what} at position {k} must be >= 0, got {f}")
-    return tuple(floats)
+    return floats
+
+
+def _check_int(value, what: str) -> int:
+    """`value`, which must be an int and not a bool: the one check of every
+    position and agent count the package takes in."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _check_position(position: int, n: int) -> None:
+    _check_int(position, "position")
     if not 0 <= position < n:
         raise DimensionError(f"position {position} out of range for n={n}")
 
@@ -274,7 +286,7 @@ class InflowProfile(_FloatVector, values="inflows"):
         return self._total
 
     def scaled(self, factor: float) -> "InflowProfile":
-        factor = _checked_scalar(factor, "scale factor")
+        factor = _as_float(factor, ParameterError, "scale factor")
         if factor < 0:
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
         if not math.isfinite(factor):
@@ -284,7 +296,7 @@ class InflowProfile(_FloatVector, values="inflows"):
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
         _check_position(position, len(self.inflows))
-        delta = _checked_scalar(delta, "delta")
+        delta = _as_float(delta, ParameterError, "delta")
         if not math.isfinite(delta):
             raise ParameterError(f"delta must be finite, got {delta}")
         values = list(self.inflows)
@@ -483,10 +495,7 @@ def egalitarian_partial_transfer(e) -> Allocation:
 def _check_weight(weight: float, kind: RuleKind) -> float:
     """`weight` as a float in [0, 1].  `kind` names it in an error: a
     weighted `RuleKind`, or the `analysis.Family` of the same value."""
-    try:
-        weight = float(weight)
-    except (TypeError, ValueError, OverflowError):
-        _checked_scalar(weight, f"{kind.value} weight")  # words the error
+    weight = _as_float(weight, ParameterError, "{} weight", kind.value)
     if not 0.0 <= weight <= 1.0:
         raise ParameterError(f"{kind.value} weight must lie in [0, 1], got {weight}")
     return weight
@@ -706,7 +715,7 @@ class RuleSpec(_Record):
         nt and eft are compromise:1 and compromise:0, ept is partial:0, and
         the Shapley rule keeps 1/(n-k) at position k.
         """
-        if n < 2:
+        if _check_int(n, "n") < 2:
             raise DimensionError(f"need n >= 2, got {n}")
         if self.retention is None:
             cache = _endpoint_shares if self.weight is None else _weighted_shares

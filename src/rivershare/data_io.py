@@ -33,6 +33,7 @@ from .core import (
     InflowProfile,
     ObservedAllocation,
     RiverShareError,
+    _as_finite_float,
     _checked_floats,
     _Record,
     as_profile,
@@ -111,18 +112,6 @@ def normalize_withdrawals(e, withdrawals) -> ObservedAllocation:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-def _parse_number(text, where: str, what: str) -> float:
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise DatasetError(f"{where}: {what} must be a number, got {text!r}") from None
-    except OverflowError:  # a JSON integer beyond the float range
-        raise DatasetError(f"{where}: {what} is too large to represent as a float") from None
-    if not math.isfinite(value):
-        raise DatasetError(f"{where}: {what} must be finite, got {text!r}")
-    return value
 
 
 def _build_dataset(rows: list[tuple[str, str, float, float | None]]) -> BasinDataset:
@@ -208,8 +197,10 @@ def _walk_csv(rows: list[list[str]], width: int) -> BasinDataset:
         name = row[0].strip()
         if not name:
             raise DatasetError(f"{where}: agent name must be non-empty")
-        inflow = _parse_number(row[1].strip(), where, "inflow")
-        withdrawal = _parse_number(row[2].strip(), where, "withdrawal") if width == 3 else None
+        inflow = _as_finite_float(row[1].strip(), DatasetError, "{}: inflow", where)
+        withdrawal = None
+        if width == 3:
+            withdrawal = _as_finite_float(row[2].strip(), DatasetError, "{}: withdrawal", where)
         checked.append((where, name, inflow, withdrawal))
     return _build_dataset(checked)
 
@@ -306,7 +297,7 @@ def _json_number(entry: dict, field: str, where: str) -> float:
     value = entry[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DatasetError(f"{where}: {field} must be a number, got {value!r}")
-    return _parse_number(value, where, field)
+    return _as_finite_float(value, DatasetError, "{}: {}", where, field)
 
 
 def load_dataset(source: str | io.TextIOBase, format: str) -> BasinDataset:
@@ -336,7 +327,7 @@ def read_dataset(path) -> BasinDataset:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # the second is a ValueError
         raise DatasetError(f"cannot read {path}: {exc}") from None
     return load_dataset(text, fmt)
 
@@ -356,16 +347,18 @@ def dump_dataset(dataset: BasinDataset, format: str) -> str:
     it holds a comma, a quote, "\n" or "\r" (`_csv_field`): the bytes of
     `csv.writer` with minimal quoting, except that a name holding "\r" is
     quoted, as the loader needs.  The loader strips the whitespace around
-    each field, so the CSV form refuses a name that starts or ends with
-    whitespace, naming it; the JSON form carries every name.
+    each field, and Python 3.10's `csv` reads no NUL, quoted or not, so the
+    CSV form refuses a name that starts or ends with whitespace or holds a
+    NUL, naming it; the JSON form carries every name.
     """
     fmt = format.strip().casefold()
     if fmt == "csv":
         names = dataset.names
-        if any(map(ne, names, map(str.strip, names))):
-            name = next(name for name in names if name != name.strip())
+        if any(map(ne, names, map(str.strip, names))) or "\0" in "".join(names):
+            name = next(name for name in names if name != name.strip() or "\0" in name)
+            fault = "starts or ends with whitespace" if name != name.strip() else "holds a NUL"
             raise DatasetError(
-                f"agent name {name!r} starts or ends with whitespace, which the CSV form"
+                f"agent name {name!r} {fault}, which the CSV form"
                 " does not keep; dump the dataset as JSON"
             )
         names = map(_csv_field, names)

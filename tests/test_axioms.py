@@ -17,6 +17,7 @@ from rivershare.axioms import (
     _below,
     _draw,
     _order_detail,
+    _upstream_detail,
     check_downstream_impartiality,
     check_equal_treatment_source,
     check_equal_treatment_upstream_total,
@@ -89,6 +90,22 @@ class TestUpstreamInvariance:
         with pytest.raises(DimensionError):
             check_upstream_invariance(RuleSpec.shapley(), (1, 2), 5, 1.0)
 
+    def test_a_rule_that_moves_an_upstream_agent_is_caught(self):
+        # no retention rule violates this axiom, so a stub does: every
+        # agent gets the mean inflow
+        class EqualSplit:
+            def label(self) -> str:
+                return "equal-split"
+
+            def apply(self, e):
+                return core.Allocation([e.total / len(e)] * len(e))
+
+        assert not check_upstream_invariance(EqualSplit(), (3, 3, 3), 2, 3.0)
+        found = _upstream_detail(EqualSplit(), (3, 3, 3), 2, 3.0)
+        assert (found.axiom, found.rule) == (Axiom.UPSTREAM_INVARIANCE, "equal-split")
+        assert found.inputs == (("e", (3.0, 3.0, 3.0)), ("position", 2), ("delta", 3.0))
+        assert found.violation == "agent 0 is upstream of 2 but moved from 3.0 to 4.0"
+
 
 @pytest.mark.parametrize("check", [check_upstream_invariance, check_downstream_impartiality])
 @pytest.mark.parametrize(
@@ -135,6 +152,21 @@ class TestDownstreamImpartiality:
         ]
         for rule in rules:
             assert check_downstream_impartiality(rule, (1, 5, 7, 2, 9), 1, 3.0, strict=True)
+
+
+def test_two_profiles_must_describe_the_same_river():
+    for check in (check_equal_treatment_source, check_equal_treatment_upstream_total):
+        args = (0,) if check is check_equal_treatment_upstream_total else ()
+        with pytest.raises(DimensionError) as caught:
+            check(RuleSpec.shapley(), (1, 2), (1, 2, 3), *args)
+        assert str(caught.value) == "both profiles must describe the same river"
+
+
+def test_a_pinned_rule_refuses_another_agent_count():
+    rule = RuleSpec.retention_rule((0.5, 0.5))
+    with pytest.raises(DimensionError) as caught:
+        check_source_shape(rule, 0, Axiom.BALANCE, 4)
+    assert str(caught.value) == "rule is pinned to 3 agents, agent_count=4 given"
 
 
 class TestOrderPreservation:

@@ -162,6 +162,21 @@ def test_allocate_rejects_bad_input(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_allocate_with_shares_for_another_river_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "allocate", "--dataset", "nile", "--rule", "alpha:0.5,0.5")
+    assert (code, out) == (1, "")
+    assert err == "error: 2 retention shares imply 3 agents, but the profile has 5\n"
+
+
+def test_dataset_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"agent,inflow\nA\xe9,1\nB,2\n")
+    code, out, err = run_cli(capsys, "allocate", "--dataset", str(path), "--rule", "nt")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+    assert len(err.splitlines()) == 1
+
+
 def test_allocate_overflowing_total_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "allocate", "--inflows", "1e308,1e308", "--rule", "shapley")
     assert code == 1
@@ -387,6 +402,59 @@ def test_fit_writes_distance_curve(capsys, tmp_path):
     assert float(last[1]) == pytest.approx(92.79, abs=0.01)
 
 
+NILE_FIT_TEXT = {
+    "compromise": """\
+family: compromise
+parameter: 0.0674
+residual distance: 13.3413
+distance integral: 46.5797
+agent        observed  fitted   lower    upper    status
+-----------  --------  -------  -------  -------  -----------
+Tanzania     5.4033    1.1322   0.0000   16.8000  legitimate
+Uganda       0.6676    5.0087   4.2000   16.2000  below-lower
+South Sudan  0.6885    10.1392  9.6000   17.6000  below-lower
+Sudan        28.0910   21.5608  18.4000  65.3000  legitimate
+Egypt        81.0497   78.0590  0.0000   83.7000  legitimate
+""",
+    "partial": """\
+family: partial
+parameter: 0.0000 (clipped from -1.3435)
+residual distance: 64.7356
+distance integral: 78.3250
+agent        observed  fitted   lower    upper    status
+-----------  --------  -------  -------  -------  -----------
+Tanzania     5.4033    0.0000   0.0000   16.8000  legitimate
+Uganda       0.6676    8.2500   8.2500   16.2000  below-lower
+South Sudan  0.6885    17.0500  17.0500  17.6000  below-lower
+Sudan        28.0910   61.6250  61.6250  65.3000  below-lower
+Egypt        81.0497   28.9750  0.0000   28.9750  above-upper
+""",
+}
+
+
+@pytest.mark.parametrize("family", ["compromise", "partial"])
+def test_fit_nile_text_is_pinned(capsys, family):
+    # four decimals, so unlike the JSON floats no last-bit libm difference shows
+    assert run_cli(capsys, "fit", "--dataset", "nile", "--family", family) == (0, NILE_FIT_TEXT[family], "")
+
+
+def test_fit_on_a_degenerate_family_says_so(capsys, tmp_path):
+    # with no inflow upstream, full transfer and no transfer coincide
+    path = tmp_path / "degenerate.csv"
+    path.write_text("agent,inflow,withdrawal\nA,0,1\nB,5,2\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fit", "--dataset", str(path), "--family", "compromise")
+    assert code == 0
+    assert "family is degenerate: both endpoints coincide\n" in out
+
+
+def test_fit_curve_into_a_missing_directory_is_one_error_line(capsys, tmp_path):
+    curve = tmp_path / "missing" / "curve.csv"
+    code, out, err = run_cli(capsys, "fit", "--dataset", "nile", "--family", "compromise", "--curve", str(curve))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write curve to {curve}: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -562,6 +630,34 @@ def test_case_study_passes_and_reports(capsys):
     assert code == 0
     assert "all 19 reference checks passed" in out
     assert "Tanzania" in out and "shapley" in out
+
+
+CASE_STUDY_TEXT = """\
+Nile basin allocation study
+
+agent        observed  eft      compromise:0.5  nt       partial:0.5  ept      shapley
+-----------  --------  -------  --------------  -------  -----------  -------  -------
+Tanzania     5.4000    0.0000   8.4000          16.8000  8.4000       0.0000   3.3600
+Uganda       0.7000    4.2000   10.2000         16.2000  12.2250      8.2500   7.4100
+South Sudan  0.7000    9.6000   13.6000         17.6000  17.3250      17.0500  13.2767
+Sudan        28.1000   18.4000  41.8500         65.3000  63.4625      61.6250  45.9267
+Egypt        81.0000   83.7000  41.8500         0.0000   14.4875      28.9750  45.9267
+
+compromise fit: parameter 0.0679, allocation ('1.1409', '5.0149', '10.1433', '21.5851', '78.0158')
+partial fit: parameter 0.0000 (clipped from -1.3421)
+distance integrals: compromise 46.5283, partial 78.2717
+legitimacy (compromise): Tanzania: legitimate, Uganda: below-lower, South Sudan: below-lower, \
+Sudan: legitimate, Egypt: legitimate
+legitimacy (partial): Tanzania: legitimate, Uganda: below-lower, South Sudan: below-lower, \
+Sudan: below-lower, Egypt: above-upper
+observed shares: Tanzania 4.7%, Uganda 0.6%, South Sudan 0.6%, Sudan 24.2%, Egypt 69.9%
+
+all 19 reference checks passed
+"""
+
+
+def test_case_study_text_is_pinned(capsys):
+    assert run_cli(capsys, "case-study") == (0, CASE_STUDY_TEXT, "")
 
 
 def test_case_study_json_payload(capsys):

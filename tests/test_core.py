@@ -53,6 +53,7 @@ from rivershare.axioms import (
     check_equal_treatment_upstream_total,
     check_order_preservation,
     check_scale_invariance,
+    check_source_shape,
     check_upstream_invariance,
 )
 from rivershare.data_io import BasinDataset, normalize_withdrawals
@@ -956,6 +957,49 @@ def test_every_scalar_parameter_is_one_parameter_error(what, call, value, wordin
         assert message == "rule 'compromise' needs a weight in [0, 1]"
     else:
         assert message == f"{what} {wording}"
+
+
+_THREE = InflowProfile((1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "what,value,call",
+    [
+        pytest.param("position", 1.5, lambda: _THREE.bumped(1.5, 1.0), id="bumped"),
+        pytest.param("position", True, lambda: _THREE.bumped(True, 1.0), id="bumped-bool"),
+        pytest.param(
+            "position", 1.5,
+            lambda: check_upstream_invariance(RuleSpec.shapley(), _THREE, 1.5, 1.0),
+            id="check_upstream_invariance",
+        ),
+        pytest.param(
+            "position", 1.5,
+            lambda: check_downstream_impartiality(RuleSpec.shapley(), _THREE, 1.5, 1.0),
+            id="check_downstream_impartiality",
+        ),
+        pytest.param(
+            "position", 2.0,
+            lambda: check_equal_treatment_upstream_total(RuleSpec.shapley(), _THREE, _THREE, 2.0),
+            id="check_equal_treatment_upstream_total",
+        ),
+        pytest.param(
+            "position", 1.0,
+            lambda: check_source_shape(RuleSpec.shapley(), 1.0, Axiom.BALANCE, 4),
+            id="check_source_shape-position",
+        ),
+        pytest.param(
+            "agent_count", 4.0,
+            lambda: check_source_shape(RuleSpec.shapley(), 1, Axiom.BALANCE, 4.0),
+            id="check_source_shape-agent_count",
+        ),
+        pytest.param("n", 3.0, lambda: shapley_shares(3.0), id="shapley_shares"),
+        pytest.param("n", True, lambda: RuleSpec.shapley().shares(True), id="shares-bool"),
+    ],
+)
+def test_positions_and_agent_counts_must_be_integers(what, value, call):
+    with pytest.raises(ParameterError) as caught:
+        call()
+    assert str(caught.value) == f"{what} must be an integer, got {value!r}"
 
 
 def test_tolerance_floor_is_the_smallest_normal_float():

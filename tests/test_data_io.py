@@ -367,23 +367,29 @@ def reference_csv(ds: BasinDataset) -> str:
 
 
 # names built from the characters CSV has to quote or strip
-_csv_name = st.text(alphabet=st.sampled_from(',"\r\n ab'), min_size=1, max_size=6).filter(str.strip)
+_csv_name = st.text(alphabet=st.sampled_from(',"\r\n ab\x00'), min_size=1, max_size=6).filter(str.strip)
 
 
 @settings(deadline=None)
 @example(names=["a\rb", "c"], with_w=True)
 @example(names=[" a", "b"], with_w=False)
+@example(names=["a\x00b", "c"], with_w=False)
 @given(names=st.lists(_csv_name, min_size=2, max_size=6, unique=True), with_w=st.booleans())
 def test_csv_dump_round_trips_or_names_the_agent_it_cannot_carry(names, with_w):
     n = len(names)
     withdrawals = tuple(float(k) for k in range(n)) if with_w else None
     ds = BasinDataset(tuple(names), InflowProfile([0.1 * k for k in range(n)]), withdrawals)
     assert load_dataset(dump_dataset(ds, "json"), "json") == ds
-    spaced = [name for name in names if name != name.strip()]
-    if spaced:
+    # the CSV loader strips each field, and Python 3.10's csv reads no NUL
+    refused = [name for name in names if name != name.strip() or "\x00" in name]
+    if refused:
+        name = refused[0]
+        fault = "starts or ends with whitespace" if name != name.strip() else "holds a NUL"
         with pytest.raises(DatasetError) as caught:
             dump_dataset(ds, "csv")
-        assert str(caught.value).startswith(f"agent name {spaced[0]!r} starts or ends with whitespace")
+        assert str(caught.value) == (
+            f"agent name {name!r} {fault}, which the CSV form does not keep; dump the dataset as JSON"
+        )
         return
     text = dump_dataset(ds, "csv")
     assert load_dataset(text, "csv") == ds
@@ -420,6 +426,19 @@ def test_read_dataset_missing_file(tmp_path):
     with pytest.raises(DatasetError) as err:
         read_dataset(tmp_path / "nope.csv")
     assert "cannot read" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "name,data",
+    [("latin1.csv", b"agent,inflow\nA\xe9,1\nB,2\n"), ("latin1.json", b'{"agents": [{"name": "A\xe9"}]}')],
+    ids=["csv", "json"],
+)
+def test_read_dataset_that_is_not_utf8_is_one_dataset_error(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(DatasetError) as err:
+        read_dataset(path)
+    assert str(err.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
 
 
 # ---------------------------------------------------------------------------
