@@ -54,6 +54,7 @@ from .core import (
     ParameterError,
     RuleKind,
     RuleSpec,
+    _check_int,
     _check_weight,
     _checked_floats,
     _Record,
@@ -260,7 +261,7 @@ _MAX_NODES = 1024
 
 
 def _check_nodes(nodes, most: int = _MAX_NODES) -> None:
-    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1:
+    if _check_int(nodes, "nodes") < 1:
         raise ParameterError(f"nodes must be a positive integer, got {nodes!r}")
     if nodes > most:
         raise ParameterError(f"nodes must be at most {most}, got {nodes}")
@@ -640,11 +641,7 @@ def nile_case_study(reporting_decimals: int | None = 1, nodes: int = 64) -> Case
     same profiles with 2 * `nodes`-point Gauss-Legendre, and the
     `quadrature:*` checks compare the two.
     """
-    if reporting_decimals is not None and (
-        not isinstance(reporting_decimals, int)
-        or isinstance(reporting_decimals, bool)
-        or reporting_decimals < 0
-    ):
+    if reporting_decimals is not None and _check_int(reporting_decimals, "reporting_decimals") < 0:
         raise ParameterError(
             f"reporting_decimals must be a non-negative integer or None, got {reporting_decimals!r}"
         )

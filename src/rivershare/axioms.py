@@ -392,6 +392,8 @@ def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, 
     The hypothesis asks the downstream inflows to be pairwise equal;
     instances that fail it count as (vacuous) passes.  With strict=True the
     hypothesis is dropped and equal gains are demanded on every profile.
+    The suites and the search draw only instances that meet the hypothesis,
+    so the two modes agree on all of them.
     """
     return _downstream_detail(rule, e, position, delta, tol, strict) is None
 
@@ -476,7 +478,7 @@ def _downstream_instance(rng: random.Random, n: int) -> tuple:
     # choice([0.0, uniform(0, M)]) drew the uniform before the index
     drawn = _MAGNITUDE * random_()
     tail_value = drawn if _below(rng, 2) else 0.0
-    values += [tail_value] * (n - position - 1)
+    values += [tail_value] * (n - position - 1)  # a constant tail: the hypothesis holds
     return _profile_of_floats(tuple(values)), position, _positive(rng)
 
 
@@ -535,18 +537,17 @@ def _library_profiles(n: int) -> list[InflowProfile]:
 
 class _Case(_Record):
     """One axiom: `generate(rng, n)` draws an instance for n agents, checked
-    by `detail(rule, *instance, *trailing(tol, strict_impartiality))`, and
-    `directed(n, _library_profiles(n))` yields the search's fixed cases."""
+    by `detail(rule, *instance, tol)`, and `directed(n, _library_profiles(n))`
+    yields the search's fixed cases."""
 
-    __slots__ = _fields = ("generate", "detail", "directed", "trailing")
-    _defaults = {"trailing": lambda tol, strict: (tol,)}
+    __slots__ = _fields = ("generate", "detail", "directed")
 
 
 def _source_shape_case(shape: Axiom) -> _Case:
     return _Case(
-        _source_instance, _source_shape_profile_detail,
+        _source_instance,
+        lambda rule, e, position, tol: _source_shape_profile_detail(rule, e, position, shape, tol),
         lambda n, profiles: ((profiles[position], position) for position in range(n - 1)),
-        lambda tol, strict: (shape, tol),
     )
 
 
@@ -567,7 +568,6 @@ _CASES = {
             (e, position, 1.0)
             for e in profiles for position in range(n - 1) if _tail_is_constant(e, position)
         ),
-        lambda tol, strict: (tol, strict),
     ),
     Axiom.ORDER_PRESERVATION: _Case(
         _order_instance, _order_detail, lambda n, profiles: ((e,) for e in profiles)
@@ -622,7 +622,6 @@ def run_axiom_suite(
     trials: int,
     seed: int,
     n_range: tuple[int, int] = (2, 10),
-    strict_impartiality: bool = False,
     tol: float | None = None,
 ) -> list[AxiomReport]:
     """Check `rule` against each axiom on `trials` random conforming instances.
@@ -646,7 +645,6 @@ def run_axiom_suite(
             continue
         case = requested[axiom]
         generate, detail = case.generate, case.detail
-        trailing = case.trailing(tol, strict_impartiality)
         key = f"{seed}|{label}|{axiom.value}|"
         violations = 0
         first = None
@@ -654,7 +652,7 @@ def run_axiom_suite(
             for attempt in range(64):
                 instance = _draw(rng, f"{key}{trial}|{attempt}", generate, fixed_n, lo, hi)
                 try:
-                    counterexample = detail(rule, *instance, *trailing)
+                    counterexample = detail(rule, *instance, tol)
                 except HypothesisNotMet:
                     continue  # regenerate; conforming generators make this rare
                 break
@@ -684,7 +682,6 @@ def find_counterexample(
     seed: int = 0,
     random_trials: int = 2000,
     tol: float | None = None,
-    strict_impartiality: bool = False,
 ) -> Counterexample | None:
     """Search for an instance violating `axiom`, adversarial cases first.
 
@@ -694,7 +691,6 @@ def find_counterexample(
     generators.  Returns None when nothing is found.
     """
     case = _case(axiom)
-    trailing = case.trailing(tol, strict_impartiality)
     lo, hi = _n_range(n_range)
     fixed_n = rule.fixed_agent_count
     key = f"{seed}|find|{rule.label()}|{axiom.value}|"
@@ -708,7 +704,7 @@ def find_counterexample(
 
     for instance in instances():
         try:
-            found = case.detail(rule, *instance, *trailing)
+            found = case.detail(rule, *instance, tol)
         except HypothesisNotMet:
             continue
         if found is not None:

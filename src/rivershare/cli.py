@@ -49,15 +49,15 @@ def _resolve_dataset(name: str) -> BasinDataset:
     return read_dataset(name)
 
 
-def _load_profile(args) -> tuple[BasinDataset | None, InflowProfile, tuple[str, ...]]:
+def _load_profile(args) -> tuple[InflowProfile, tuple[str, ...]]:
     if args.inflows is not None and args.dataset is not None:
         raise ParameterError("pass either --inflows or --dataset, not both")
     if args.inflows is not None:
         e = InflowProfile(args.inflows.split(","))
-        return None, e, tuple(f"agent {i}" for i in range(len(e)))
+        return e, tuple(f"agent {i}" for i in range(len(e)))
     if args.dataset is not None:
         dataset = _resolve_dataset(args.dataset)
-        return dataset, dataset.inflows, dataset.names
+        return dataset.inflows, dataset.names
     raise ParameterError("one of --inflows or --dataset is required")
 
 
@@ -111,7 +111,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
 
 def cmd_allocate(args) -> int:
     rule = parse_rule(args.rule)
-    dataset, e, names = _load_profile(args)
+    e, names = _load_profile(args)
     allocation = rule.apply(e)
     verdict = validate_allocation(e, allocation, tol=args.tolerance)
     record = run_record(
@@ -175,7 +175,6 @@ def cmd_axioms(args) -> int:
         trials=args.trials,
         seed=args.seed,
         n_range=(args.min_agents, args.max_agents),
-        strict_impartiality=args.strict_impartiality,
         tol=args.tolerance,
     )
     violations = sum(r.violations for r in reports)
@@ -186,7 +185,6 @@ def cmd_axioms(args) -> int:
             "axioms": [a.value for a in chosen],
             "trials": args.trials,
             "agents": [args.min_agents, args.max_agents],
-            "strict_impartiality": args.strict_impartiality,
             "tolerance": args.tolerance,
         },
         outputs={
@@ -393,11 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=0, help="base seed for the trial generator")
     suite.add_argument("--min-agents", type=int, default=2)
     suite.add_argument("--max-agents", type=int, default=10)
-    suite.add_argument(
-        "--strict-impartiality",
-        action="store_true",
-        help="require strict equality in the downstream impartiality check",
-    )
     common(suite)
     suite.set_defaults(handler=cmd_axioms)
 

@@ -387,8 +387,6 @@ class ObservedAllocation(_FloatVector, values="amounts"):
 def as_observed(z) -> ObservedAllocation:
     if isinstance(z, ObservedAllocation):
         return z
-    if isinstance(z, Allocation):
-        return ObservedAllocation(z.amounts)
     return ObservedAllocation(tuple(z))
 
 

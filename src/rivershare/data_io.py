@@ -47,14 +47,13 @@ class DatasetError(RiverShareError):
 class BasinDataset(_Record):
     """Named agents along one river, their inflows as an `InflowProfile`, and optional withdrawals."""
 
-    __slots__ = _fields = ("names", "inflows", "withdrawals", "units")
+    __slots__ = _fields = ("names", "inflows", "withdrawals")
 
     def __init__(
         self,
         names: tuple[str, ...],
         inflows: InflowProfile,
         withdrawals: tuple[float, ...] | None = None,
-        units: str = "km³/year",
     ):
         inflows = as_profile(inflows)
         if len(names) != len(inflows):
@@ -66,7 +65,7 @@ class BasinDataset(_Record):
             withdrawals, _ = _checked_floats(withdrawals, "withdrawal", DatasetError, True)
             if len(withdrawals) != len(inflows):
                 raise DimensionError(f"{len(withdrawals)} withdrawals for {len(inflows)} inflows")
-        _Record.__init__(self, names, inflows, withdrawals, units)
+        _Record.__init__(self, names, inflows, withdrawals)
 
     def __len__(self) -> int:
         return len(self.inflows)
@@ -217,9 +216,7 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 def _decode_json(text):
     """`json.loads(text, parse_constant=_reject_constant)` on `_DECODER`,
     with the one parse error `json` leaves unworded made a DatasetError."""
-    if not isinstance(text, str):
-        text = text.decode(json.detect_encoding(text), "surrogatepass")
-    elif text.startswith("\ufeff"):
+    if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
         return _DECODER.decode(text)
@@ -301,12 +298,21 @@ def _json_number(entry: dict, field: str, where: str) -> float:
 
 
 def load_dataset(source: str | io.TextIOBase, format: str) -> BasinDataset:
-    """Parse a dataset from text or a readable stream.
+    """Parse a dataset from text or a readable text stream.
 
     `format` is "csv" or "json".  Errors carry the offending line (CSV) or
-    array index (JSON).
+    array index (JSON).  A stream that fails to read or decode, or that
+    gives anything but text, is a DatasetError "cannot read the dataset
+    stream: ...".
     """
-    text = source if isinstance(source, str) else source.read()
+    text = source
+    if not isinstance(source, str):
+        try:
+            text = source.read()
+        except (OSError, UnicodeDecodeError) as exc:  # the second is a ValueError
+            raise DatasetError(f"cannot read the dataset stream: {exc}") from None
+    if not isinstance(text, str):
+        raise DatasetError(f"cannot read the dataset stream: it gives {type(text).__name__}, not text")
     fmt = format.strip().casefold()
     if fmt == "csv":
         return _load_csv(text)

@@ -601,9 +601,9 @@ def test_integral_rejects_bad_nodes(forbid_node_rule):
 def test_integral_rejects_bool_nodes(forbid_node_rule):
     # True is an int, and would run a one-node rule
     for nodes in (True, False):
-        with pytest.raises(ParameterError, match="nodes must be a positive integer"):
+        with pytest.raises(ParameterError, match=f"^nodes must be an integer, got {nodes}$"):
             integrate_distance(NILE.inflows, NILE_Z, Family.COMPROMISE, nodes=nodes)
-        with pytest.raises(ParameterError, match="nodes must be a positive integer"):
+        with pytest.raises(ParameterError, match=f"^nodes must be an integer, got {nodes}$"):
             nile_case_study(nodes=nodes)
 
 

@@ -14,6 +14,8 @@ from rivershare.axioms import (
     Axiom,
     AxiomReport,
     HypothesisNotMet,
+    _CASES,
+    _Case,
     _below,
     _draw,
     _order_detail,
@@ -152,6 +154,27 @@ class TestDownstreamImpartiality:
         ]
         for rule in rules:
             assert check_downstream_impartiality(rule, (1, 5, 7, 2, 9), 1, 3.0, strict=True)
+
+    def test_strict_mode_flags_what_the_hypothesis_excuses(self):
+        # no retention rule fails strict mode, so a stub does: every agent
+        # gets the total in proportion to its own inflow plus one, and the
+        # downstream gains follow the unequal tail (2, 4, 1)
+        class Proportional:
+            def label(self) -> str:
+                return "proportional"
+
+            def apply(self, e):
+                weights = [v + 1.0 for v in e.inflows]
+                return core.Allocation([e.total * w / math.fsum(weights) for w in weights])
+
+        e = (1.0, 2.0, 4.0, 1.0)
+        assert check_downstream_impartiality(Proportional(), e, 0, 3.0)
+        assert not check_downstream_impartiality(Proportional(), e, 0, 3.0, strict=True)
+        # on a constant tail both modes check the same equal gains
+        for strict in (False, True):
+            assert check_downstream_impartiality(
+                Proportional(), (1.0, 2.0, 2.0, 2.0), 0, 3.0, strict=strict
+            )
 
 
 def test_two_profiles_must_describe_the_same_river():
@@ -404,6 +427,23 @@ class TestRunAxiomSuite:
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
             AxiomReport(Axiom.BALANCE, "nt", trials=10, violations=3, rng_seed=0)
+        for violations in (-1, 11):
+            with pytest.raises(ValueError, match=r"^violations must lie in \[0, trials\]$"):
+                AxiomReport(Axiom.BALANCE, "nt", trials=10, violations=violations, rng_seed=0)
+
+    def test_suite_gives_up_after_64_regenerations(self, monkeypatch):
+        attempts = []
+
+        def never_conforms(rule, *instance):
+            attempts.append(instance)
+            raise HypothesisNotMet("never")
+
+        case = _CASES[Axiom.BALANCE]
+        monkeypatch.setitem(_CASES, Axiom.BALANCE, _Case(case.generate, never_conforms, case.directed))
+        with pytest.raises(RuntimeError) as caught:
+            run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], 5, seed=1)
+        assert str(caught.value) == f"could not generate a conforming instance for {Axiom.BALANCE}"
+        assert len(attempts) == 64
 
     def test_shapley_structural_axioms_and_balance(self):
         reports = run_axiom_suite(
@@ -573,11 +613,11 @@ GOLDEN_RULES = (
     "partial:0.3",
     "alpha:0.9,0.1,0.5,0.3,0.25,0.75,0.0",
 )
-GOLDEN_SUITES = (  # (n_range, strict_impartiality, tol)
-    ((2, 10), False, None),
-    ((2, 40), False, None),
-    ((2, 40), True, None),
-    ((2, 40), False, 1e-12),
+GOLDEN_SUITES = (  # (n_range, tol); rows 2 and 3 are one suite, and the digests hash both
+    ((2, 10), None),
+    ((2, 40), None),
+    ((2, 40), None),
+    ((2, 40), 1e-12),
 )
 GOLDEN_SUITE_DIGESTS = (
     "ed161ac52d23a11d3cbc53ed13973c8c4c2a10e2c99eea615187feb9263c229c",
@@ -613,12 +653,9 @@ def test_golden_suite_stream():
     records = []
     applied = hashlib.sha256()
     for label in GOLDEN_RULES:
-        for n_range, strict, tol in GOLDEN_SUITES:
+        for n_range, tol in GOLDEN_SUITES:
             rule = _RecordingRule(parse_rule(label))
-            reports = run_axiom_suite(
-                rule, list(Axiom), 40, seed=2024, n_range=n_range,
-                strict_impartiality=strict, tol=tol,
-            )
+            reports = run_axiom_suite(rule, list(Axiom), 40, seed=2024, n_range=n_range, tol=tol)
             records.append([report.to_dict() for report in reports])
             applied.update(rule.applied.digest())
     assert (_json_digest(records), applied.hexdigest()) == GOLDEN_SUITE_DIGESTS
@@ -629,11 +666,9 @@ def test_golden_find_stream():
     applied = hashlib.sha256()
     for label in GOLDEN_RULES:
         for axiom in Axiom:
-            for tol, strict in ((None, False), (1e-12, True)):
+            for tol in (None, 1e-12):
                 rule = _RecordingRule(parse_rule(label))
-                found = find_counterexample(
-                    rule, axiom, seed=9, random_trials=60, tol=tol, strict_impartiality=strict
-                )
+                found = find_counterexample(rule, axiom, seed=9, random_trials=60, tol=tol)
                 records.append(None if found is None else found.to_dict())
                 applied.update(rule.applied.digest())
     assert (_json_digest(records), applied.hexdigest()) == GOLDEN_FIND_DIGESTS

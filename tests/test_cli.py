@@ -997,7 +997,6 @@ def fuzz_grammar(tmp_path_factory):
             "--seed": (["0", "7"], ["x"]),
             "--min-agents": (["2", "3"], ["0", "x"]),
             "--max-agents": (["2", "5", "10"], ["100000", "x"]),
-            "--strict-impartiality": None,
             "--tolerance": _TOLERANCES,
             "--json": None,
         },

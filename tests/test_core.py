@@ -862,6 +862,37 @@ def test_rule_spec_parameter_checks():
     assert RuleSpec.retention_rule((0.25, 0.5)).fixed_agent_count == 3
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (
+            lambda: RuleSpec(RuleKind.COMPROMISE, 0.5, retention=RetentionShares((0.5,))),
+            ParameterError,
+            "rule 'compromise' takes no retention shares",
+        ),
+        (
+            lambda: RuleSpec(RuleKind.RETENTION, weight=0.5, retention=RetentionShares((0.5,))),
+            ParameterError,
+            "rule 'alpha' takes no scalar weight",
+        ),
+        (lambda: RuleSpec.shapley().shares(1), DimensionError, "need n >= 2, got 1"),
+    ],
+    ids=["weighted-with-shares", "alpha-with-weight", "one-agent-shares"],
+)
+def test_rule_spec_refuses_parameters_it_cannot_use(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_an_allocation_observed_is_checked_as_any_vector():
+    # an Allocation may hold a negative amount; as an observation it may not
+    assert core.as_observed(Allocation((1.0, 0.5))) == ObservedAllocation((1.0, 0.5))
+    with pytest.raises(RiverShareError) as caught:
+        core.as_observed(Allocation((1.0, -0.5)))
+    assert str(caught.value) == "observed amount at position 1 must be >= 0, got -0.5"
+
+
 def test_allocation_helpers():
     x = Allocation((1.0, 2.0))
     assert len(x) == 2 and x[1] == 2.0 and list(x) == [1.0, 2.0]

@@ -56,7 +56,6 @@ def test_builtin_nile_contents():
     # the five withdrawal entries as published; their sum is 111.11 even
     # though 110.9 shows up in some summaries of the same figures
     assert math.fsum(ds.withdrawals) == pytest.approx(111.11, abs=1e-9)
-    assert ds.units == "km³/year"
 
 
 def test_builtin_nile_normalization_close_to_reported():
@@ -241,6 +240,9 @@ def test_load_json_rejects_integers_out_of_range(payload, message):
 def test_unknown_format_rejected():
     with pytest.raises(DatasetError):
         load_dataset(GOOD_CSV, "tsv")
+    with pytest.raises(DatasetError) as err:
+        dump_dataset(builtin_nile(), "xml")
+    assert str(err.value) == "unknown dataset format 'xml', expected csv or json"
 
 
 def test_load_from_stream():
@@ -248,6 +250,24 @@ def test_load_from_stream():
 
     ds = load_dataset(io.StringIO(GOOD_CSV), "csv")
     assert ds.names == ("A", "B", "C")
+
+
+def test_a_stream_that_fails_to_decode_is_one_dataset_error():
+    stream = io.TextIOWrapper(io.BytesIO(b"agent,inflow\nA\xe9,1\n"), encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(stream, "csv")
+    assert str(err.value).startswith(
+        "cannot read the dataset stream: 'utf-8' codec can't decode byte 0xe9"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_binary_stream_is_refused_in_every_format(fmt):
+    text = dump_dataset(load_dataset(GOOD_CSV, "csv"), fmt)
+    with pytest.raises(DatasetError) as err:
+        load_dataset(io.BytesIO(text.encode()), fmt)
+    assert str(err.value) == "cannot read the dataset stream: it gives bytes, not text"
+    assert load_dataset(io.StringIO(text), fmt) == load_dataset(GOOD_CSV, "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +518,8 @@ def test_basin_dataset_messages():
 def test_len_and_units():
     ds = load_dataset(GOOD_CSV, "csv")
     assert len(ds) == 3
-    assert ds.units == "km³/year"
+    # no loader reads a unit and no dump writes one, so a dataset holds none
+    assert not hasattr(ds, "units")
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +602,7 @@ def _walked(text: str, fmt: str):
 def _bits(ds: BasinDataset) -> tuple:
     """Every field of `ds`, with each float as its bit pattern."""
     hexed = (lambda values: None if values is None else tuple(map(float.hex, values)))
-    return (ds.__class__, ds.names, hexed(ds.inflows.inflows), hexed(ds.withdrawals), ds.units)
+    return (ds.__class__, ds.names, hexed(ds.inflows.inflows), hexed(ds.withdrawals))
 
 
 def _outcome(load):

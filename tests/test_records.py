@@ -148,9 +148,9 @@ RECORDS = {
     "BasinDataset": (
         lambda: BasinDataset(("A", "B"), InflowProfile((3.0, 1.0)), (1, 2)),
         lambda: BasinDataset(("A", "B"), InflowProfile((3.0, 1.0))),
-        ("names", "inflows", "withdrawals", "units"),
+        ("names", "inflows", "withdrawals"),
         "BasinDataset(names=('A', 'B'), inflows=InflowProfile(inflows=(3.0, 1.0)), "
-        "withdrawals=(1.0, 2.0), units='km³/year')",
+        "withdrawals=(1.0, 2.0))",
     ),
     "Counterexample": (
         _counterexample,
@@ -311,7 +311,7 @@ DEFAULTS = {
     "RuleSpec": (lambda: RuleSpec(RuleKind.SHAPLEY), {"weight": None, "retention": None}),
     "BasinDataset": (
         lambda: BasinDataset(("A", "B"), InflowProfile((3.0, 1.0))),
-        {"withdrawals": None, "units": "km³/year"},
+        {"withdrawals": None},
     ),
     "AxiomReport": (
         lambda: AxiomReport(Axiom.BALANCE, "shapley", 10, 0, 7), {"first_counterexample": None}
