@@ -206,17 +206,10 @@ class FitResult(_Record):
         "clipped", "unconstrained_parameter", "degenerate",
     )
     _defaults = {"degenerate": False}
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "parameter": self.parameter_star,
-            "allocation": list(self.fitted_allocation),
-            "residual": self.residual_distance,
-            "clipped": self.clipped,
-            "unconstrained_parameter": self.unconstrained_parameter,
-            "degenerate": self.degenerate,
-        }
+    _json_names = {
+        "parameter_star": "parameter", "fitted_allocation": "allocation",
+        "residual_distance": "residual",
+    }
 
 
 def fit_family(e, z, family) -> FitResult:
@@ -427,16 +420,6 @@ class LegitimacyEntry(_Record):
     def _key(self) -> tuple:
         return self._values
 
-    def to_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "position": self.position,
-            "lower": self.lower,
-            "upper": self.upper,
-            "observed": self.observed,
-            "classification": self.classification.value,
-        }
-
 
 class LegitimacyReport(_Record):
     """Every agent's legitimacy entry for one family."""
@@ -450,12 +433,6 @@ class LegitimacyReport(_Record):
     @property
     def all_legitimate(self) -> bool:
         return all(c is Legitimacy.LEGITIMATE for c in self.classifications)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
 
 
 def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
@@ -547,21 +524,6 @@ class ReferenceCheck(_Record):
 
     __slots__ = _fields = ("name", "expected", "actual", "tolerance", "ok")
 
-    def to_dict(self) -> dict:
-        expected = self.expected
-        actual = self.actual
-        if isinstance(expected, tuple):
-            expected = list(expected)
-        if isinstance(actual, tuple):
-            actual = list(actual)
-        return {
-            "name": self.name,
-            "expected": expected,
-            "actual": actual,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
-
 
 def _reference_check(name: str, expected, actual, tolerance: float | None) -> ReferenceCheck:
     """`actual` against `expected`: equal when `tolerance` is None, else
@@ -596,33 +558,26 @@ class CaseStudyResult(_Record):
         return tuple(check for check in self.checks if not check.ok)
 
     def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "inflows": list(self.inflows),
-            "withdrawals": list(self.withdrawals),
-            "observed": list(self.observed),
-            "observed_exact": list(self.observed_exact),
-            "reporting_decimals": self.reporting_decimals,
-            "table": {label: list(column) for label, column in self.table},
-            "fits": {
-                "compromise": self.compromise_fit.to_dict(),
-                "partial": self.partial_fit.to_dict(),
+        # the table's (label, column) pairs become an object, and the two
+        # families' fields are grouped under fits, integrals and legitimacy
+        data = _Record.to_dict(self)
+        pop = data.pop
+        data.update(
+            table=dict(data["table"]),
+            fits={"compromise": pop("compromise_fit"), "partial": pop("partial_fit")},
+            integrals={
+                "compromise": pop("compromise_integral"),
+                "partial": pop("partial_integral"),
+                "compromise_fine": pop("compromise_integral_fine"),
+                "partial_fine": pop("partial_integral_fine"),
             },
-            "integrals": {
-                "compromise": self.compromise_integral,
-                "partial": self.partial_integral,
-                "compromise_fine": self.compromise_integral_fine,
-                "partial_fine": self.partial_integral_fine,
+            legitimacy={
+                "compromise": pop("compromise_legitimacy"),
+                "partial": pop("partial_legitimacy"),
             },
-            "legitimacy": {
-                "compromise": self.compromise_legitimacy.to_dict(),
-                "partial": self.partial_legitimacy.to_dict(),
-            },
-            "inflow_shares": list(self.inflow_shares),
-            "observed_shares": list(self.observed_shares),
-            "checks": [check.to_dict() for check in self.checks],
-            "all_ok": self.all_ok,
-        }
+            all_ok=self.all_ok,
+        )
+        return data
 
 
 def nile_case_study(reporting_decimals: int | None = 1, nodes: int = 64) -> CaseStudyResult:

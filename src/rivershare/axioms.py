@@ -79,12 +79,11 @@ class Counterexample(_Record):
     __slots__ = _fields = ("axiom", "rule", "inputs", "allocations", "violation")
 
     def to_dict(self) -> dict:
+        # the (name, value) pairs become objects; the inputs keep their values as given
         return {
-            "axiom": self.axiom.value,
-            "rule": self.rule,
-            "inputs": {k: v for k, v in self.inputs},
+            **_Record.to_dict(self),
+            "inputs": dict(self.inputs),
             "allocations": {k: list(v) for k, v in self.allocations},
-            "violation": self.violation,
         }
 
 
@@ -115,17 +114,7 @@ class AxiomReport(_Record):
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom.value,
-            "rule": self.rule,
-            "trials": self.trials,
-            "violations": self.violations,
-            "rng_seed": self.rng_seed,
-            "passed": self.passed,
-            "first_counterexample": (
-                None if self.first_counterexample is None else self.first_counterexample.to_dict()
-            ),
-        }
+        return {**_Record.to_dict(self), "passed": self.passed}
 
 
 def _lone_inflow(n: int, position: int, value: float) -> InflowProfile:
@@ -611,6 +600,8 @@ def _draw(rng: random.Random, key: str, generate, fixed_n, lo: int, hi: int) -> 
 
 def _n_range(n_range) -> tuple[int, int]:
     lo, hi = n_range
+    _check_int(lo, "n_range start")
+    _check_int(hi, "n_range end")
     if not 2 <= lo <= hi:
         raise ParameterError(f"invalid agent count range {n_range}")
     return lo, hi
@@ -633,7 +624,7 @@ def run_axiom_suite(
     requested = {axiom: _case(axiom) for axiom in axioms}
     if not requested:
         raise ParameterError("at least one axiom is required")
-    if trials < 1:
+    if _check_int(trials, "trials") < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     lo, hi = _n_range(n_range)
     reports = []
@@ -692,6 +683,7 @@ def find_counterexample(
     """
     case = _case(axiom)
     lo, hi = _n_range(n_range)
+    _check_int(random_trials, "random_trials")
     fixed_n = rule.fixed_agent_count
     key = f"{seed}|find|{rule.label()}|{axiom.value}|"
 

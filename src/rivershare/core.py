@@ -168,15 +168,18 @@ class _Record:
     `_defaults` for trailing ones left out; a type with values to check
     checks them in bulk in its own `__init__` first.  Records of one class
     with equal fields are equal and hash alike; the repr lists the fields
-    by name.  Assigning or deleting an attribute raises AttributeError.
-    Pickling and copying save every slot, including any kept outside
-    `_fields` (such as a cached total), and restore them without running
-    `__init__`.
+    by name.  `to_dict` gives the fields as JSON data, as `--json` prints
+    them: each under its name, or under its entry in `_json_names`, and
+    converted by `_json`.  Assigning or deleting an attribute raises
+    AttributeError.  Pickling and copying save every slot, including any
+    kept outside `_fields` (such as a cached total), and restore them
+    without running `__init__`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
+    _json_names: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -209,6 +212,10 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def to_dict(self) -> dict:
+        names = self._json_names
+        return {names.get(name, name): _json(getattr(self, name)) for name in self._fields}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -265,6 +272,21 @@ class _FloatVector(_Record):
     @property
     def total(self) -> float:
         return math.fsum(self._values)
+
+
+def _json(value):
+    """`value` as JSON data: a float vector becomes a list of its floats, a
+    tuple a list of its entries' JSON data, a record its `to_dict()` and an
+    enum member its value; anything else stays as it is."""
+    if isinstance(value, _FloatVector):
+        return list(value._values)
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, _Record):
+        return value.to_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 class InflowProfile(_FloatVector, values="inflows"):

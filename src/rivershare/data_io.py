@@ -45,7 +45,10 @@ class DatasetError(RiverShareError):
 
 
 class BasinDataset(_Record):
-    """Named agents along one river, their inflows as an `InflowProfile`, and optional withdrawals."""
+    """Named agents along one river, their inflows as an `InflowProfile`, and optional withdrawals.
+
+    The names are kept as a tuple of strings, non-empty and distinct.
+    """
 
     __slots__ = _fields = ("names", "inflows", "withdrawals")
 
@@ -55,10 +58,11 @@ class BasinDataset(_Record):
         inflows: InflowProfile,
         withdrawals: tuple[float, ...] | None = None,
     ):
+        names = tuple(names)
         inflows = as_profile(inflows)
         if len(names) != len(inflows):
             raise DimensionError(f"{len(names)} names for {len(inflows)} inflows")
-        if not all(names) or len(set(names)) != len(names):
+        if set(map(type, names)) != {str} or not all(names) or len(set(names)) != len(names):
             _walk_names(names)
         if withdrawals is not None:
             # a total past the float range is allowed: only normalizing fails on it
@@ -80,10 +84,13 @@ class BasinDataset(_Record):
         return normalize_withdrawals(self.inflows, self.withdrawals)
 
 
-def _walk_names(names) -> None:
-    """Raise naming the first empty or repeated name."""
+def _walk_names(names: tuple) -> None:
+    """Raise naming the first name that is not a string, or is empty or
+    repeated."""
     seen = set()
-    for name in names:
+    for k, name in enumerate(names):
+        if not isinstance(name, str):
+            raise DatasetError(f"agent name at position {k} must be a string, got {name!r}")
         if not name:
             raise DatasetError("agent names must be non-empty")
         if name in seen:
@@ -297,28 +304,40 @@ def _json_number(entry: dict, field: str, where: str) -> float:
     return _as_finite_float(value, DatasetError, "{}: {}", where, field)
 
 
+def _dataset_format(format) -> str:
+    """`format`, "csv" or "json" in any case and with any outer whitespace,
+    as "csv" or "json"; anything else is a DatasetError naming it."""
+    fmt = format.strip().casefold() if isinstance(format, str) else None
+    if fmt not in ("csv", "json"):
+        raise DatasetError(f"unknown dataset format {format!r}, expected csv or json")
+    return fmt
+
+
 def load_dataset(source: str | io.TextIOBase, format: str) -> BasinDataset:
     """Parse a dataset from text or a readable text stream.
 
     `format` is "csv" or "json".  Errors carry the offending line (CSV) or
     array index (JSON).  A stream that fails to read or decode, or that
     gives anything but text, is a DatasetError "cannot read the dataset
-    stream: ...".
+    stream: ..."; a source that is neither text nor a stream, or a format
+    that is not a string, is a DatasetError too.
     """
     text = source
     if not isinstance(source, str):
+        read = getattr(source, "read", None)
+        if read is None:
+            raise DatasetError(
+                f"a dataset source must be text or a readable text stream, got {type(source).__name__}"
+            )
         try:
-            text = source.read()
+            text = read()
         except (OSError, UnicodeDecodeError) as exc:  # the second is a ValueError
             raise DatasetError(f"cannot read the dataset stream: {exc}") from None
     if not isinstance(text, str):
         raise DatasetError(f"cannot read the dataset stream: it gives {type(text).__name__}, not text")
-    fmt = format.strip().casefold()
-    if fmt == "csv":
+    if _dataset_format(format) == "csv":
         return _load_csv(text)
-    if fmt == "json":
-        return _load_json(text)
-    raise DatasetError(f"unknown dataset format {format!r}, expected csv or json")
+    return _load_json(text)
 
 
 def read_dataset(path) -> BasinDataset:
@@ -357,8 +376,7 @@ def dump_dataset(dataset: BasinDataset, format: str) -> str:
     CSV form refuses a name that starts or ends with whitespace or holds a
     NUL, naming it; the JSON form carries every name.
     """
-    fmt = format.strip().casefold()
-    if fmt == "csv":
+    if _dataset_format(format) == "csv":
         names = dataset.names
         if any(map(ne, names, map(str.strip, names))) or "\0" in "".join(names):
             name = next(name for name in names if name != name.strip() or "\0" in name)
@@ -377,25 +395,23 @@ def dump_dataset(dataset: BasinDataset, format: str) -> str:
             return "agent,inflow,withdrawal\n" + "".join(rows)
         rows = [f"{name},{inflow!r}\n" for name, inflow in zip(names, inflows)]
         return "agent,inflow\n" + "".join(rows)
-    if fmt == "json":
-        # the bytes of json.dumps({"agents": [...]}, indent=2), written
-        # directly: with an indent json.dumps never uses its C encoder
-        quote = json.encoder.encode_basestring_ascii
-        if dataset.has_withdrawals:
-            agents = [
-                f'    {{\n      "name": {quote(name)},\n      "inflow": {inflow!r},\n'
-                f'      "withdrawal": {withdrawal!r}\n    }}'
-                for name, inflow, withdrawal in zip(
-                    dataset.names, dataset.inflows.inflows, dataset.withdrawals
-                )
-            ]
-        else:
-            agents = [
-                f'    {{\n      "name": {quote(name)},\n      "inflow": {inflow!r}\n    }}'
-                for name, inflow in zip(dataset.names, dataset.inflows.inflows)
-            ]
-        return '{\n  "agents": [\n' + ",\n".join(agents) + "\n  ]\n}\n"
-    raise DatasetError(f"unknown dataset format {format!r}, expected csv or json")
+    # the JSON form: the bytes of json.dumps({"agents": [...]}, indent=2), written
+    # directly: with an indent json.dumps never uses its C encoder
+    quote = json.encoder.encode_basestring_ascii
+    if dataset.has_withdrawals:
+        agents = [
+            f'    {{\n      "name": {quote(name)},\n      "inflow": {inflow!r},\n'
+            f'      "withdrawal": {withdrawal!r}\n    }}'
+            for name, inflow, withdrawal in zip(
+                dataset.names, dataset.inflows.inflows, dataset.withdrawals
+            )
+        ]
+    else:
+        agents = [
+            f'    {{\n      "name": {quote(name)},\n      "inflow": {inflow!r}\n    }}'
+            for name, inflow in zip(dataset.names, dataset.inflows.inflows)
+        ]
+    return '{\n  "agents": [\n' + ",\n".join(agents) + "\n  ]\n}\n"
 
 
 def builtin_nile() -> BasinDataset:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -685,6 +686,37 @@ def test_case_study_byte_identical_across_processes(tmp_path):
     second = run_child(argv, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout.decode())["outputs"]["all_ok"] is True
+
+
+# (exit code, SHA-256 of stdout) of `--json` runs.  The floats are printed
+# in full, so a libm that rounds a last bit differently, or a new
+# `__version__`, changes a digest; a refactor must not.
+JSON_DIGESTS = {
+    ("case-study", "--json"): (
+        0, "a8ab7b811b7b5c189c03bb49fe7704395a9254f63f18e99af2315cfd4b0ab084"
+    ),
+    ("case-study", "--full-precision", "--json"): (
+        2, "f44f283e2c8f0aa852f4bac6ca194652a5f9f94b11aba079f68c09263149a5c8"
+    ),
+    ("fit", "--dataset", "nile", "--family", "compromise", "--json"): (
+        0, "cb9844829144120de9f3afbcc9cd2676262e4c6a27c603a1867953de808a712a"
+    ),
+    ("fit", "--dataset", "nile", "--family", "partial", "--json"): (
+        0, "ed367325468008658672c71e708a58645c6e89d75ef21a6c47c60e1a8f5b21d4"
+    ),
+    ("allocate", "--dataset", "nile", "--rule", "shapley", "--json"): (
+        0, "67ccf47ea0ea24595790523a76ed24dcb09aacd39f14a92a938c975454e19ad5"
+    ),
+    ("axioms", "--rule", "compromise:0.5", "--trials", "200", "--seed", "5", "--json"): (
+        2, "15d1c1016618a15e76abf6f03302d15c055aee377760ae4c458ccea0da41228e"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_DIGESTS), ids=" ".join)
+def test_json_records_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (*JSON_DIGESTS[argv], "")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

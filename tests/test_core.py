@@ -1025,6 +1025,26 @@ _THREE = InflowProfile((1.0, 2.0, 3.0))
         ),
         pytest.param("n", 3.0, lambda: shapley_shares(3.0), id="shapley_shares"),
         pytest.param("n", True, lambda: RuleSpec.shapley().shares(True), id="shares-bool"),
+        pytest.param(
+            "trials", True,
+            lambda: axioms.run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], True, 0),
+            id="run_axiom_suite-trials",
+        ),
+        pytest.param(
+            "n_range start", 2.5,
+            lambda: axioms.run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], 1, 0, (2.5, 3)),
+            id="run_axiom_suite-n_range",
+        ),
+        pytest.param(
+            "n_range end", 3.0,
+            lambda: axioms.find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, (2, 3.0)),
+            id="find_counterexample-n_range",
+        ),
+        pytest.param(
+            "random_trials", 2.5,
+            lambda: axioms.find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, random_trials=2.5),
+            id="find_counterexample-random_trials",
+        ),
     ],
 )
 def test_positions_and_agent_counts_must_be_integers(what, value, call):

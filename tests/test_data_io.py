@@ -270,6 +270,24 @@ def test_a_binary_stream_is_refused_in_every_format(fmt):
     assert load_dataset(io.StringIO(text), fmt) == load_dataset(GOOD_CSV, "csv")
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: load_dataset(GOOD_CSV.encode(), "csv"),
+         "a dataset source must be text or a readable text stream, got bytes"),
+        (lambda: load_dataset(None, "csv"),
+         "a dataset source must be text or a readable text stream, got NoneType"),
+        (lambda: load_dataset(GOOD_CSV, None), "unknown dataset format None, expected csv or json"),
+        (lambda: dump_dataset(builtin_nile(), None), "unknown dataset format None, expected csv or json"),
+    ],
+    ids=["bytes", "none-source", "none-format-load", "none-format-dump"],
+)
+def test_a_source_or_format_of_another_type_is_one_dataset_error(call, message):
+    with pytest.raises(DatasetError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -504,6 +522,8 @@ def test_basin_dataset_messages():
          (("A", "B"), profile, (-1, math.inf))),
         (DatasetError, "withdrawal at position 1 must be finite, got 'inf'",
          (("A", "B"), profile, ("0", "inf"))),
+        (DatasetError, "agent name at position 0 must be a string, got 1", ((1, 2), profile)),
+        (DatasetError, "agent name at position 1 must be a string, got ['B']", (["A", ["B"]], profile)),
     ]
     for error, message, args in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -513,6 +533,14 @@ def test_basin_dataset_messages():
     assert big.withdrawals == (1e308, 1e308)
     with pytest.raises(DatasetError, match="^withdrawal total is too large to represent as a float$"):
         big.normalized_withdrawals()
+
+
+def test_names_are_kept_as_a_tuple():
+    from_list = BasinDataset(["A", "B"], (1.0, 2.0))
+    assert from_list.names == ("A", "B")
+    assert from_list == BasinDataset(("A", "B"), (1.0, 2.0))
+    assert hash(from_list) == hash(BasinDataset(("A", "B"), (1.0, 2.0)))
+    assert load_dataset(dump_dataset(from_list, "json"), "json") == from_list
 
 
 def test_len_and_units():

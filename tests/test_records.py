@@ -4,12 +4,14 @@ Each record compares equal to an equal record of its own type and to
 nothing else, hashes like its equals, prints as `Type(field=value, ...)`,
 refuses assignment and deletion, and survives pickle and copy unchanged.
 Its fields can be given in order or by name, trailing ones with defaults
-can be left out, and any other call raises TypeError.
+can be left out, and any other call raises TypeError.  `to_dict` gives its
+JSON data, as `--json` prints it.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -283,6 +285,58 @@ def test_copies_keep_the_vector_behaviour():
         assert len(e2) == 5 and e2[3] == 65.3 and list(e2) == list(e)
         assert e2.scaled(2.0) == e.scaled(2.0)
         assert x2.total == 3.5 and tuple(x2) == (1.0, 2.5)
+
+
+_FIT_DATA = {
+    "family": "compromise", "parameter": 0.25, "allocation": [1.0, 2.0], "residual": 0.5,
+    "clipped": False, "unconstrained_parameter": 0.25, "degenerate": False,
+}
+_COUNTEREXAMPLE_DATA = {
+    "axiom": "balance", "rule": "shapley", "inputs": {"e": (1.0, 2.0), "position": 0},
+    "allocations": {"on e": [1.5, 1.5]}, "violation": "agent 0 gains 0.5",
+}
+_ENTRY_DATA = {
+    "agent": "A", "position": 0, "lower": 0.5, "upper": 1.5, "observed": 2.0,
+    "classification": "above-upper",
+}
+_REPORT_DATA = {"family": "partial", "entries": [_ENTRY_DATA]}
+_CHECK_DATA = {"name": "share:inflow:A", "expected": 0.5, "actual": 0.5, "tolerance": 0.01, "ok": True}
+
+# the `to_dict()` of each record's make(): a float vector or a tuple is a
+# list, a record its `to_dict()`, an enum member its value
+TO_DICT = {
+    "InflowProfile": {"inflows": [1.0, 2.5, 0.0]},
+    "Allocation": {"amounts": [1.0, 2.5]},
+    "ObservedAllocation": {"amounts": [0.5, 1.5]},
+    "RetentionShares": {"shares": [0.25, 1.0]},
+    "ValidationResult": {"ok": False, "reason": "forced"},
+    "RuleSpec": {"kind": "alpha", "weight": None, "retention": [0.5, 1.0]},
+    "BasinDataset": {"names": ["A", "B"], "inflows": [3.0, 1.0], "withdrawals": [1.0, 2.0]},
+    "Counterexample": _COUNTEREXAMPLE_DATA,
+    "AxiomReport": {
+        "axiom": "balance", "rule": "shapley", "trials": 10, "violations": 1, "rng_seed": 7,
+        "passed": False, "first_counterexample": _COUNTEREXAMPLE_DATA,
+    },
+    "FitResult": _FIT_DATA,
+    "LegitimacyEntry": _ENTRY_DATA,
+    "LegitimacyReport": _REPORT_DATA,
+    "ReferenceCheck": _CHECK_DATA,
+    "CaseStudyResult": {
+        "names": ["A"], "inflows": [1.0], "withdrawals": [1.0], "observed": [1.0],
+        "observed_exact": [1.0], "reporting_decimals": 1, "table": {"observed": [1.0]},
+        "fits": {"compromise": _FIT_DATA, "partial": _FIT_DATA},
+        "integrals": {"compromise": 3.0, "partial": 4.0, "compromise_fine": 3.0, "partial_fine": 4.0},
+        "legitimacy": {"compromise": _REPORT_DATA, "partial": _REPORT_DATA},
+        "inflow_shares": [1.0], "observed_shares": [1.0], "checks": [_CHECK_DATA], "all_ok": True,
+    },
+}
+
+
+@record_types
+def test_to_dict_is_the_json_data(name):
+    data = RECORDS[name][0]().to_dict()
+    assert data == TO_DICT[name]
+    json.dumps(data)
 
 
 def _fields_of(name):
