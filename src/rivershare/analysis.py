@@ -52,8 +52,6 @@ from .core import (
     InflowProfile,
     ObservedAllocation,
     ParameterError,
-    RuleKind,
-    RuleSpec,
     _check_int,
     _check_weight,
     _checked_floats,
@@ -86,23 +84,21 @@ def as_family(value) -> Family:
         raise ParameterError(f"unknown family {value!r}, expected one of: {legal}") from None
 
 
-#: The rule kind of each family, whose weight is the family's parameter.
-_FAMILY_KIND = {family: RuleKind(family.value) for family in Family}
-
-
 def family_member(e, family, parameter: float) -> Allocation:
     """The family's allocation at `parameter` (weight on no-transfer).
 
     Parameter 1 is the no-transfer rule; parameter 0 is the family's full
     transfer endpoint, bit-identical to eft or ept.
     """
-    return RuleSpec(_FAMILY_KIND[as_family(family)], weight=parameter).apply(e)
+    family = as_family(family)
+    t = _check_weight(parameter, family)
+    return _member(as_profile(e), family, t)
 
 
 def _member(e: InflowProfile, family: Family, t: float) -> Allocation:
     """`family_member(e, family, t)` for a checked profile and family and a
     float t in [0, 1]: `RuleSpec.apply`'s kernel call on the same cached
-    share vector, without building and checking a `RuleSpec`."""
+    share vector."""
     return _retention_kernel(e, _weighted_shares(family._value_, t, len(e.inflows)))
 
 

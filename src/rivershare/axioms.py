@@ -291,26 +291,6 @@ def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
     )
 
 
-def _source_shape_detail(
-    rule: RuleSpec, position, shape, agent_count=None, tol=None
-) -> Counterexample | None:
-    if agent_count is not None:
-        _check_int(agent_count, "agent_count")
-    n = rule.fixed_agent_count or agent_count
-    if n is None:
-        raise DimensionError("agent_count is required for size-generic rules")
-    if agent_count is not None and rule.fixed_agent_count not in (None, agent_count):
-        raise DimensionError(
-            f"rule is pinned to {rule.fixed_agent_count} agents, agent_count={agent_count} given"
-        )
-    if not 0 <= _check_int(position, "position") < n - 1:
-        raise ParameterError(
-            f"source position must be a non-terminal agent (0..{n - 2}), got {position}"
-        )
-    # scale invariance makes a unit inflow sufficient
-    return _source_shape_profile_detail(rule, _lone_inflow(n, position, 1.0), position, shape, tol)
-
-
 def _same_river(e, other, tol):
     e, other = as_profile(e), as_profile(other)
     if len(e) != len(other):
@@ -400,7 +380,22 @@ def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None,
     profile is a unit inflow at `position` with nothing else entering.
     `agent_count` sizes the river for size-generic rules.
     """
-    return _source_shape_detail(rule, position, shape, agent_count, tol) is None
+    if agent_count is not None:
+        _check_int(agent_count, "agent_count")
+    n = rule.fixed_agent_count or agent_count
+    if n is None:
+        raise DimensionError("agent_count is required for size-generic rules")
+    if agent_count is not None and rule.fixed_agent_count not in (None, agent_count):
+        raise DimensionError(
+            f"rule is pinned to {rule.fixed_agent_count} agents, agent_count={agent_count} given"
+        )
+    if not 0 <= _check_int(position, "position") < n - 1:
+        raise ParameterError(
+            f"source position must be a non-terminal agent (0..{n - 2}), got {position}"
+        )
+    # scale invariance makes a unit inflow sufficient
+    e = _lone_inflow(n, position, 1.0)
+    return _source_shape_profile_detail(rule, e, position, shape, tol) is None
 
 
 def check_equal_treatment_source(rule: RuleSpec, e, other, tol=None) -> bool:
@@ -598,8 +593,17 @@ def _draw(rng: random.Random, key: str, generate, fixed_n, lo: int, hi: int) -> 
     return generate(rng, lo + _below(rng, hi - lo + 1) if fixed_n is None else fixed_n)
 
 
-def _n_range(n_range) -> tuple[int, int]:
-    lo, hi = n_range
+def _run_range(trials, what: str, fewest: int, seed, n_range) -> tuple[int, int]:
+    """Check a driver's arguments once per call: the trial count `trials`,
+    named `what`, of at least `fewest`; the seed; and `n_range`, the pair
+    (lo, hi) with 2 <= lo <= hi, which is returned."""
+    if _check_int(trials, what) < fewest:
+        raise ParameterError(f"{what} must be >= {fewest}, got {trials}")
+    _check_int(seed, "seed")
+    try:
+        lo, hi = n_range
+    except (TypeError, ValueError):
+        raise ParameterError(f"n_range must be a pair of agent counts, got {n_range!r}") from None
     _check_int(lo, "n_range start")
     _check_int(hi, "n_range end")
     if not 2 <= lo <= hi:
@@ -624,9 +628,7 @@ def run_axiom_suite(
     requested = {axiom: _case(axiom) for axiom in axioms}
     if not requested:
         raise ParameterError("at least one axiom is required")
-    if _check_int(trials, "trials") < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    lo, hi = _n_range(n_range)
+    lo, hi = _run_range(trials, "trials", 1, seed, n_range)
     reports = []
     label = rule.label()
     fixed_n = rule.fixed_agent_count
@@ -682,8 +684,7 @@ def find_counterexample(
     generators.  Returns None when nothing is found.
     """
     case = _case(axiom)
-    lo, hi = _n_range(n_range)
-    _check_int(random_trials, "random_trials")
+    lo, hi = _run_range(random_trials, "random_trials", 0, seed, n_range)
     fixed_n = rule.fixed_agent_count
     key = f"{seed}|find|{rule.label()}|{axiom.value}|"
 

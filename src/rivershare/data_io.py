@@ -58,6 +58,8 @@ class BasinDataset(_Record):
         inflows: InflowProfile,
         withdrawals: tuple[float, ...] | None = None,
     ):
+        if isinstance(names, str):  # a str is a sequence of one-character names
+            raise DatasetError(f"agent names must be a sequence of strings, not the str {names!r}")
         names = tuple(names)
         inflows = as_profile(inflows)
         if len(names) != len(inflows):
@@ -215,18 +217,11 @@ def _reject_constant(text):
     raise DatasetError(f"non-finite JSON value {text!r} is not allowed")
 
 
-#: One decoder for every JSON dataset; `json.loads` with an argument
-#: builds a new one per call.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-
 def _decode_json(text):
-    """`json.loads(text, parse_constant=_reject_constant)` on `_DECODER`,
-    with the one parse error `json` leaves unworded made a DatasetError."""
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    """`json.loads(text, parse_constant=_reject_constant)`, with the parse
+    errors `json` leaves unworded made a DatasetError."""
     try:
-        return _DECODER.decode(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except (json.JSONDecodeError, DatasetError):
         raise
     except ValueError:  # int() refuses a literal of that many digits
@@ -234,6 +229,8 @@ def _decode_json(text):
             f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits,"
             " too large to represent as a float"
         ) from None
+    except RecursionError:
+        raise DatasetError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def _load_json(text: str) -> BasinDataset:

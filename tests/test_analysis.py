@@ -49,9 +49,11 @@ from rivershare.core import (
     ObservedAllocation,
     ParameterError,
     RiverShareError,
+    compromise,
     egalitarian_full_transfer,
     egalitarian_partial_transfer,
     no_transfer,
+    partial_compromise,
     tolerance_for,
 )
 from rivershare.data_io import builtin_nile, normalize_withdrawals
@@ -476,6 +478,15 @@ def test_family_member_endpoints():
     assert tuple(family_member(e, "partial", 0.0)) == tuple(egalitarian_partial_transfer(e))
     with pytest.raises(ParameterError):
         family_member(e, "partial", 1.5)
+    # interior members have the weighted rules' bits, on random basins
+    rng = random.Random(472)
+    for _ in range(200):
+        scale = 10.0 ** rng.randint(-6, 6)
+        e = [rng.choice((0.0, rng.uniform(0.0, scale))) for _ in range(rng.randint(2, 30))]
+        t = rng.random()
+        for family, rule in ((Family.COMPROMISE, compromise), ("partial", partial_compromise)):
+            member = family_member(e, family, t)
+            assert [v.hex() for v in member] == [v.hex() for v in rule(e, t)], (e, family, t)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -506,6 +507,24 @@ def test_search_rejects_anything_but_axioms():
 def test_search_checks_the_agent_count_range(n_range):
     with pytest.raises(ParameterError, match="invalid agent count range"):
         find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, n_range=n_range)
+
+
+@pytest.mark.parametrize("n_range", [(2, 3, 4), (2,), 5, None], ids=["triple", "single", "int", "None"])
+def test_both_drivers_want_a_pair_of_agent_counts(n_range):
+    message = f"^{re.escape(f'n_range must be a pair of agent counts, got {n_range!r}')}$"
+    with pytest.raises(ParameterError, match=message):
+        run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], 3, 0, n_range)
+    with pytest.raises(ParameterError, match=message):
+        find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, n_range)
+
+
+def test_trial_counts_have_a_floor():
+    with pytest.raises(ParameterError, match="^trials must be >= 1, got 0$"):
+        run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], 0, 0)
+    with pytest.raises(ParameterError, match="^random_trials must be >= 0, got -5$"):
+        find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, random_trials=-5)
+    # zero is the directed phase alone, which finds eft's balance failure
+    assert find_counterexample(RuleSpec.egalitarian_full_transfer(), Axiom.BALANCE, random_trials=0)
 
 
 _LONG_ALPHA = RuleSpec.retention_rule([k / 41 for k in range(1, 40)]).label()

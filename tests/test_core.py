@@ -44,7 +44,7 @@ from rivershare import (
     tolerance_for,
     validate_allocation,
 )
-from rivershare.analysis import Family, distance_at, legitimacy_bounds, shares_of_total
+from rivershare.analysis import Family, distance_at, family_member, legitimacy_bounds, shares_of_total
 from rivershare import axioms
 from rivershare.axioms import (
     Axiom,
@@ -956,6 +956,11 @@ _UNIT = InflowProfile((1.0, 2.0))
             lambda v: distance_at(_UNIT, (1.0, 2.0), Family.PARTIAL_COMPROMISE, v),
             id="distance_at",
         ),
+        pytest.param(
+            "partial weight",
+            lambda v: family_member(_UNIT, Family.PARTIAL_COMPROMISE, v),
+            id="family_member",
+        ),
         pytest.param("scale factor", lambda v: _UNIT.scaled(v), id="scaled"),
         pytest.param("delta", lambda v: _UNIT.bumped(0, v), id="bumped"),
         pytest.param(
@@ -1044,6 +1049,21 @@ _THREE = InflowProfile((1.0, 2.0, 3.0))
             "random_trials", 2.5,
             lambda: axioms.find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, random_trials=2.5),
             id="find_counterexample-random_trials",
+        ),
+        pytest.param(
+            "seed", None,
+            lambda: axioms.run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], 3, None),
+            id="run_axiom_suite-seed",
+        ),
+        pytest.param(
+            "seed", True,
+            lambda: axioms.run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], 3, True),
+            id="run_axiom_suite-seed-bool",
+        ),
+        pytest.param(
+            "seed", 1.5,
+            lambda: axioms.find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, seed=1.5),
+            id="find_counterexample-seed",
         ),
     ],
 )

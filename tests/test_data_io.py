@@ -205,6 +205,11 @@ def test_load_json():
             "every agent or none",
         ),
         ('\ufeff{"agents": []}', "invalid JSON: Unexpected UTF-8 BOM"),
+        pytest.param(  # deep enough for a RecursionError on Python 3.10 to 3.13
+            '{"agents": ' + "[" * 10**5 + "]" * 10**5 + "}",
+            "invalid JSON: arrays or objects nested too deeply",
+            id="nested-10**5",
+        ),
     ],
 )
 def test_load_json_errors(payload, fragment):
@@ -524,6 +529,7 @@ def test_basin_dataset_messages():
          (("A", "B"), profile, ("0", "inf"))),
         (DatasetError, "agent name at position 0 must be a string, got 1", ((1, 2), profile)),
         (DatasetError, "agent name at position 1 must be a string, got ['B']", (["A", ["B"]], profile)),
+        (DatasetError, "agent names must be a sequence of strings, not the str 'AB'", ("AB", profile)),
     ]
     for error, message, args in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
