@@ -52,6 +52,7 @@ from .core import (
     InflowProfile,
     ObservedAllocation,
     ParameterError,
+    _as_tuple,
     _check_int,
     _check_weight,
     _checked_floats,
@@ -444,7 +445,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
     if names is None:
         names = tuple(f"agent {i}" for i in range(len(e)))
     else:
-        names = tuple(map(str, names))
+        names = tuple(map(str, _as_tuple(names, ParameterError, "agent names must be a sequence")))
         if len(names) != len(e):
             raise DimensionError(f"{len(names)} names for {len(e)} agents")
     tol = _resolved_tolerance(tol, max(e.total, z.total))

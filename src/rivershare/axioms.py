@@ -39,6 +39,7 @@ from .core import (
     ParameterError,
     RuleSpec,
     _as_float,
+    _as_tuple,
     _check_int,
     _check_position,
     _profile_of_floats,
@@ -93,21 +94,14 @@ class AxiomReport(_Record):
     __slots__ = _fields = (
         "axiom", "rule", "trials", "violations", "rng_seed", "first_counterexample",
     )
+    _defaults = {"first_counterexample": None}
 
-    def __init__(
-        self,
-        axiom: Axiom,
-        rule: str,
-        trials: int,
-        violations: int,
-        rng_seed: int,
-        first_counterexample: Counterexample | None = None,
-    ):
-        if not 0 <= violations <= trials:
+    def __init__(self, *values, **named):
+        _Record.__init__(self, *values, **named)
+        if not 0 <= self.violations <= self.trials:
             raise ValueError("violations must lie in [0, trials]")
-        if (first_counterexample is None) != (violations == 0):
+        if (self.first_counterexample is None) != (self.violations == 0):
             raise ValueError("counterexample must be present exactly when violations > 0")
-        _Record.__init__(self, axiom, rule, trials, violations, rng_seed, first_counterexample)
 
     @property
     def passed(self) -> bool:
@@ -186,20 +180,17 @@ def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexa
     )
 
 
-def _tail_is_constant(e: InflowProfile, position: int) -> bool:
-    # the inflows are finite, so `count`'s identity shortcut changes nothing
-    tail = e.inflows[position + 1 :]
-    return not tail or tail.count(tail[0]) == len(tail)
-
-
 def _downstream_detail(
     rule: RuleSpec, e, position, delta, tol=None, strict=False
 ) -> Counterexample | None:
     e = as_profile(e)
     delta = _positive_finite(delta, "inflow increase")
     _check_position(position, len(e))
-    if not strict and not _tail_is_constant(e, position):
-        return None  # hypothesis not met: the claim is vacuous here
+    if not strict:
+        # the inflows are finite, so `count`'s identity shortcut changes nothing
+        tail = e.inflows[position + 1 :]
+        if tail and tail.count(tail[0]) != len(tail):
+            return None  # hypothesis not met: the claim is vacuous here
     bumped = e.bumped(position, delta)
     tol = _resolved_tolerance(tol, bumped.total)
     base = rule.apply(e)
@@ -361,8 +352,8 @@ def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, 
     The hypothesis asks the downstream inflows to be pairwise equal;
     instances that fail it count as (vacuous) passes.  With strict=True the
     hypothesis is dropped and equal gains are demanded on every profile.
-    The suites and the search draw only instances that meet the hypothesis,
-    so the two modes agree on all of them.
+    The suites draw only instances that meet the hypothesis, and the
+    search's directed cases that miss it pass vacuously, as here.
     """
     return _downstream_detail(rule, e, position, delta, tol, strict) is None
 
@@ -380,15 +371,9 @@ def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None,
     profile is a unit inflow at `position` with nothing else entering.
     `agent_count` sizes the river for size-generic rules.
     """
-    if agent_count is not None:
-        _check_int(agent_count, "agent_count")
-    n = rule.fixed_agent_count or agent_count
+    n = rule.fixed_agent_count if agent_count is None else _check_int(agent_count, "agent_count")
     if n is None:
         raise DimensionError("agent_count is required for size-generic rules")
-    if agent_count is not None and rule.fixed_agent_count not in (None, agent_count):
-        raise DimensionError(
-            f"rule is pinned to {rule.fixed_agent_count} agents, agent_count={agent_count} given"
-        )
     if not 0 <= _check_int(position, "position") < n - 1:
         raise ParameterError(
             f"source position must be a non-terminal agent (0..{n - 2}), got {position}"
@@ -548,10 +533,7 @@ _CASES = {
     ),
     Axiom.DOWNSTREAM_IMPARTIALITY: _Case(
         _downstream_instance, _downstream_detail,
-        lambda n, profiles: (
-            (e, position, 1.0)
-            for e in profiles for position in range(n - 1) if _tail_is_constant(e, position)
-        ),
+        lambda n, profiles: ((e, position, 1.0) for e in profiles for position in range(n - 1)),
     ),
     Axiom.ORDER_PRESERVATION: _Case(
         _order_instance, _order_detail, lambda n, profiles: ((e,) for e in profiles)
@@ -625,7 +607,10 @@ def run_axiom_suite(
     Results are deterministic for a given seed.  Reports come back in the
     enum's declaration order with at most one stored counterexample each.
     """
-    requested = {axiom: _case(axiom) for axiom in axioms}
+    requested = {
+        axiom: _case(axiom)
+        for axiom in _as_tuple(axioms, ParameterError, "axioms must be a collection of Axiom members")
+    }
     if not requested:
         raise ParameterError("at least one axiom is required")
     lo, hi = _run_range(trials, "trials", 1, seed, n_range)

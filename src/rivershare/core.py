@@ -23,7 +23,9 @@ names the first violated constraint.
 Every float vector the package takes in (inflows, amounts, retention
 shares, withdrawals, the entries of `analysis.shares_of_total`) passes one
 check, `_checked_floats`, so a bad entry is one `RiverShareError` naming
-its position wherever it enters.  Every number the package reads (a
+its position wherever it enters.  Every sequence argument that is not a
+tuple passes one check, `_as_tuple`, which refuses a str or bytes-like
+instead of reading its characters.  Every number the package reads (a
 scalar parameter such as a rule weight, a tolerance, a scale factor or an
 inflow change; a vector entry; a dataset cell) passes one conversion,
 `_as_float`, or `_as_finite_float` where it must be finite, so a value
@@ -89,6 +91,8 @@ def _checked_floats(
     """`values` as a tuple of floats and its `fsum`: the one check of every
     float vector the package takes in.
 
+    Any argument but a tuple goes through `_as_tuple`, so a str, a bytes or
+    a bytearray, or anything not iterable, is one `error` naming the vector.
     Valid input passes in one pass of C builtins: a finite `fsum` means
     every entry is a finite number.  Anything else (and an empty vector
     that must be non-negative, which `min` refuses) goes to `_walk_floats`,
@@ -96,7 +100,10 @@ def _checked_floats(
     and the entries sum past the float range, the total is returned as inf
     for the caller to word.
     """
-    items = tuple(values)
+    if values.__class__ is tuple:  # an `isinstance` test on every call would cost more
+        items = values
+    else:
+        items = _as_tuple(values, error, "the {} vector must be a sequence of numbers", what)
     try:
         floats = tuple(map(float, items))
         total = math.fsum(floats)
@@ -109,6 +116,20 @@ def _checked_floats(
         return floats, math.fsum(floats)
     except OverflowError:
         return floats, math.inf
+
+
+def _as_tuple(values, error: type, what: str, *args) -> tuple:
+    """`values` as a tuple: the one check of every sequence argument.  A
+    str, bytes or bytearray, which iterates as its characters or byte
+    codes, and anything not iterable are one `error` stating
+    `what.format(*args)`, which is formatted only then."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise error(f"{what.format(*args)}, not the {type(values).__name__} {values!r}")
+    try:
+        items = iter(values)
+    except TypeError:
+        raise error(f"{what.format(*args)}, got {values!r}") from None
+    return tuple(items)
 
 
 def _as_float(value, error: type, what: str, *args) -> float:
@@ -166,9 +187,9 @@ class _Record:
 
     `__init__` stores the fields, given in order or by name, with
     `_defaults` for trailing ones left out; a type with values to check
-    checks them in bulk in its own `__init__` first.  Records of one class
-    with equal fields are equal and hash alike; the repr lists the fields
-    by name.  `to_dict` gives the fields as JSON data, as `--json` prints
+    checks them in its own `__init__`, before or after storing them.
+    Records of one class with equal fields are equal and hash alike; the
+    repr lists the fields by name.  `to_dict` gives the fields as JSON data, as `--json` prints
     them: each under its name, or under its entry in `_json_names`, and
     converted by `_json`.  Assigning or deleting an attribute raises
     AttributeError.  Pickling and copying save every slot, including any
@@ -375,7 +396,7 @@ def _derived_profile(values: tuple[float, ...], cause: str, *args) -> InflowProf
 def as_profile(e) -> InflowProfile:
     if isinstance(e, InflowProfile):
         return e
-    return InflowProfile(tuple(e))
+    return InflowProfile(e)
 
 
 class Allocation(_FloatVector, values="amounts"):
@@ -409,7 +430,7 @@ class ObservedAllocation(_FloatVector, values="amounts"):
 def as_observed(z) -> ObservedAllocation:
     if isinstance(z, ObservedAllocation):
         return z
-    return ObservedAllocation(tuple(z))
+    return ObservedAllocation(z)
 
 
 class ValidationResult(_Record):
@@ -558,7 +579,7 @@ class RetentionShares(_FloatVector, values="shares"):
 def as_retention(shares) -> RetentionShares:
     if isinstance(shares, RetentionShares):
         return shares
-    return RetentionShares(tuple(shares))
+    return RetentionShares(shares)
 
 
 def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
@@ -677,6 +698,8 @@ class RuleSpec(_Record):
         weight: float | None = None,
         retention: RetentionShares | None = None,
     ):
+        if kind.__class__ is not RuleKind:
+            raise ParameterError(f"a rule kind must be a RuleKind, got {kind!r}")
         if kind in _WEIGHTED_KINDS:
             if weight is None:
                 raise ParameterError(f"rule '{kind.value}' needs a weight in [0, 1]")
@@ -720,7 +743,7 @@ class RuleSpec(_Record):
 
     @classmethod
     def retention_rule(cls, shares) -> "RuleSpec":
-        return cls(RuleKind.RETENTION, retention=as_retention(shares))
+        return cls(RuleKind.RETENTION, retention=shares)
 
     @property
     def fixed_agent_count(self) -> int | None:
@@ -801,6 +824,8 @@ def parse_rule(text: str) -> RuleSpec:
     Range checks are left to RuleSpec, and the retention shares' number
     checks to RetentionShares, whose errors name the share's position.
     """
+    if not isinstance(text, str):
+        raise ParameterError(f"a rule must be given as text, got {text!r}")
     head, sep, tail = text.strip().partition(":")
     try:
         kind = RuleKind(head.casefold())

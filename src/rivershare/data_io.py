@@ -34,6 +34,7 @@ from .core import (
     ObservedAllocation,
     RiverShareError,
     _as_finite_float,
+    _as_tuple,
     _checked_floats,
     _Record,
     as_profile,
@@ -58,9 +59,7 @@ class BasinDataset(_Record):
         inflows: InflowProfile,
         withdrawals: tuple[float, ...] | None = None,
     ):
-        if isinstance(names, str):  # a str is a sequence of one-character names
-            raise DatasetError(f"agent names must be a sequence of strings, not the str {names!r}")
-        names = tuple(names)
+        names = _as_tuple(names, DatasetError, "agent names must be a sequence of strings")
         inflows = as_profile(inflows)
         if len(names) != len(inflows):
             raise DimensionError(f"{len(names)} names for {len(inflows)} inflows")
@@ -338,7 +337,12 @@ def load_dataset(source: str | io.TextIOBase, format: str) -> BasinDataset:
 
 
 def read_dataset(path) -> BasinDataset:
-    """Load a dataset file, inferring the format from the extension."""
+    """Load a dataset file, inferring the format from the extension.  `path`
+    is a str or an `os.PathLike` of one."""
+    if isinstance(path, os.PathLike):
+        path = os.fspath(path)
+    if not isinstance(path, str):
+        raise DatasetError(f"a dataset path must be a str or an os.PathLike of one, got {type(path).__name__}")
     suffix = os.path.splitext(path)[1].casefold()
     if suffix == ".csv":
         fmt = "csv"
@@ -373,6 +377,8 @@ def dump_dataset(dataset: BasinDataset, format: str) -> str:
     CSV form refuses a name that starts or ends with whitespace or holds a
     NUL, naming it; the JSON form carries every name.
     """
+    if not isinstance(dataset, BasinDataset):
+        raise DatasetError(f"can only dump a BasinDataset, got {type(dataset).__name__}")
     if _dataset_format(format) == "csv":
         names = dataset.names
         if any(map(ne, names, map(str.strip, names))) or "\0" in "".join(names):

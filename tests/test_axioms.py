@@ -14,6 +14,7 @@ from rivershare import core
 from rivershare.axioms import (
     Axiom,
     AxiomReport,
+    Counterexample,
     HypothesisNotMet,
     _CASES,
     _Case,
@@ -190,7 +191,8 @@ def test_a_pinned_rule_refuses_another_agent_count():
     rule = RuleSpec.retention_rule((0.5, 0.5))
     with pytest.raises(DimensionError) as caught:
         check_source_shape(rule, 0, Axiom.BALANCE, 4)
-    assert str(caught.value) == "rule is pinned to 3 agents, agent_count=4 given"
+    # the rule's own count check, `RuleSpec.shares`, words the mismatch
+    assert str(caught.value) == "2 retention shares imply 3 agents, but the profile has 4"
 
 
 class TestOrderPreservation:
@@ -431,6 +433,29 @@ class TestRunAxiomSuite:
         for violations in (-1, 11):
             with pytest.raises(ValueError, match=r"^violations must lie in \[0, trials\]$"):
                 AxiomReport(Axiom.BALANCE, "nt", trials=10, violations=violations, rng_seed=0)
+        counterexample = Counterexample(Axiom.BALANCE, "nt", (), (), "stub")
+        present = r"^counterexample must be present exactly when violations > 0$"
+        # every field by name, in any order, the counterexample given or defaulted
+        for fields in (
+            {"violations": 3},
+            {"violations": 0, "first_counterexample": counterexample},
+        ):
+            with pytest.raises(ValueError, match=present):
+                AxiomReport(rng_seed=0, trials=10, rule="nt", axiom=Axiom.BALANCE, **fields)
+        for violations in (-1, 11):
+            with pytest.raises(ValueError, match=r"^violations must lie in \[0, trials\]$"):
+                AxiomReport(
+                    first_counterexample=counterexample, violations=violations,
+                    rng_seed=0, trials=10, rule="nt", axiom=Axiom.BALANCE,
+                )
+        report = AxiomReport(
+            rng_seed=0, trials=10, violations=2, rule="nt", axiom=Axiom.BALANCE,
+            first_counterexample=counterexample,
+        )
+        assert report == AxiomReport(Axiom.BALANCE, "nt", 10, 2, 0, counterexample)
+        assert AxiomReport(axiom=Axiom.BALANCE, rule="nt", trials=10, violations=0, rng_seed=0) == (
+            AxiomReport(Axiom.BALANCE, "nt", 10, 0, 0, None)
+        )
 
     def test_suite_gives_up_after_64_regenerations(self, monkeypatch):
         attempts = []

@@ -45,7 +45,7 @@ from rivershare import (
     validate_allocation,
 )
 from rivershare.analysis import Family, distance_at, family_member, legitimacy_bounds, shares_of_total
-from rivershare import axioms
+from rivershare import axioms, data_io
 from rivershare.axioms import (
     Axiom,
     check_downstream_impartiality,
@@ -942,6 +942,63 @@ def test_every_vector_entry_point_names_a_non_number(value, wording):
         with pytest.raises(RiverShareError) as caught:
             build(value)
         assert str(caught.value) == f"{what} at position 1 {wording}", entry_point
+
+
+def _argument_entry_points():
+    """(name, call of one argument, what the argument is): a "sequence",
+    which None may also be, or a "value" of one type."""
+    unit = InflowProfile((1.0, 1.0))
+    return [
+        ("InflowProfile", InflowProfile, "sequence"),
+        ("Allocation", Allocation, "sequence"),
+        ("ObservedAllocation", ObservedAllocation, "sequence"),
+        ("RetentionShares", RetentionShares, "sequence"),
+        ("shapley", shapley, "sequence"),
+        ("retention_rule shares", lambda v: retention_rule(unit, v), "sequence"),
+        ("RuleSpec.retention_rule", RuleSpec.retention_rule, "sequence"),
+        ("source", source, "sequence"),
+        ("validate_allocation profile", lambda v: validate_allocation(v, (1.0, 1.0)), "sequence"),
+        ("validate_allocation amounts", lambda v: validate_allocation(unit, v), "sequence"),
+        ("family_member", lambda v: family_member(v, "compromise", 0.5), "sequence"),
+        ("shares_of_total", shares_of_total, "sequence"),
+        ("BasinDataset names", lambda v: BasinDataset(v, unit), "sequence"),
+        ("BasinDataset inflows", lambda v: BasinDataset(("a", "b"), v), "sequence"),
+        ("BasinDataset withdrawals", lambda v: BasinDataset(("a", "b"), unit, v), "sequence or None"),
+        ("normalize_withdrawals", lambda v: normalize_withdrawals(unit, v), "sequence"),
+        (
+            "legitimacy_bounds names",
+            lambda v: legitimacy_bounds(unit, (1.0, 1.0), "compromise", names=v),
+            "sequence or None",
+        ),
+        ("run_axiom_suite axioms", lambda v: axioms.run_axiom_suite(RuleSpec.shapley(), v, 2, 0), "sequence"),
+        ("RuleSpec", RuleSpec, "value"),
+        ("RuleSpec with a weight", lambda v: RuleSpec(v, weight=0.5), "value"),
+        ("parse_rule", core.parse_rule, "value"),
+        ("dump_dataset", lambda v: data_io.dump_dataset(v, "csv"), "value"),
+        ("read_dataset", data_io.read_dataset, "value"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call,what,value",
+    [
+        pytest.param(call, what, value, id=f"{name}-{label}")
+        for name, call, what in _argument_entry_points()
+        for label, value in (
+            ("str", "123"), ("bytes", b"12"), ("bytearray", bytearray(b"12")), ("None", None), ("int", 5),
+        )
+        if not (value is None and what == "sequence or None")
+    ],
+)
+def test_an_argument_of_the_wrong_type_is_one_error(call, what, value):
+    # never a bare TypeError or AttributeError, and never a chain of errors
+    with pytest.raises(RiverShareError) as caught:
+        call(value)
+    error = caught.value
+    assert error.__cause__ is None and (error.__context__ is None or error.__suppress_context__)
+    if what != "value" and isinstance(value, (str, bytes, bytearray)):
+        # refused, not read as its characters
+        assert str(error).endswith(f", not the {type(value).__name__} {value!r}")
 
 
 _UNIT = InflowProfile((1.0, 2.0))

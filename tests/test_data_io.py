@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from unittest import mock
 
@@ -463,6 +464,23 @@ def test_read_dataset_rejects_unknown_extension(tmp_path):
     path.write_text(GOOD_CSV, encoding="utf-8")
     with pytest.raises(DatasetError):
         read_dataset(path)
+
+
+class _PathOf(os.PathLike):
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
+def test_read_dataset_takes_a_path_of_text(tmp_path):
+    path = tmp_path / "basin.csv"
+    path.write_text(GOOD_CSV, encoding="utf-8")
+    assert read_dataset(_PathOf(str(path))).names == ("A", "B", "C")
+    with pytest.raises(DatasetError) as err:
+        read_dataset(_PathOf(bytes(path)))
+    assert str(err.value) == "a dataset path must be a str or an os.PathLike of one, got bytes"
 
 
 def test_read_dataset_missing_file(tmp_path):
