@@ -30,15 +30,12 @@ _EXPORTS = {
         "as_profile",
         "as_retention",
         "compromise",
-        "compromise_shares",
         "egalitarian_full_transfer",
         "egalitarian_partial_transfer",
         "no_transfer",
         "partial_compromise",
-        "partial_compromise_shares",
         "retention_rule",
         "shapley",
-        "shapley_shares",
         "source",
         "tolerance_for",
         "validate_allocation",

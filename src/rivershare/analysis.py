@@ -65,7 +65,7 @@ from .core import (
     no_transfer,
     parse_rule,
 )
-from .data_io import builtin_nile
+from .data_io import _check_names, builtin_nile
 
 
 class Family(Enum):
@@ -448,6 +448,7 @@ def legitimacy_bounds(e, z, family, names=None, tol=None) -> LegitimacyReport:
         names = tuple(map(str, _as_tuple(names, ParameterError, "agent names must be a sequence")))
         if len(names) != len(e):
             raise DimensionError(f"{len(names)} names for {len(e)} agents")
+        _check_names(names, ParameterError)
     tol = _resolved_tolerance(tol, max(e.total, z.total))
     a, b = segment.a, segment.b
     below, above, inside = Legitimacy.BELOW_LOWER, Legitimacy.ABOVE_UPPER, Legitimacy.LEGITIMATE

@@ -38,6 +38,7 @@ from .core import (
     InflowProfile,
     ParameterError,
     RuleSpec,
+    _agent_count_mismatch,
     _as_float,
     _as_tuple,
     _check_int,
@@ -371,9 +372,12 @@ def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None,
     profile is a unit inflow at `position` with nothing else entering.
     `agent_count` sizes the river for size-generic rules.
     """
-    n = rule.fixed_agent_count if agent_count is None else _check_int(agent_count, "agent_count")
+    pinned = rule.fixed_agent_count
+    n = pinned if agent_count is None else _check_int(agent_count, "agent_count")
     if n is None:
         raise DimensionError("agent_count is required for size-generic rules")
+    if pinned not in (None, n):  # before the position, whose range depends on n
+        raise _agent_count_mismatch(pinned, n)
     if not 0 <= _check_int(position, "position") < n - 1:
         raise ParameterError(
             f"source position must be a non-terminal agent (0..{n - 2}), got {position}"

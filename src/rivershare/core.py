@@ -71,7 +71,10 @@ class AllocationError(RiverShareError):
 
 def tolerance_for(scale: float) -> float:
     """Default comparison tolerance for quantities of the given magnitude."""
-    return max(RELATIVE_TOLERANCE * abs(scale), TOLERANCE_FLOOR)
+    try:
+        return max(RELATIVE_TOLERANCE * abs(scale), TOLERANCE_FLOOR)
+    except (TypeError, OverflowError):  # not a float: `_as_float` words a non-number
+        return tolerance_for(_as_float(scale, ParameterError, "scale"))
 
 
 def _resolved_tolerance(tol: float | None, scale: float) -> float:
@@ -118,13 +121,20 @@ def _checked_floats(
         return floats, math.inf
 
 
+_NUMBER_FORMATS = frozenset("efdhHiIlLqQnN")  # memoryview formats read as numbers, not byte codes
+
+
 def _as_tuple(values, error: type, what: str, *args) -> tuple:
     """`values` as a tuple: the one check of every sequence argument.  A
     str, bytes or bytearray, which iterates as its characters or byte
-    codes, and anything not iterable are one `error` stating
-    `what.format(*args)`, which is formatted only then."""
-    if isinstance(values, (str, bytes, bytearray)):
-        raise error(f"{what.format(*args)}, not the {type(values).__name__} {values!r}")
+    codes, a memoryview that is not one-dimensional with a float or (wider
+    than a byte) int format, and anything not iterable are one `error`
+    stating `what.format(*args)`, which is formatted only then."""
+    if isinstance(values, (str, bytes, bytearray, memoryview)):
+        if values.__class__ is not memoryview:
+            raise error(f"{what.format(*args)}, not the {type(values).__name__} {values!r}")
+        if values.ndim != 1 or values.format.lstrip("@=<>!") not in _NUMBER_FORMATS:
+            raise error(f"{what.format(*args)}, not a {values.ndim}-d memoryview of format {values.format!r}")
     try:
         items = iter(values)
     except TypeError:
@@ -640,29 +650,6 @@ def source(e) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# retention-share constructions that reproduce the named rules
-
-
-def shapley_shares(n: int) -> RetentionShares:
-    """Retention shares under which the general family equals the Shapley rule."""
-    return RetentionShares(RuleSpec.shapley().shares(n))
-
-
-def compromise_shares(n: int, weight: float) -> RetentionShares:
-    """Constant retention shares, matching the compromise rule of that weight."""
-    return RetentionShares(RuleSpec.compromise(weight).shares(n))
-
-
-def partial_compromise_shares(n: int, weight: float) -> RetentionShares:
-    """Retention shares matching the partial compromise rule of that weight.
-
-    Retention rises linearly along the river: position k keeps
-    1 - (1-weight) * (n-1-k)/(n-1).
-    """
-    return RetentionShares(RuleSpec.partial_compromise(weight).shares(n))
-
-
-# ---------------------------------------------------------------------------
 # rule descriptors
 
 
@@ -764,10 +751,7 @@ class RuleSpec(_Record):
             cache = _endpoint_shares if self.weight is None else _weighted_shares
             return cache(self.kind._value_, self.weight, n)
         if self.retention.agent_count != n:
-            raise DimensionError(
-                f"{len(self.retention)} retention shares imply {self.retention.agent_count} "
-                f"agents, but the profile has {n}"
-            )
+            raise _agent_count_mismatch(self.retention.agent_count, n)
         return self.retention.shares
 
     def label(self) -> str:
@@ -785,6 +769,11 @@ class RuleSpec(_Record):
         # `shares`, less the n >= 2 check that a valid profile already passed
         cache = _endpoint_shares if self.weight is None else _weighted_shares
         return _retention_kernel(e, cache(self.kind._value_, self.weight, len(e.inflows)))
+
+
+def _agent_count_mismatch(pinned: int, n: int) -> DimensionError:
+    """The error for a river of n agents given to a rule pinned to `pinned`."""
+    return DimensionError(f"{pinned - 1} retention shares imply {pinned} agents, but the profile has {n}")
 
 
 # the parameterless rules, built once for the module-level rule functions

@@ -63,8 +63,7 @@ class BasinDataset(_Record):
         inflows = as_profile(inflows)
         if len(names) != len(inflows):
             raise DimensionError(f"{len(names)} names for {len(inflows)} inflows")
-        if set(map(type, names)) != {str} or not all(names) or len(set(names)) != len(names):
-            _walk_names(names)
+        _check_names(names, DatasetError)
         if withdrawals is not None:
             # a total past the float range is allowed: only normalizing fails on it
             withdrawals, _ = _checked_floats(withdrawals, "withdrawal", DatasetError, True)
@@ -85,17 +84,25 @@ class BasinDataset(_Record):
         return normalize_withdrawals(self.inflows, self.withdrawals)
 
 
-def _walk_names(names: tuple) -> None:
-    """Raise naming the first name that is not a string, or is empty or
-    repeated."""
+def _check_names(names: tuple, error: type) -> None:
+    """The one check of agent names, `BasinDataset`'s and
+    `analysis.legitimacy_bounds`'s: each a non-empty str, none repeated.
+    Valid names pass in bulk, in C builtins; only others are walked."""
+    if set(map(type, names)) != {str} or not all(names) or len(set(names)) != len(names):
+        _walk_names(names, error)
+
+
+def _walk_names(names: tuple, error: type) -> None:
+    """Raise `error` naming the first name that is not a string, or is
+    empty or repeated."""
     seen = set()
     for k, name in enumerate(names):
         if not isinstance(name, str):
-            raise DatasetError(f"agent name at position {k} must be a string, got {name!r}")
+            raise error(f"agent name at position {k} must be a string, got {name!r}")
         if not name:
-            raise DatasetError("agent names must be non-empty")
+            raise error("agent names must be non-empty")
         if name in seen:
-            raise DatasetError(f"duplicate agent name {name!r}")
+            raise error(f"duplicate agent name {name!r}")
         seen.add(name)
 
 

@@ -24,17 +24,16 @@ from rivershare.core import (
     RetentionShares,
     RuleSpec,
     compromise,
-    compromise_shares,
     egalitarian_full_transfer,
     egalitarian_partial_transfer,
     no_transfer,
     partial_compromise,
-    partial_compromise_shares,
     retention_rule,
     shapley,
-    shapley_shares,
     validate_allocation,
 )
+
+from oracles import named_shares
 
 EXAMPLE_RIVER = InflowProfile((50.0, 30.0, 10.0, 10.0))
 
@@ -232,11 +231,11 @@ def test_criterion_08_retention_oracle():
         e = InflowProfile(tuple(rng.uniform(0.0, 1000.0) for _ in range(n)))
         style = trial % 4
         if style == 0:
-            shares = shapley_shares(n)
+            shares = RetentionShares(named_shares("shapley", n))
         elif style == 1:
-            shares = compromise_shares(n, rng.random())
+            shares = RetentionShares(named_shares("compromise", n, rng.random()))
         elif style == 2:
-            shares = partial_compromise_shares(n, rng.random())
+            shares = RetentionShares(named_shares("partial", n, rng.random()))
         else:
             shares = RetentionShares(tuple(rng.random() for _ in range(n - 1)))
         direct = retention_rule(e, shares)

@@ -56,7 +56,7 @@ from rivershare.core import (
     partial_compromise,
     tolerance_for,
 )
-from rivershare.data_io import builtin_nile, normalize_withdrawals
+from rivershare.data_io import BasinDataset, DatasetError, builtin_nile, normalize_withdrawals
 
 NILE = builtin_nile()
 NILE_Z = ObservedAllocation((5.4, 0.7, 0.7, 28.1, 81.0))
@@ -802,6 +802,23 @@ def test_legitimacy_rejects_an_observation_whose_total_overflows():
 def test_legitimacy_name_length_mismatch():
     with pytest.raises(DimensionError):
         legitimacy_bounds(NILE.inflows, NILE_Z, Family.COMPROMISE, names=("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "names,wording",
+    [
+        (("a", "b", "a"), "duplicate agent name 'a'"),
+        ((None, None, "c"), "duplicate agent name 'None'"),  # each name is read as its str
+        (("a", "", "c"), "agent names must be non-empty"),
+    ],
+)
+def test_legitimacy_names_are_checked_as_a_dataset_checks_them(names, wording):
+    with pytest.raises(ParameterError) as caught:
+        legitimacy_bounds((1, 2, 3), (2, 2, 2), Family.COMPROMISE, names=names)
+    assert str(caught.value) == wording
+    if None not in names:
+        with pytest.raises(DatasetError, match=f"^{wording}$"):
+            BasinDataset(names, (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

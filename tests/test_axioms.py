@@ -40,9 +40,10 @@ from rivershare.core import (
     RuleSpec,
     parse_rule,
     retention_rule,
-    shapley_shares,
     tolerance_for,
 )
+
+from oracles import named_shares
 
 STRUCTURAL = (Axiom.SCALE_INVARIANCE, Axiom.DOWNSTREAM_IMPARTIALITY, Axiom.UPSTREAM_INVARIANCE)
 
@@ -189,10 +190,12 @@ def test_two_profiles_must_describe_the_same_river():
 
 def test_a_pinned_rule_refuses_another_agent_count():
     rule = RuleSpec.retention_rule((0.5, 0.5))
-    with pytest.raises(DimensionError) as caught:
-        check_source_shape(rule, 0, Axiom.BALANCE, 4)
-    # the rule's own count check, `RuleSpec.shares`, words the mismatch
-    assert str(caught.value) == "2 retention shares imply 3 agents, but the profile has 4"
+    # in `RuleSpec.shares`' words, whatever the position: its range depends
+    # on the count, so an out-of-range position must not hide the mismatch
+    for position in (0, 3):
+        with pytest.raises(DimensionError) as caught:
+            check_source_shape(rule, position, Axiom.BALANCE, 4)
+        assert str(caught.value) == "2 retention shares imply 3 agents, but the profile has 4"
 
 
 class TestOrderPreservation:
@@ -301,7 +304,7 @@ class TestSourceShape:
             threshold = 1.0 / (n - position)
             low = RetentionShares(tuple(threshold / 2 for _ in range(n - 1)))
             high = RetentionShares(tuple(min(1.0, threshold * 1.5) for _ in range(n - 1)))
-            at = shapley_shares(n)
+            at = named_shares("shapley", n)
             assert check_source_shape(RuleSpec.retention_rule(low), position, Axiom.PROGRESSIVITY)
             assert check_source_shape(RuleSpec.retention_rule(high), position, Axiom.REGRESSIVITY)
             assert check_source_shape(RuleSpec.retention_rule(at), position, Axiom.BALANCE)

@@ -968,6 +968,36 @@ def test_benchmark_span_recorder_traces_the_cli():
     assert done.stdout.endswith("ok\n")
 
 
+_BENCHMARK_CHECKS_SCRIPT = """
+import importlib.util
+import pathlib
+import sys
+
+# the benchmark's workloads, loaded by path; they import their siblings by name
+perfbench = pathlib.Path(sys.argv[1])
+sys.path.insert(0, str(perfbench))
+spec = importlib.util.spec_from_file_location("workloads", perfbench / "workloads.py")
+workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)  # for its dataclasses
+spec.loader.exec_module(workloads)
+
+for name in ("axiom-suite", "allocate-sweep", "fit-basins"):
+    entries = workloads.WORKLOADS[name].setup(0, pathlib.Path(sys.argv[2]))
+    for entry in entries[:40]:
+        problem = entry.check(entry.run())
+        assert problem is None, (name, entry.label, problem)
+print("ok")
+"""
+
+
+def test_benchmark_output_checks_pass_on_this_checkout(tmp_path):
+    # the benchmark's in-process workloads check each output against what
+    # the package still provides, such as `axioms.oracle_transfer_simulation`
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    done = run_child([sys.executable, "-c", _BENCHMARK_CHECKS_SCRIPT, str(perfbench), str(tmp_path)], text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
 def test_dataset_round_trip_through_cli(capsys, tmp_path):
     # dump the embedded dataset, reload it through the CLI, same allocation
     ds = builtin_nile()

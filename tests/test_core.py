@@ -1,18 +1,21 @@
 """Core rule tests.
 
-The oracles here recompute every rule in exact rational arithmetic by
-literally distributing each inflow to its recipients, which is a different
-shape of computation than the library's running-prefix implementations.
-Fixture values are checked against those oracles, never the other way
-around.
+The oracles in `oracles.py` recompute every rule in exact rational
+arithmetic by literally distributing each inflow to its recipients, which
+is a different shape of computation than the library's running-prefix
+implementations.  Fixture values are checked against those oracles, never
+the other way around.
 """
 
 from __future__ import annotations
 
+import array
+import ast
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,15 +34,12 @@ from rivershare import (
     RuleKind,
     RuleSpec,
     compromise,
-    compromise_shares,
     egalitarian_full_transfer,
     egalitarian_partial_transfer,
     no_transfer,
     partial_compromise,
-    partial_compromise_shares,
     retention_rule,
     shapley,
-    shapley_shares,
     source,
     tolerance_for,
     validate_allocation,
@@ -58,68 +58,32 @@ from rivershare.axioms import (
 )
 from rivershare.data_io import BasinDataset, normalize_withdrawals
 
+from oracles import (
+    named_shares,
+    oracle_eft,
+    oracle_ept,
+    oracle_mix,
+    oracle_nt,
+    oracle_retention,
+    oracle_shapley,
+)
+
 # ---------------------------------------------------------------------------
-# exact-arithmetic oracles
+# the exact oracles, in `oracles.py`
 
 
-def oracle_nt(e):
-    return [Fraction(v) for v in e]
-
-
-def oracle_eft(e):
-    n = len(e)
-    x = [Fraction(0)] * n
-    for j, v in enumerate(e):
-        v = Fraction(v)
-        receivers = range(j + 1, n)
-        if receivers:
-            part = v / len(receivers)
-            for k in receivers:
-                x[k] += part
-        else:
-            x[j] += v  # the terminal agent has nobody downstream
-    return x
-
-
-def oracle_shapley(e):
-    n = len(e)
-    x = [Fraction(0)] * n
-    for j, v in enumerate(e):
-        part = Fraction(v) / (n - j)
-        for k in range(j, n):
-            x[k] += part
-    return x
-
-
-def oracle_ept(e):
-    # literal simulation: cut each inflow into n-1 parts, send one part to
-    # each downstream agent, keep the parts matched to upstream agents
-    n = len(e)
-    x = [Fraction(0)] * n
-    for i, v in enumerate(e):
-        part = Fraction(v) / (n - 1)
-        x[i] += part * i
-        for k in range(i + 1, n):
-            x[k] += part
-    return x
-
-
-def oracle_mix(weight, a, b):
-    w = Fraction(weight)
-    return [w * ai + (1 - w) * bi for ai, bi in zip(a, b)]
-
-
-def oracle_retention(e, alphas):
-    n = len(e)
-    x = [Fraction(0)] * n
-    for i, v in enumerate(e):
-        v = Fraction(v)
-        keep = v if i == n - 1 else Fraction(alphas[i]) * v
-        x[i] += keep
-        released = v - keep
-        for k in range(i + 1, n):
-            x[k] += released / (n - 1 - i)
-    return x
+def test_the_oracles_import_nothing_from_the_package():
+    # an oracle that shared the package's code would check that code against itself
+    path = Path(__file__).with_name("oracles.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert "fractions" in imported
+    # neither the package nor, through a relative import, anything beside it
+    assert not [name for name in imported if name.split(".")[0] in ("rivershare", "")]
 
 
 def assert_close(actual, expected, tol):
@@ -217,8 +181,8 @@ def _all_rules(n, weights=(0.0, 0.3, 0.7, 1.0)):
     for w in weights:
         rules.append(RuleSpec.compromise(w))
         rules.append(RuleSpec.partial_compromise(w))
-    rules.append(RuleSpec.retention_rule(shapley_shares(n)))
-    rules.append(RuleSpec.retention_rule(partial_compromise_shares(n, 0.4)))
+    rules.append(RuleSpec.retention_rule(named_shares("shapley", n)))
+    rules.append(RuleSpec.retention_rule(named_shares("partial", n, 0.4)))
     return rules
 
 
@@ -333,15 +297,16 @@ def test_embedding_identities(values, weight):
     e = tuple(values)
     n = len(e)
     tol = tolerance_for(sum(e))
-    assert_close(retention_rule(e, shapley_shares(n)), shapley(e), tol)
-    assert_close(retention_rule(e, compromise_shares(n, weight)), compromise(e, weight), tol)
-    assert_close(
-        retention_rule(e, partial_compromise_shares(n, weight)),
-        partial_compromise(e, weight),
-        tol,
-    )
-    assert_close(retention_rule(e, (1.0,) * (n - 1)), no_transfer(e), tol)
-    assert_close(retention_rule(e, (0.0,) * (n - 1)), egalitarian_full_transfer(e), tol)
+    # each named rule against the retention rule of the shares its definition states
+    for kind, named in [
+        ("nt", no_transfer(e)),
+        ("eft", egalitarian_full_transfer(e)),
+        ("ept", egalitarian_partial_transfer(e)),
+        ("shapley", shapley(e)),
+        ("compromise", compromise(e, weight)),
+        ("partial", partial_compromise(e, weight)),
+    ]:
+        assert_close(retention_rule(e, named_shares(kind, n, weight)), named, tol)
 
 
 @given(profiles, st.floats(min_value=0.0, max_value=1.0), st.data())
@@ -985,7 +950,8 @@ def _argument_entry_points():
         pytest.param(call, what, value, id=f"{name}-{label}")
         for name, call, what in _argument_entry_points()
         for label, value in (
-            ("str", "123"), ("bytes", b"12"), ("bytearray", bytearray(b"12")), ("None", None), ("int", 5),
+            ("str", "123"), ("bytes", b"12"), ("bytearray", bytearray(b"12")),
+            ("memoryview", memoryview(b"12")), ("None", None), ("int", 5),
         )
         if not (value is None and what == "sequence or None")
     ],
@@ -996,9 +962,23 @@ def test_an_argument_of_the_wrong_type_is_one_error(call, what, value):
         call(value)
     error = caught.value
     assert error.__cause__ is None and (error.__context__ is None or error.__suppress_context__)
-    if what != "value" and isinstance(value, (str, bytes, bytearray)):
+    if what != "value" and isinstance(value, memoryview):
+        # a view of bytes, refused like bytes rather than read as byte codes
+        assert str(error).endswith(", not a 1-d memoryview of format 'B'")
+    elif what != "value" and isinstance(value, (str, bytes, bytearray)):
         # refused, not read as its characters
         assert str(error).endswith(f", not the {type(value).__name__} {value!r}")
+
+
+def test_a_memoryview_of_numbers_is_a_vector():
+    doubles = array.array("d", [1.5, 2.0, 0.0])
+    assert InflowProfile(memoryview(doubles)) == InflowProfile((1.5, 2.0, 0.0))
+    assert InflowProfile(memoryview(array.array("q", [3, 4]))) == InflowProfile((3.0, 4.0))
+    # one-dimensional only: a 2 x 2 view used to escape as NotImplementedError
+    square = memoryview(array.array("d", [1.0, 2.0, 3.0, 4.0])).cast("B").cast("d", (2, 2))
+    with pytest.raises(RiverShareError) as caught:
+        InflowProfile(square)
+    assert str(caught.value) == "the inflow vector must be a sequence of numbers, not a 2-d memoryview of format 'd'"
 
 
 _UNIT = InflowProfile((1.0, 2.0))
@@ -1020,6 +1000,7 @@ _UNIT = InflowProfile((1.0, 2.0))
         ),
         pytest.param("scale factor", lambda v: _UNIT.scaled(v), id="scaled"),
         pytest.param("delta", lambda v: _UNIT.bumped(0, v), id="bumped"),
+        pytest.param("scale", tolerance_for, id="tolerance_for"),
         pytest.param(
             "scale factor",
             lambda v: check_scale_invariance(RuleSpec.shapley(), (1, 2), v),
@@ -1085,7 +1066,7 @@ _THREE = InflowProfile((1.0, 2.0, 3.0))
             lambda: check_source_shape(RuleSpec.shapley(), 1, Axiom.BALANCE, 4.0),
             id="check_source_shape-agent_count",
         ),
-        pytest.param("n", 3.0, lambda: shapley_shares(3.0), id="shapley_shares"),
+        pytest.param("n", 3.0, lambda: RuleSpec.shapley().shares(3.0), id="shares"),
         pytest.param("n", True, lambda: RuleSpec.shapley().shares(True), id="shares-bool"),
         pytest.param(
             "trials", True,
