@@ -41,6 +41,7 @@ from .core import (
     _agent_count_mismatch,
     _as_float,
     _as_tuple,
+    _check_count,
     _check_int,
     _check_position,
     _profile_of_floats,
@@ -373,7 +374,7 @@ def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None,
     `agent_count` sizes the river for size-generic rules.
     """
     pinned = rule.fixed_agent_count
-    n = pinned if agent_count is None else _check_int(agent_count, "agent_count")
+    n = pinned if agent_count is None else _check_count(agent_count, "agent_count")
     if n is None:
         raise DimensionError("agent_count is required for size-generic rules")
     if pinned not in (None, n):  # before the position, whose range depends on n

@@ -12,7 +12,11 @@ Every rule in this module is a member of one linear family, the retention
 rule: each non-terminal agent keeps a share of its own inflow and splits the
 rest equally among the agents downstream.  A `RuleSpec` names a rule and
 owns its text form (`label`, with `parse_rule` as the inverse) and its share
-vector (`shares(n)`); one kernel evaluates every rule from that vector.  Rule
+vector (`shares(n)`); one kernel evaluates every rule from that vector.  The
+vectors are cached at two levels: each `RuleSpec` keeps the one for the last
+river size it served, which costs the memory of one vector per live rule,
+and two process-wide caches of 16 vectors each, one for the parameterless
+rules and one for the weighted ones, serve a rule at a new size.  Rule
 outputs satisfy both constraints by construction and are still checked, in
 the same pass that builds them: the kernel's loop keeps the feasibility
 prefix sums, and one `min` and one `fsum` of the result finish the check.  A
@@ -31,7 +35,9 @@ inflow change; a vector entry; a dataset cell) passes one conversion,
 `_as_float`, or `_as_finite_float` where it must be finite, so a value
 that is not a number, or an int beyond the float range, is one error
 naming the parameter, the position or the cell.  Positions and agent
-counts pass one integer check, `_check_int`, which refuses a bool.
+counts pass one integer check, `_check_int`, which refuses a bool, and an
+agent count beyond the index range, `sys.maxsize`, is refused by
+`_check_count` before any vector is sized.
 Comparisons use `tolerance_for(scale)`, 1e-9 relative with a floor at the
 smallest normal float, 2^-1022, so verdicts are the same at every
 magnitude down to there; a `tol` given instead must be finite and >= 0.
@@ -47,6 +53,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from collections.abc import Iterable, Sequence
 
 RELATIVE_TOLERANCE = 1e-9
@@ -127,14 +134,19 @@ _NUMBER_FORMATS = frozenset("efdhHiIlLqQnN")  # memoryview formats read as numbe
 def _as_tuple(values, error: type, what: str, *args) -> tuple:
     """`values` as a tuple: the one check of every sequence argument.  A
     str, bytes or bytearray, which iterates as its characters or byte
-    codes, a memoryview that is not one-dimensional with a float or (wider
-    than a byte) int format, and anything not iterable are one `error`
-    stating `what.format(*args)`, which is formatted only then."""
+    codes, a memoryview that is released or not one-dimensional with a
+    float or (wider than a byte) int format, and anything not iterable are
+    one `error` stating `what.format(*args)`, which is formatted only
+    then."""
     if isinstance(values, (str, bytes, bytearray, memoryview)):
         if values.__class__ is not memoryview:
             raise error(f"{what.format(*args)}, not the {type(values).__name__} {values!r}")
-        if values.ndim != 1 or values.format.lstrip("@=<>!") not in _NUMBER_FORMATS:
-            raise error(f"{what.format(*args)}, not a {values.ndim}-d memoryview of format {values.format!r}")
+        try:
+            ndim, fmt = values.ndim, values.format
+        except ValueError:  # a released view refuses every read
+            raise error(f"{what.format(*args)}, not a released memoryview") from None
+        if ndim != 1 or fmt.lstrip("@=<>!") not in _NUMBER_FORMATS:
+            raise error(f"{what.format(*args)}, not a {ndim}-d memoryview of format {fmt!r}")
     try:
         items = iter(values)
     except TypeError:
@@ -185,6 +197,15 @@ def _check_int(value, what: str) -> int:
     return value
 
 
+def _check_count(value, what: str) -> int:
+    """`_check_int(value, what)`, which must also be a valid index, at most
+    `sys.maxsize`: a larger count would size no tuple, and would fail as a
+    bare OverflowError or MemoryError there."""
+    if _check_int(value, what) > sys.maxsize:
+        raise DimensionError(f"{what} must be at most sys.maxsize = {sys.maxsize}")
+    return value
+
+
 def _check_position(position: int, n: int) -> None:
     _check_int(position, "position")
     if not 0 <= position < n:
@@ -204,7 +225,8 @@ class _Record:
     converted by `_json`.  Assigning or deleting an attribute raises
     AttributeError.  Pickling and copying save every slot, including any
     kept outside `_fields` (such as a cached total), and restore them
-    without running `__init__`.
+    without running `__init__`; a type whose extra slot is a memo, such as
+    `RuleSpec`, saves only its fields and derives the memo again.
     """
 
     __slots__ = ()
@@ -675,9 +697,19 @@ _FAMILY_ENDPOINTS = {
 
 
 class RuleSpec(_Record):
-    """A rule plus its parameters, as a value that can be stored and applied."""
+    """A rule plus its parameters, as a value that can be stored and applied.
 
-    __slots__ = _fields = ("kind", "weight", "retention")
+    The share vector for the last river size the rule served is kept in the
+    `_memo` slot as `(n, shares)`.  It is a cache, not a field: equality,
+    hashing, the repr, `to_dict` and the pickled or copied state leave it
+    out, and loading derives it again.  A pinned rule's memo holds its own
+    vector from the start; a size-generic rule's holds no size until its
+    first use.  One tuple is stored and read whole, so threads sharing a
+    rule each see a size with its own vector.
+    """
+
+    _fields = ("kind", "weight", "retention")
+    __slots__ = _fields + ("_memo",)
 
     def __init__(
         self,
@@ -703,6 +735,18 @@ class RuleSpec(_Record):
             if weight is not None or retention is not None:
                 raise ParameterError(f"rule '{kind.value}' takes no parameters")
         _Record.__init__(self, kind, weight, retention)
+        self._start_memo()
+
+    def _start_memo(self) -> None:
+        retention = self.retention
+        _set_memo(self, (0, ()) if retention is None else (retention.agent_count, retention.shares))
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __setstate__(self, state: dict) -> None:
+        _Record.__setstate__(self, state)
+        self._start_memo()
 
     @classmethod
     def no_transfer(cls) -> "RuleSpec":
@@ -745,14 +789,23 @@ class RuleSpec(_Record):
         nt and eft are compromise:1 and compromise:0, ept is partial:0, and
         the Shapley rule keeps 1/(n-k) at position k.
         """
-        if _check_int(n, "n") < 2:
+        if _check_count(n, "n") < 2:
             raise DimensionError(f"need n >= 2, got {n}")
-        if self.retention is None:
-            cache = _endpoint_shares if self.weight is None else _weighted_shares
-            return cache(self.kind._value_, self.weight, n)
-        if self.retention.agent_count != n:
+        size, shares = self._memo
+        if size != n:
+            shares = self._shares_for(n)
+        return shares
+
+    def _shares_for(self, n: int) -> tuple[float, ...]:
+        """`shares(n)` for an n other than the memo's, which must be a valid
+        count: one from a checked profile, or one `shares` has checked.
+        The vector comes from the shared caches and is kept in the memo."""
+        if self.retention is not None:
             raise _agent_count_mismatch(self.retention.agent_count, n)
-        return self.retention.shares
+        cache = _endpoint_shares if self.weight is None else _weighted_shares
+        shares = cache(self.kind._value_, self.weight, n)
+        _set_memo(self, (n, shares))
+        return shares
 
     def label(self) -> str:
         """Round-trippable text form, e.g. 'nt' or 'compromise:0.5'; see parse_rule."""
@@ -764,11 +817,16 @@ class RuleSpec(_Record):
 
     def apply(self, e) -> Allocation:
         e = as_profile(e)
-        if self.retention is not None:
-            return _retention_kernel(e, self.shares(len(e.inflows)))
-        # `shares`, less the n >= 2 check that a valid profile already passed
-        cache = _endpoint_shares if self.weight is None else _weighted_shares
-        return _retention_kernel(e, cache(self.kind._value_, self.weight, len(e.inflows)))
+        # `shares`, less the checks that a valid profile's size already passed
+        n = len(e.inflows)
+        size, shares = self._memo
+        if size != n:
+            shares = self._shares_for(n)
+        return _retention_kernel(e, shares)
+
+
+# the memo slot's own setter: the record refuses `setattr`
+_set_memo = RuleSpec._memo.__set__
 
 
 def _agent_count_mismatch(pinned: int, n: int) -> DimensionError:
@@ -794,12 +852,17 @@ def _named_shares(kind: str, weight: float | None, n: int) -> tuple[float, ...]:
 
 
 # The named rules are applied over and over at a handful of sizes, and
-# building the tuple costs as much as the kernel that consumes it.  The
-# caches are keyed on the kind's value, a str whose hash is stored, since
+# building the tuple costs as much as the kernel that consumes it, so share
+# vectors are cached at two levels.  Each `RuleSpec` keeps the vector of the
+# last size it served in its `_memo` slot: one vector per live rule, freed
+# with the rule, and the same tuple the cache below returned.  Below it, two
+# bounded caches shared by the process serve a rule at a new size, and
+# `analysis._member`, whose family members are not `RuleSpec`s.  They are
+# keyed on the kind's value, a str whose hash is stored, since
 # `RuleKind.__hash__` is a Python function.  The parameterless kinds (nt,
 # eft, ept, shapley) have a cache of their own, so that a sweep over many
-# weights cannot evict them; each bound keeps the memory held to a few share
-# vectors of the largest river seen.
+# weights cannot evict them; each bound of 16 keeps the memory held to a few
+# share vectors of the largest river seen.
 _endpoint_shares = functools.lru_cache(maxsize=16)(_named_shares)
 _weighted_shares = functools.lru_cache(maxsize=16)(_named_shares)
 

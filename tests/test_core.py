@@ -14,6 +14,8 @@ import ast
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -758,6 +760,104 @@ def test_parameterless_share_vectors_survive_a_weight_sweep():
     assert cached == tuple(1.0 / (n - k) for k in range(n - 1))
 
 
+def _sized_profile(n):
+    return InflowProfile([float(k % 5) + 0.5 * k for k in range(n)])
+
+
+_MEMO_SIZES = (4, 7, 4, 1000, 2, 7)
+
+
+@pytest.mark.parametrize(
+    "label", ["nt", "eft", "ept", "shapley", "compromise:0.3", "partial:0.3", "alpha:0.2,0.5,0.9"]
+)
+def test_a_rule_applied_at_changing_sizes_matches_a_fresh_rule(label):
+    # the vector a rule keeps for its last size must never serve another size
+    spec = core.parse_rule(label)
+    kind, _, weight = label.partition(":")
+    sizes = (spec.fixed_agent_count,) * 3 if spec.fixed_agent_count else _MEMO_SIZES
+    for n in sizes:
+        e = _sized_profile(n)
+        x = spec.apply(e)
+        assert x.amounts == core.parse_rule(label).apply(e).amounts, (label, n)
+        shares = spec.retention if kind == "alpha" else named_shares(kind, n, float(weight or 0))
+        oracle = retention_rule(e, shares)
+        if kind in ("ept", "partial"):  # their vectors are an ulp off the rounded exact ones
+            assert_close(x, oracle, tolerance_for(e.total))
+        else:
+            assert x.amounts == oracle.amounts, (label, n)
+        assert spec.shares(n) == core.parse_rule(label).shares(n)
+
+
+def test_a_pinned_rule_refuses_another_size_and_still_applies_at_its_own():
+    spec = RuleSpec.retention_rule((0.5, 0.25))
+    own = _sized_profile(3)
+    first = spec.apply(own)
+    for n in (4, 2):
+        with pytest.raises(DimensionError) as caught:
+            spec.apply(_sized_profile(n))
+        assert str(caught.value) == f"2 retention shares imply 3 agents, but the profile has {n}"
+        with pytest.raises(DimensionError) as caught:
+            spec.shares(n)
+        assert str(caught.value) == f"2 retention shares imply 3 agents, but the profile has {n}"
+    assert spec.apply(own) == first == retention_rule(own, (0.5, 0.25))
+    assert spec.shares(3) == (0.5, 0.25)
+
+
+def test_a_kept_vector_skips_no_check_of_n():
+    spec = RuleSpec.compromise(0.5)
+    assert spec.shares(2) == (0.5,)
+    # 2.0 == 2 and True == 1, so comparing with the kept size is not enough
+    for n in (2.0, True):
+        with pytest.raises(ParameterError) as caught:
+            spec.shares(n)
+        assert str(caught.value) == f"n must be an integer, got {n!r}"
+    with pytest.raises(DimensionError, match=r"^need n >= 2, got 1$"):
+        spec.shares(1)
+
+
+@pytest.mark.parametrize("count", [10**400, sys.maxsize + 1], ids=["10**400", "maxsize+1"])
+def test_a_count_past_the_index_range_is_one_error(count):
+    # refused before any tuple is sized; a large count in range is not tried
+    bound = f"must be at most sys.maxsize = {sys.maxsize}"
+    for label in ("shapley", "compromise:0.5", "partial:0.5", "nt", "alpha:0.5"):
+        with pytest.raises(DimensionError) as caught:
+            core.parse_rule(label).shares(count)
+        assert str(caught.value) == f"n {bound}", label
+    with pytest.raises(DimensionError) as caught:
+        check_source_shape(RuleSpec.shapley(), 0, Axiom.BALANCE, agent_count=count)
+    assert str(caught.value) == f"agent_count {bound}"
+
+
+def test_threads_sharing_rules_get_the_vectors_of_their_own_sizes():
+    rules = (RuleSpec.compromise(0.3), RuleSpec.shapley())
+    sizes = range(2, 8)  # six threads on a two-core machine, each at its own size
+    profiles = {n: _sized_profile(n) for n in sizes}
+    expected = {
+        n: [RuleSpec.compromise(0.3).apply(e), RuleSpec.shapley().apply(e)] for n, e in profiles.items()
+    }
+    results = {n: [] for n in sizes}
+
+    def work(n):
+        e = profiles[n]
+        for _ in range(500):
+            results[n].append([rule.apply(e) for rule in rules])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for n in sizes:
+        assert len(results[n]) == 500
+        assert all(pair == expected[n] for pair in results[n]), n
+
+
 def test_a_negative_delta_that_keeps_the_inflow_non_negative_is_valid():
     assert InflowProfile((1.0, 2.0)).bumped(1, -2.0) == InflowProfile((1.0, 0.0))
     assert InflowProfile((3.0, 2.0)).bumped(0, -1.5).total == 3.5
@@ -944,6 +1044,12 @@ def _argument_entry_points():
     ]
 
 
+def _released_view():
+    view = memoryview(array.array("d", [1.0, 2.0]))
+    view.release()
+    return view
+
+
 @pytest.mark.parametrize(
     "call,what,value",
     [
@@ -951,7 +1057,8 @@ def _argument_entry_points():
         for name, call, what in _argument_entry_points()
         for label, value in (
             ("str", "123"), ("bytes", b"12"), ("bytearray", bytearray(b"12")),
-            ("memoryview", memoryview(b"12")), ("None", None), ("int", 5),
+            ("memoryview", memoryview(b"12")), ("released memoryview", _released_view()),
+            ("None", None), ("int", 5),
         )
         if not (value is None and what == "sequence or None")
     ],
@@ -963,8 +1070,12 @@ def test_an_argument_of_the_wrong_type_is_one_error(call, what, value):
     error = caught.value
     assert error.__cause__ is None and (error.__context__ is None or error.__suppress_context__)
     if what != "value" and isinstance(value, memoryview):
-        # a view of bytes, refused like bytes rather than read as byte codes
-        assert str(error).endswith(", not a 1-d memoryview of format 'B'")
+        # a view of bytes, refused like bytes rather than read as byte codes,
+        # and a released view, which refuses every read
+        if "released" in repr(value):
+            assert str(error).endswith(", not a released memoryview")
+        else:
+            assert str(error).endswith(", not a 1-d memoryview of format 'B'")
     elif what != "value" and isinstance(value, (str, bytes, bytearray)):
         # refused, not read as its characters
         assert str(error).endswith(f", not the {type(value).__name__} {value!r}")

@@ -34,6 +34,7 @@ from rivershare.core import (
     RuleKind,
     RuleSpec,
     ValidationResult,
+    parse_rule,
 )
 from rivershare.data_io import BasinDataset
 
@@ -285,6 +286,29 @@ def test_copies_keep_the_vector_behaviour():
         assert len(e2) == 5 and e2[3] == 65.3 and list(e2) == list(e)
         assert e2.scaled(2.0) == e.scaled(2.0)
         assert x2.total == 3.5 and tuple(x2) == (1.0, 2.5)
+
+
+@pytest.mark.parametrize("label", ["shapley", "compromise:0.3", "partial:0.7", "alpha:0.5,0.25"])
+def test_a_rule_spec_keeps_its_share_vector_out_of_its_value(label):
+    # the vector kept for the last size served is a cache, not a field
+    fresh, applied = parse_rule(label), parse_rule(label)
+    n = applied.fixed_agent_count or 1000
+    e = InflowProfile([1.0] * n)
+    expected = parse_rule(label).apply(e)
+    assert applied.apply(e) == expected
+    assert applied == fresh and hash(applied) == hash(fresh)
+    assert repr(applied) == repr(fresh) and applied.label() == fresh.label()
+    assert applied.to_dict() == fresh.to_dict()
+    assert list(applied.__getstate__()) == ["kind", "weight", "retention"]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert len(pickle.dumps(applied, protocol)) <= len(pickle.dumps(fresh, protocol))
+    # copies and loads start their own memo
+    for twin in (copy.copy(applied), copy.deepcopy(applied), pickle.loads(pickle.dumps(applied))):
+        assert twin == fresh and twin.apply(e) == expected
+    # a state as the three fields alone, as an older version pickled it
+    loaded = RuleSpec.__new__(RuleSpec)
+    loaded.__setstate__({"kind": fresh.kind, "weight": fresh.weight, "retention": fresh.retention})
+    assert loaded == fresh and loaded.apply(e) == expected and loaded.shares(n) == fresh.shares(n)
 
 
 _FIT_DATA = {
