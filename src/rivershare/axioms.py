@@ -7,6 +7,14 @@ that meet its hypothesis by construction, and its directed cases;
 `run_axiom_suite` drives the checker over random instances, and
 `find_counterexample` tries the directed cases before random ones.
 
+Arguments are checked once, where they enter: each public `check_*`
+predicate checks all of its arguments before it applies the rule, and each
+driver checks its own (the axioms, counts, seed, `n_range` and `tol`) once
+per call, in `_case` and `_run_range`.  The `_*_detail` checkers, the
+generators and `_first_mismatch` trust theirs: the generators build valid
+instances, and the checkers only raise HypothesisNotMet, for an instance
+that misses the axiom's hypothesis.
+
 The random stream is a contract: the same arguments give the same
 instances, verdicts and counterexamples in every process.  A suite keeps
 one `random.Random` and reseeds it before each trial with the key string
@@ -44,16 +52,24 @@ from .core import (
     _check_count,
     _check_int,
     _check_position,
+    _checked_tolerance,
+    _derived_profile,
+    _int_text,
     _profile_of_floats,
     _Record,
-    _resolved_tolerance,
     as_profile,
     as_retention,
     source,
+    tolerance_for,
 )
 
 if random._sha512 is None:  # Python 3.13 binds the hash `_draw` uses at the first string seed
     random.Random("")
+# what `_draw` calls, bound once: the C `seed`, random.py's own SHA-512 (importing
+# hashlib would map OpenSSL, 3.5 MB more RSS) and the int conversion
+_seed = _random.Random.seed
+_sha512 = random._sha512
+_from_bytes = int.from_bytes
 
 
 class Axiom(enum.Enum):
@@ -118,6 +134,14 @@ def _lone_inflow(n: int, position: int, value: float) -> InflowProfile:
 
 
 def _first_mismatch(xs, ys, tol):
+    """The first k with abs(xs[k] - ys[k]) > tol, with both values, or None.
+
+    One pass of C builtins settles the usual case, no mismatch; only a
+    failed pass walks.  A NaN difference is no mismatch: `max` passes over
+    one, as the walk does, unless it comes first, and then the walk decides.
+    """
+    if max(map(abs, map(sub, xs, ys)), default=0.0) <= tol:
+        return None
     for k, (a, b) in enumerate(zip(xs, ys)):
         if abs(a - b) > tol:
             return k, a, b
@@ -128,7 +152,12 @@ def _first_mismatch(xs, ys, tol):
 # single-instance checkers
 #
 # Each `_*_detail` function returns None on a pass and a Counterexample on a
-# failure; the public predicates below collapse that to a boolean.
+# failure; the public predicates below check their arguments and collapse
+# that to a boolean.  A checker trusts its arguments: `e` (and `other`) an
+# `InflowProfile`, positions in range, a scale factor or an inflow increase
+# finite and > 0, and `tol` a checked float or None, which takes
+# `tolerance_for` of the instance's own scale.  It still raises
+# HypothesisNotMet, which is a property of the instance, not a bad argument.
 
 
 def _positive_finite(value, what: str) -> float:
@@ -141,10 +170,9 @@ def _positive_finite(value, what: str) -> float:
 
 
 def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
-    e = as_profile(e)
-    gamma = _positive_finite(gamma, "scale factor")
-    scaled = e.scaled(gamma)
-    tol = _resolved_tolerance(tol, max(e.total, scaled.total))
+    scaled = _derived_profile(e, None, gamma)
+    if tol is None:
+        tol = tolerance_for(max(e.total, scaled.total))
     base = rule.apply(e)
     left = rule.apply(scaled)
     right = [gamma * v for v in base.amounts]
@@ -162,10 +190,9 @@ def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
 
 
 def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexample | None:
-    e = as_profile(e)
-    delta = _positive_finite(delta, "inflow increase")
-    bumped = e.bumped(position, delta)
-    tol = _resolved_tolerance(tol, bumped.total)
+    bumped = _derived_profile(e, position, delta)
+    if tol is None:
+        tol = tolerance_for(bumped.total)
     base = rule.apply(e)
     after = rule.apply(bumped)
     # extra water entering at `position` must not change anybody upstream
@@ -185,16 +212,14 @@ def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexa
 def _downstream_detail(
     rule: RuleSpec, e, position, delta, tol=None, strict=False
 ) -> Counterexample | None:
-    e = as_profile(e)
-    delta = _positive_finite(delta, "inflow increase")
-    _check_position(position, len(e))
     if not strict:
         # the inflows are finite, so `count`'s identity shortcut changes nothing
         tail = e.inflows[position + 1 :]
         if tail and tail.count(tail[0]) != len(tail):
             return None  # hypothesis not met: the claim is vacuous here
-    bumped = e.bumped(position, delta)
-    tol = _resolved_tolerance(tol, bumped.total)
+    bumped = _derived_profile(e, position, delta)
+    if tol is None:
+        tol = tolerance_for(bumped.total)
     base = rule.apply(e)
     after = rule.apply(bumped)
     gains = list(map(sub, after.amounts[position + 1 :], base.amounts[position + 1 :]))
@@ -211,23 +236,50 @@ def _downstream_detail(
     return None
 
 
+_ORDER_HEAD = 2  # the agents whose pairs `_order_detail` checks one by one
+
+
 def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
     """The first pair i < j, in (i, j) order, with e_i >= e_j but x_i < x_j - tol.
 
-    Swept from the mouth up, a Fenwick tree over inflow ranks keeps the
-    largest x_j - tol passed at each inflow or less; the last agent below
-    one of those is the first i, and one scan from it finds j: O(n log n).
+    The first `_ORDER_HEAD` agents' pairs are checked one by one, since a
+    violating profile's first pair usually starts there; `_first_order_row`
+    sweeps the rest.
     """
-    e = as_profile(e)
-    tol = _resolved_tolerance(tol, e.total)
+    if tol is None:
+        tol = tolerance_for(e.total)
     x = rule.apply(e)
     inflows = e.inflows
     amounts = x.amounts
-    rank = {v: r for r, v in enumerate(sorted(set(inflows)), start=1)}
+    n = len(inflows)
+    head = min(_ORDER_HEAD, n - 1)
+    for i in range(head):
+        ei, xi = inflows[i], amounts[i]
+        for j in range(i + 1, n):
+            if ei >= inflows[j] and xi < amounts[j] - tol:
+                return _order_counterexample(rule, inflows, amounts, i, j)
+    if head == n - 1:
+        return None
+    i = _first_order_row(inflows, amounts, tol, head)
+    if i is None:
+        return None
+    ei, xi = inflows[i], amounts[i]
+    j = next(j for j in range(i + 1, n) if ei >= inflows[j] and xi < amounts[j] - tol)
+    return _order_counterexample(rule, inflows, amounts, i, j)
+
+
+def _first_order_row(inflows, amounts, tol, lo: int) -> int | None:
+    """The first i >= lo with a j > i such that e_i >= e_j but x_i < x_j - tol.
+
+    Swept from the mouth up to `lo`, a Fenwick tree over inflow ranks keeps
+    the largest x_j - tol passed at each inflow or less; the last agent
+    below one of those is the first i: O(n log n).
+    """
+    rank = {v: r for r, v in enumerate(sorted(set(inflows[lo:])), start=1)}
     size = len(rank)
     top = [-math.inf] * (size + 1)  # top[r]: the maximum over the ranks that r covers
     first = None
-    for i in range(len(inflows) - 1, -1, -1):
+    for i in range(len(inflows) - 1, lo - 1, -1):
         r = k = rank[inflows[i]]
         xi = amounts[i]
         while k:
@@ -240,24 +292,28 @@ def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
             if top[r] < value:
                 top[r] = value
             r += r & -r
-    if first is None:
-        return None
-    i, ei, xi = first, inflows[first], amounts[first]
-    j = next(j for j in range(i + 1, len(inflows)) if ei >= inflows[j] and xi < amounts[j] - tol)
+    return first
+
+
+def _order_counterexample(rule: RuleSpec, inflows, amounts, i: int, j: int) -> Counterexample:
     return Counterexample(
         Axiom.ORDER_PRESERVATION,
         rule.label(),
         (("e", inflows),),
         (("allocation", amounts),),
-        f"inflows e[{i}]={ei} >= e[{j}]={inflows[j]} "
-        f"but assignments x[{i}]={xi} < x[{j}]={amounts[j]}",
+        f"inflows e[{i}]={inflows[i]} >= e[{j}]={inflows[j]} "
+        f"but assignments x[{i}]={amounts[i]} < x[{j}]={amounts[j]}",
     )
 
 
+_SHAPES = (Axiom.PROGRESSIVITY, Axiom.REGRESSIVITY, Axiom.BALANCE)
+
+
 def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
-    # e must have its only positive inflow at `position` (a non-terminal agent)
-    e = as_profile(e)
-    tol = _resolved_tolerance(tol, e.total)
+    # e must have its only positive inflow at `position` (a non-terminal
+    # agent), and `shape` must be one of `_SHAPES`
+    if tol is None:
+        tol = tolerance_for(e.total)
     x = rule.apply(e)
     downstream = x.amounts[position + 1 :]
     mean = math.fsum(downstream) / len(downstream)
@@ -268,11 +324,9 @@ def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
     elif shape is Axiom.REGRESSIVITY:
         ok = kept >= mean - tol
         relation = ">="
-    elif shape is Axiom.BALANCE:
+    else:
         ok = abs(kept - mean) <= tol
         relation = "=="
-    else:
-        raise ParameterError(f"{shape} is not a source-shape axiom")
     if ok:
         return None
     return Counterexample(
@@ -284,15 +338,9 @@ def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
     )
 
 
-def _same_river(e, other, tol):
-    e, other = as_profile(e), as_profile(other)
-    if len(e) != len(other):
-        raise DimensionError("both profiles must describe the same river")
-    return e, other, _resolved_tolerance(tol, max(e.total, other.total))
-
-
 def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> Counterexample | None:
-    e, other, tol = _same_river(e, other, tol)
+    if tol is None:
+        tol = tolerance_for(max(e.total, other.total))
     s1 = source(e)
     s2 = source(other)
     if s1 is None or s2 is None:
@@ -315,8 +363,8 @@ def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> Counterexample |
 def _equal_upstream_total_detail(
     rule: RuleSpec, e, other, position, tol=None
 ) -> Counterexample | None:
-    e, other, tol = _same_river(e, other, tol)
-    _check_position(position, len(e))
+    if tol is None:
+        tol = tolerance_for(max(e.total, other.total))
     own1, own2 = e.inflows[position], other.inflows[position]
     pre1 = math.fsum(e.inflows[:position])
     pre2 = math.fsum(other.inflows[:position])
@@ -338,14 +386,26 @@ def _equal_upstream_total_detail(
     )
 
 
+def _same_river(e, other) -> tuple[InflowProfile, InflowProfile]:
+    e, other = as_profile(e), as_profile(other)
+    if len(e) != len(other):
+        raise DimensionError("both profiles must describe the same river")
+    return e, other
+
+
 def check_scale_invariance(rule: RuleSpec, e, gamma, tol=None) -> bool:
     """Does scaling all inflows by gamma scale the whole allocation by gamma?"""
-    return _scale_detail(rule, e, gamma, tol) is None
+    e = as_profile(e)
+    gamma = _positive_finite(gamma, "scale factor")
+    return _scale_detail(rule, e, gamma, _checked_tolerance(tol)) is None
 
 
 def check_upstream_invariance(rule: RuleSpec, e, position, delta, tol=None) -> bool:
     """Does extra inflow at `position` leave all upstream assignments alone?"""
-    return _upstream_detail(rule, e, position, delta, tol) is None
+    e = as_profile(e)
+    delta = _positive_finite(delta, "inflow increase")
+    _check_position(position, len(e))
+    return _upstream_detail(rule, e, position, delta, _checked_tolerance(tol)) is None
 
 
 def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, strict=False) -> bool:
@@ -357,12 +417,15 @@ def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, 
     The suites draw only instances that meet the hypothesis, and the
     search's directed cases that miss it pass vacuously, as here.
     """
-    return _downstream_detail(rule, e, position, delta, tol, strict) is None
+    e = as_profile(e)
+    delta = _positive_finite(delta, "inflow increase")
+    _check_position(position, len(e))
+    return _downstream_detail(rule, e, position, delta, _checked_tolerance(tol), strict) is None
 
 
 def check_order_preservation(rule: RuleSpec, e, tol=None) -> bool:
     """Does a weakly larger inflow upstream imply a weakly larger assignment?"""
-    return _order_detail(rule, e, tol) is None
+    return _order_detail(rule, as_profile(e), _checked_tolerance(tol)) is None
 
 
 def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None, tol=None) -> bool:
@@ -381,8 +444,11 @@ def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None,
         raise _agent_count_mismatch(pinned, n)
     if not 0 <= _check_int(position, "position") < n - 1:
         raise ParameterError(
-            f"source position must be a non-terminal agent (0..{n - 2}), got {position}"
+            f"source position must be a non-terminal agent (0..{n - 2}), got {_int_text(position)}"
         )
+    tol = _checked_tolerance(tol)
+    if shape not in _SHAPES:
+        raise ParameterError(f"{shape} is not a source-shape axiom")
     # scale invariance makes a unit inflow sufficient
     e = _lone_inflow(n, position, 1.0)
     return _source_shape_profile_detail(rule, e, position, shape, tol) is None
@@ -394,7 +460,8 @@ def check_equal_treatment_source(rule: RuleSpec, e, other, tol=None) -> bool:
     Raises HypothesisNotMet when either profile lacks a source or the source
     inflows differ.
     """
-    return _equal_source_detail(rule, e, other, tol) is None
+    e, other = _same_river(e, other)
+    return _equal_source_detail(rule, e, other, _checked_tolerance(tol)) is None
 
 
 def check_equal_treatment_upstream_total(rule: RuleSpec, e, other, position, tol=None) -> bool:
@@ -403,6 +470,9 @@ def check_equal_treatment_upstream_total(rule: RuleSpec, e, other, position, tol
     Raises HypothesisNotMet when the two profiles disagree at `position` or
     in their upstream sums.
     """
+    e, other = _same_river(e, other)
+    tol = _checked_tolerance(tol)
+    _check_position(position, len(e))
     return _equal_upstream_total_detail(rule, e, other, position, tol) is None
 
 
@@ -575,27 +645,28 @@ def _draw(rng: random.Random, key: str, generate, fixed_n, lo: int, hi: int) -> 
     """Reseed `rng` with `key` as `rng.seed(key)` would, then draw n (unless
     the rule fixes it) and an instance for n agents."""
     b = key.encode()
-    # random.py's own SHA-512: importing hashlib would map OpenSSL, 3.5 MB more RSS
-    _random.Random.seed(rng, int.from_bytes(b + random._sha512(b).digest(), "big"))
+    _seed(rng, _from_bytes(b + _sha512(b).digest(), "big"))
     return generate(rng, lo + _below(rng, hi - lo + 1) if fixed_n is None else fixed_n)
 
 
-def _run_range(trials, what: str, fewest: int, seed, n_range) -> tuple[int, int]:
+def _run_range(trials, what: str, fewest: int, seed, n_range, tol) -> tuple[int, int, float | None]:
     """Check a driver's arguments once per call: the trial count `trials`,
-    named `what`, of at least `fewest`; the seed; and `n_range`, the pair
-    (lo, hi) with 2 <= lo <= hi, which is returned."""
+    named `what`, of at least `fewest`; the seed; `n_range`, the pair
+    (lo, hi) of agent counts with 2 <= lo <= hi; and `tol`.  Returns lo,
+    hi and the checked `tol`, or None for each instance's own
+    `tolerance_for`.  The checkers trust all of them."""
     if _check_int(trials, what) < fewest:
-        raise ParameterError(f"{what} must be >= {fewest}, got {trials}")
+        raise ParameterError(f"{what} must be >= {fewest}, got {_int_text(trials)}")
     _check_int(seed, "seed")
     try:
         lo, hi = n_range
     except (TypeError, ValueError):
         raise ParameterError(f"n_range must be a pair of agent counts, got {n_range!r}") from None
-    _check_int(lo, "n_range start")
-    _check_int(hi, "n_range end")
+    _check_count(lo, "n_range start")
+    _check_count(hi, "n_range end")
     if not 2 <= lo <= hi:
-        raise ParameterError(f"invalid agent count range {n_range}")
-    return lo, hi
+        raise ParameterError(f"invalid agent count range ({_int_text(lo)}, {hi})")
+    return lo, hi, _checked_tolerance(tol)
 
 
 def run_axiom_suite(
@@ -618,7 +689,7 @@ def run_axiom_suite(
     }
     if not requested:
         raise ParameterError("at least one axiom is required")
-    lo, hi = _run_range(trials, "trials", 1, seed, n_range)
+    lo, hi, tol = _run_range(trials, "trials", 1, seed, n_range, tol)
     reports = []
     label = rule.label()
     fixed_n = rule.fixed_agent_count
@@ -674,7 +745,7 @@ def find_counterexample(
     generators.  Returns None when nothing is found.
     """
     case = _case(axiom)
-    lo, hi = _run_range(random_trials, "random_trials", 0, seed, n_range)
+    lo, hi, tol = _run_range(random_trials, "random_trials", 0, seed, n_range, tol)
     fixed_n = rule.fixed_agent_count
     key = f"{seed}|find|{rule.label()}|{axiom.value}|"
 

@@ -85,10 +85,18 @@ def tolerance_for(scale: float) -> float:
 
 
 def _resolved_tolerance(tol: float | None, scale: float) -> float:
-    """`tol`, or `tolerance_for(scale)` when it is None.  A given `tol` must
-    be finite and >= 0: a NaN would pass every comparison."""
+    """`tol`, checked, or `tolerance_for(scale)` when it is None."""
     if tol is None:
         return tolerance_for(scale)
+    return _checked_tolerance(tol)
+
+
+def _checked_tolerance(tol: float | None) -> float | None:
+    """A given `tol` as a float, which must be finite and >= 0: a NaN would
+    pass every comparison.  None stays None, for callers that take
+    `tolerance_for` of each comparison's own scale."""
+    if tol is None:
+        return None
     tol = _as_float(tol, ParameterError, "tolerance")
     if not 0.0 <= tol < math.inf:
         raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
@@ -209,7 +217,17 @@ def _check_count(value, what: str) -> int:
 def _check_position(position: int, n: int) -> None:
     _check_int(position, "position")
     if not 0 <= position < n:
-        raise DimensionError(f"position {position} out of range for n={n}")
+        raise DimensionError(f"position {_int_text(position)} out of range for n={n}")
+
+
+def _int_text(value: int) -> str:
+    """The int `value` as an error message shows it: its digits, or, past
+    the digit count `str` converts (4300 by default), its sign and size, so
+    that wording the error cannot fail."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 class _Record:
@@ -366,7 +384,7 @@ class InflowProfile(_FloatVector, values="inflows"):
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
         if not math.isfinite(factor):
             raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
-        return _derived_profile(tuple([v * factor for v in self.inflows]), "scale factor {}", factor)
+        return _derived_profile(self, None, factor)
 
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
@@ -374,9 +392,7 @@ class InflowProfile(_FloatVector, values="inflows"):
         delta = _as_float(delta, ParameterError, "delta")
         if not math.isfinite(delta):
             raise ParameterError(f"delta must be finite, got {delta}")
-        values = list(self.inflows)
-        values[position] += delta
-        return _derived_profile(tuple(values), "delta {} at position {}", delta, position)
+        return _derived_profile(self, position, delta)
 
 
 # the slots' own setters, for `InflowProfile.__init__` and the builders on
@@ -407,19 +423,28 @@ def _profile_of_floats(values: tuple[float, ...]) -> InflowProfile:
     return profile
 
 
-def _derived_profile(values: tuple[float, ...], cause: str, *args) -> InflowProfile:
-    """The profile of `values`, made from a valid profile by the finite
-    change that `cause.format(*args)` names.
+def _derived_profile(e: InflowProfile, position: int | None, change: float) -> InflowProfile:
+    """`e` with `change` added to the inflow at `position`, or, when
+    `position` is None, `e` scaled by `change`: the one builder of derived
+    profiles, which trusts its arguments.  `scaled` and `bumped` call it
+    after their checks, and the axiom checkers with arguments their callers
+    checked: a finite factor >= 0, or a finite delta at an index of `e`.
 
     The old entries and the change were finite, so a rejected profile
     either has a negative entry or overflowed, and the error names the
     change.  The name is formatted only then, so a valid result pays for no
     float formatting.
     """
+    if position is None:
+        values = tuple([v * change for v in e.inflows])
+    else:
+        values = list(e.inflows)
+        values[position] += change
+        values = tuple(values)
     try:
         return _profile_of_floats(values)
     except RiverShareError:
-        cause = cause.format(*args)
+        cause = f"scale factor {change}" if position is None else f"delta {change} at position {position}"
         if min(values) >= 0.0:
             raise ParameterError(f"{cause} makes the inflows overflow") from None
         raise ParameterError(f"{cause} makes the inflow negative") from None
@@ -634,11 +659,16 @@ def _retention_kernel(e: InflowProfile, shares: Sequence[float]) -> Allocation:
     prefix_x = 0.0
     prefix_e = 0.0
     feasible = True
+    # `downstream` counts the agents below this one down, as a float: it
+    # stays exact, so dividing by it gives the int divisor's bits, and it
+    # is cheaper to count and divide by than a `range` of ints
+    downstream = len(inflows) - 1.0
     # one fused loop: `accumulate` and `map` in C were bit-identical but slower
-    for v, a, downstream in zip(inflows, shares, range(len(inflows) - 1, 0, -1)):
+    for v, a in zip(inflows, shares):
         xi = a * v + incoming
         x.append(xi)
         incoming += (1.0 - a) * v / downstream
+        downstream -= 1.0
         prefix_x += xi
         prefix_e += v
         if prefix_x > prefix_e + tol:
@@ -790,7 +820,7 @@ class RuleSpec(_Record):
         the Shapley rule keeps 1/(n-k) at position k.
         """
         if _check_count(n, "n") < 2:
-            raise DimensionError(f"need n >= 2, got {n}")
+            raise DimensionError(f"need n >= 2, got {_int_text(n)}")
         size, shares = self._memo
         if size != n:
             shares = self._shares_for(n)

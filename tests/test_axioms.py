@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
 import re
+import sys
+import types
 
 import pytest
 
-from rivershare import core
+from rivershare import axioms, core
 from rivershare.axioms import (
     Axiom,
     AxiomReport,
@@ -20,6 +23,7 @@ from rivershare.axioms import (
     _Case,
     _below,
     _draw,
+    _first_mismatch,
     _order_detail,
     _upstream_detail,
     check_downstream_impartiality,
@@ -106,7 +110,8 @@ class TestUpstreamInvariance:
                 return core.Allocation([e.total / len(e)] * len(e))
 
         assert not check_upstream_invariance(EqualSplit(), (3, 3, 3), 2, 3.0)
-        found = _upstream_detail(EqualSplit(), (3, 3, 3), 2, 3.0)
+        # the checker trusts its arguments: the profile is an InflowProfile
+        found = _upstream_detail(EqualSplit(), core.InflowProfile((3, 3, 3)), 2, 3.0)
         assert (found.axiom, found.rule) == (Axiom.UPSTREAM_INVARIANCE, "equal-split")
         assert found.inputs == (("e", (3.0, 3.0, 3.0)), ("position", 2), ("delta", 3.0))
         assert found.violation == "agent 0 is upstream of 2 but moved from 3.0 to 4.0"
@@ -198,6 +203,167 @@ def test_a_pinned_rule_refuses_another_agent_count():
         assert str(caught.value) == "2 retention shares imply 3 agents, but the profile has 4"
 
 
+class _RefusingRule:
+    """A size-generic rule that records every profile it is given and fails
+    the test if it is applied at all."""
+
+    fixed_agent_count = None
+
+    def __init__(self):
+        self.applied = []
+
+    def label(self) -> str:
+        return "refusing"
+
+    def apply(self, e):
+        self.applied.append(e)
+        raise AssertionError("the rule was applied before the arguments were checked")
+
+
+_E3 = (1.0, 2.0, 2.0)
+_PREDICATES = {  # each predicate on valid arguments, any of which a case replaces
+    "scale": lambda rule, e=_E3, gamma=2.0, tol=None: check_scale_invariance(rule, e, gamma, tol),
+    "upstream": lambda rule, e=_E3, position=1, delta=1.0, tol=None: (
+        check_upstream_invariance(rule, e, position, delta, tol)
+    ),
+    "downstream": lambda rule, e=_E3, position=0, delta=1.0, tol=None: (
+        check_downstream_impartiality(rule, e, position, delta, tol)
+    ),
+    "order": lambda rule, e=_E3, tol=None: check_order_preservation(rule, e, tol),
+    "shape": lambda rule, position=0, tol=None: check_source_shape(rule, position, Axiom.BALANCE, 3, tol),
+    "source": lambda rule, e=_E3, other=(2.0, 1.0, 0.0), tol=None: (
+        check_equal_treatment_source(rule, e, other, tol)
+    ),
+    "upstream-total": lambda rule, e=_E3, other=(2.0, 1.0, 2.0), position=2, tol=None: (
+        check_equal_treatment_upstream_total(rule, e, other, position, tol)
+    ),
+}
+_NOT_A_VECTOR = "the inflow vector must be a sequence of numbers, not the str '12'"
+_NEGATIVE = "inflow at position 0 must be >= 0, got -1.0"
+
+
+def _bad_argument_cases():
+    for name in _PREDICATES:
+        if name != "shape":
+            yield name, {"e": "12"}, core.RiverShareError, _NOT_A_VECTOR
+            yield name, {"e": (-1.0, 2.0, 2.0)}, core.RiverShareError, _NEGATIVE
+        yield name, {"tol": -1}, ParameterError, "tolerance must be finite and >= 0, got -1.0"
+        yield name, {"tol": math.nan}, ParameterError, "tolerance must be finite and >= 0, got nan"
+    for name, arg, what in [("scale", "gamma", "scale factor"), ("upstream", "delta", "inflow increase"),
+                            ("downstream", "delta", "inflow increase")]:
+        yield name, {arg: 0}, ParameterError, f"{what} must be > 0, got 0.0"
+        yield name, {arg: -1}, ParameterError, f"{what} must be > 0, got -1.0"
+        yield name, {arg: math.nan}, ParameterError, f"{what} must be finite, got nan"
+        yield name, {arg: math.inf}, ParameterError, f"{what} must be finite, got inf"
+        yield name, {arg: "x"}, ParameterError, f"{what} must be a number, got 'x'"
+    for name in ("upstream", "downstream", "shape", "upstream-total"):
+        yield name, {"position": 1.5}, ParameterError, "position must be an integer, got 1.5"
+        for position in (3, -1):
+            if name == "shape":
+                message = f"source position must be a non-terminal agent (0..1), got {position}"
+                yield name, {"position": position}, ParameterError, message
+            else:
+                message = f"position {position} out of range for n=3"
+                yield name, {"position": position}, DimensionError, message
+    for name in ("source", "upstream-total"):
+        yield name, {"other": (1.0, 2.0)}, DimensionError, "both profiles must describe the same river"
+
+
+@pytest.mark.parametrize("name,given,error,message", list(_bad_argument_cases()))
+def test_each_predicate_checks_its_arguments_before_the_rule_runs(name, given, error, message):
+    rule = _RefusingRule()
+    with pytest.raises(error) as caught:
+        _PREDICATES[name](rule, **given)
+    assert (type(caught.value), str(caught.value)) == (error, message)
+    assert rule.applied == []
+
+
+@pytest.mark.parametrize("tol", [-1, math.nan, "x"])
+def test_both_drivers_check_tol_before_the_rule_runs(tol):
+    message = (
+        "tolerance must be a number, got 'x'" if tol == "x"
+        else f"tolerance must be finite and >= 0, got {float(tol)}"
+    )
+    for axiom in Axiom:
+        for drive in (
+            lambda rule: run_axiom_suite(rule, [axiom], 3, 0, tol=tol),
+            lambda rule: find_counterexample(rule, axiom, random_trials=3, tol=tol),
+        ):
+            rule = _RefusingRule()
+            with pytest.raises(ParameterError) as caught:
+                drive(rule)
+            assert str(caught.value) == message
+            assert rule.applied == []
+
+
+@pytest.mark.parametrize("count", [10**400, sys.maxsize + 1], ids=["10**400", "maxsize+1"])
+def test_an_agent_count_range_past_the_index_range_is_one_error(count):
+    # refused before a river is sized, so neither driver hangs or applies the rule
+    bound = f"must be at most sys.maxsize = {sys.maxsize}"
+    for n_range, end in (((2, count), "end"), ((count, count), "start")):
+        for drive in (
+            lambda rule: run_axiom_suite(rule, [Axiom.BALANCE], 3, 0, n_range),
+            lambda rule: find_counterexample(rule, Axiom.BALANCE, n_range),
+        ):
+            rule = _RefusingRule()
+            with pytest.raises(DimensionError) as caught:
+                drive(rule)
+            assert str(caught.value) == f"n_range {end} {bound}"
+            assert rule.applied == []
+
+
+def _plain_walk(xs, ys, tol):
+    for k, (a, b) in enumerate(zip(xs, ys)):
+        if abs(a - b) > tol:
+            return k, a, b
+    return None
+
+
+class _GivenAmounts:
+    """A rule whose outputs are given vectors of floats, NaN included, in
+    turn: it skips `Allocation`'s checks, as a rule outside this package
+    may."""
+
+    def __init__(self, *outputs):
+        self._outputs = itertools.cycle(outputs)
+
+    def label(self) -> str:
+        return "given"
+
+    def apply(self, e):
+        return types.SimpleNamespace(amounts=next(self._outputs))
+
+
+def test_first_mismatch_matches_a_plain_walk():
+    rng = random.Random("first mismatch")
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]
+    for case in range(3000):
+        n = _below(rng, 8)
+        xs = [rng.random() for _ in range(n)]
+        ys = [x + (rng.random() - 0.5) * 1e-9 if _below(rng, 3) else rng.random() for x in xs]
+        for values in (xs, ys):
+            for _ in range(_below(rng, 3)):
+                if values:
+                    values[_below(rng, n)] = rng.choice(specials)
+        tol = rng.choice([0.0, 1e-12, 1e-9, 0.5])
+        assert _first_mismatch(xs, ys, tol) == _plain_walk(xs, ys, tol), (xs, ys, tol)
+    # a stub rule's NaN amounts, through the two predicates that call it:
+    # the first output is the rule's on e, the second on the scaled or bumped e
+    e = core.InflowProfile((1.0, 2.0, 3.0))
+    nan = math.nan
+    outputs = [(nan, 1.0, 5.0), (1.0, nan, 5.0), (nan, nan, nan), (1.0, 2.0, 3.0), (2.0, 1.0, 3.0)]
+    for before in outputs:
+        for after in outputs:
+            tol = tolerance_for(e.total)
+            assert check_scale_invariance(_GivenAmounts(before, after), e, 1.0) is (
+                _plain_walk(after, [1.0 * v for v in before], tol) is None
+            )
+            tol = tolerance_for(e.total + 1.0)
+            assert check_upstream_invariance(_GivenAmounts(before, after), e, 2, 1.0) is (
+                _plain_walk(before[:2], after[:2], tol) is None
+            )
+
+
 class TestOrderPreservation:
     def test_no_transfer_always(self):
         assert check_order_preservation(RuleSpec.no_transfer(), (50, 30, 10, 10))
@@ -263,23 +429,28 @@ def _order_cases():
     yield descending, _FixedRule(late), None
 
 
-def test_order_sweep_finds_the_pair_the_double_loop_finds():
-    found = 0
-    for inflows, rule, tol in _order_cases():
-        e = core.InflowProfile(inflows)
-        amounts = rule.apply(e).amounts
-        expected = _first_order_violation(
-            e.inflows, amounts, tolerance_for(e.total) if tol is None else tol
-        )
-        counterexample = _order_detail(rule, e, tol)
-        if expected is None:
-            assert counterexample is None
-        else:
-            found += 1
-            assert counterexample.violation == expected
-            assert counterexample.inputs == (("e", e.inflows),)
-            assert counterexample.allocations == (("allocation", amounts),)
-    assert 1000 < found < 3000  # both verdicts are well covered
+def test_order_sweep_finds_the_pair_the_double_loop_finds(monkeypatch):
+    cases = list(_order_cases())
+    # no agent checked pair by pair before the sweep, the ones checked in
+    # use, and every agent of the rivers up to 41 agents
+    for head in (0, axioms._ORDER_HEAD, 40):
+        monkeypatch.setattr(axioms, "_ORDER_HEAD", head)
+        found = 0
+        for inflows, rule, tol in cases:
+            e = core.InflowProfile(inflows)
+            amounts = rule.apply(e).amounts
+            expected = _first_order_violation(
+                e.inflows, amounts, tolerance_for(e.total) if tol is None else tol
+            )
+            counterexample = _order_detail(rule, e, tol)
+            if expected is None:
+                assert counterexample is None
+            else:
+                found += 1
+                assert counterexample.violation == expected
+                assert counterexample.inputs == (("e", e.inflows),)
+                assert counterexample.allocations == (("allocation", amounts),)
+        assert 1000 < found < 3000  # both verdicts are well covered
 
 
 class TestSourceShape:

@@ -828,6 +828,35 @@ def test_a_count_past_the_index_range_is_one_error(count):
     assert str(caught.value) == f"agent_count {bound}"
 
 
+def test_an_int_too_long_to_print_is_still_one_error():
+    # `str` refuses an int of more than 4300 digits, so the message gives its size
+    huge = -(10**5000)
+    size = "a negative int of 16610 bits"
+    cases = [
+        (lambda: RuleSpec.shapley().shares(huge), DimensionError, f"need n >= 2, got {size}"),
+        (
+            lambda: check_source_shape(RuleSpec.shapley(), huge, Axiom.BALANCE, agent_count=4),
+            ParameterError,
+            f"source position must be a non-terminal agent (0..2), got {size}",
+        ),
+        (lambda: _THREE.bumped(-huge, 1.0), DimensionError, "position an int of 16610 bits out of range for n=3"),
+        (
+            lambda: axioms.run_axiom_suite(RuleSpec.shapley(), [Axiom.BALANCE], huge, 0),
+            ParameterError,
+            f"trials must be >= 1, got {size}",
+        ),
+        (
+            lambda: axioms.find_counterexample(RuleSpec.shapley(), Axiom.BALANCE, (huge, 3)),
+            ParameterError,
+            f"invalid agent count range ({size}, 3)",
+        ),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(RiverShareError) as caught:
+            call()
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+
 def test_threads_sharing_rules_get_the_vectors_of_their_own_sizes():
     rules = (RuleSpec.compromise(0.3), RuleSpec.shapley())
     sizes = range(2, 8)  # six threads on a two-core machine, each at its own size
