@@ -661,6 +661,70 @@ def test_case_study_text_is_pinned(capsys):
     assert run_cli(capsys, "case-study") == (0, CASE_STUDY_TEXT, "")
 
 
+ALLOCATE_NILE_TEXT = """\
+rule: shapley
+agent        inflow    allocation
+-----------  --------  ----------
+Tanzania     16.8000   3.3600
+Uganda       16.2000   7.4100
+South Sudan  17.6000   13.2767
+Sudan        65.3000   45.9267
+Egypt        0.0000    45.9267
+total        115.9000  115.9000
+"""
+
+# the counterexample lines print the generated floats in full; compromise
+# is plain arithmetic, so no libm rounding shows in them
+AXIOMS_VIOLATION_TEXT = """\
+rule: compromise:0.5  trials: 200  seed: 5
+  scale-invariance: pass
+  upstream-invariance: pass
+  downstream-impartiality: pass
+  order-preservation: FAIL (166 violations)
+    e: (994986.9330968491, 571514.6495001126)
+    allocation: ('497493.4665', '1069008.1160')
+    inflows e[0]=994986.9330968491 >= e[1]=571514.6495001126 but assignments \
+x[0]=497493.46654842456 < x[1]=1069008.1160485372
+  progressivity: FAIL (140 violations)
+    e: (0.0, 0.0, 588801.7362936252, 0.0, 0.0, 0.0, 0.0, 0.0)
+    position: 2
+    allocation: ('0.0000', '0.0000', '294400.8681', '58880.1736', '58880.1736', '58880.1736', \
+'58880.1736', '58880.1736')
+    source assignment 294400.8681468126 <= downstream mean 58880.17362936252 fails
+  regressivity: pass
+  balance: FAIL (125 violations)
+    e: (410221.0160626786, 0.0, 0.0, 0.0, 0.0)
+    position: 0
+    allocation: ('205110.5080', '51277.6270', '51277.6270', '51277.6270', '51277.6270')
+    source assignment 205110.5080313393 == downstream mean 51277.627007834824 fails
+  equal-source-inflows: pass
+  equal-upstream-total-inflow: FAIL (111 violations)
+    e: (86943.56801147951, 419190.89586700784, 620574.5349062167, 989623.8244356813, \
+999881.173419132, 474170.42677775834)
+    other: (159450.04754553232, 346684.41633295506, 620574.5349062167, 323378.15856935736, \
+916185.4335293402, 306603.94785311865)
+    position: 2
+    on e: ('43471.7840', '218289.8047', '371380.4862', '659334.2202', '911868.8508', '1386039.2775')
+    on other: ('79725.0238', '189287.2129', '369567.8242', '324398.7252', '701646.9024', '1008250.8502')
+    agent 2 has equal own inflow and upstream total yet gets 371380.4862376323 vs 369567.82424928097
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("allocate", "--dataset", "nile", "--rule", "shapley"), (0, ALLOCATE_NILE_TEXT, "")),
+        (
+            ("axioms", "--rule", "compromise:0.5", "--trials", "200", "--seed", "5"),
+            (2, AXIOMS_VIOLATION_TEXT, ""),
+        ),
+    ],
+    ids=["allocate", "axioms"],
+)
+def test_allocate_and_axioms_text_is_pinned(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == expected
+
+
 def test_case_study_json_payload(capsys):
     code, out, _ = run_cli(capsys, "case-study", "--json")
     assert code == 0
