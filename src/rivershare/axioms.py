@@ -136,12 +136,10 @@ def _lone_inflow(n: int, position: int, value: float) -> InflowProfile:
 def _first_mismatch(xs, ys, tol):
     """The first k with abs(xs[k] - ys[k]) > tol, with both values, or None.
 
-    One pass of C builtins settles the usual case, no mismatch; only a
-    failed pass walks.  A NaN difference is no mismatch: `max` passes over
-    one, as the walk does, unless it comes first, and then the walk decides.
+    A NaN difference is no mismatch.  Up to the hundred agents or so of a
+    usual suite, this plain walk is faster than a `max` pass in C
+    builtins ahead of it.
     """
-    if max(map(abs, map(sub, xs, ys)), default=0.0) <= tol:
-        return None
     for k, (a, b) in enumerate(zip(xs, ys)):
         if abs(a - b) > tol:
             return k, a, b

@@ -11,13 +11,14 @@ reader, as in `rivershare axioms ... | head -1`, is an error too: one
 `error:` line on stderr and exit 1, with no traceback.
 
 Importing this module loads the whole package, as `import rivershare`
-does, so every subcommand starts with the same modules loaded.
+does, so every subcommand starts with the same modules loaded.  Of the
+standard library, `json` is loaded only by a `--json` run or a JSON
+dataset, and `csv` only by a CSV dataset.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -63,6 +64,8 @@ def _load_profile(args) -> tuple[InflowProfile, tuple[str, ...]]:
 
 def run_record(command: str, inputs: dict, outputs: dict, seed: int | None = None) -> str:
     """Everything needed to replay one invocation, as key-sorted JSON text."""
+    import json
+
     payload = {
         "command": command,
         "inputs": inputs,
@@ -71,14 +74,6 @@ def run_record(command: str, inputs: dict, outputs: dict, seed: int | None = Non
         "seed": seed,
     }
     return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _emit(record: str, args, human_lines) -> None:
-    if args.json:
-        print(record)
-    else:
-        for line in human_lines:
-            print(line)
 
 
 #: Magnitude from which table values are printed in exponent form: the
@@ -114,21 +109,24 @@ def cmd_allocate(args) -> int:
     e, names = _load_profile(args)
     allocation = rule.apply(e)
     verdict = validate_allocation(e, allocation, tol=args.tolerance)
-    record = run_record(
-        "allocate",
-        inputs={
-            "rule": rule.label(),
-            "inflows": list(e),
-            "agents": list(names),
-            "dataset": args.dataset,
-            "tolerance": args.tolerance,
-        },
-        outputs={
-            "allocation": list(allocation),
-            "total": allocation.total,
-            "valid": verdict.ok,
-        },
-    )
+    code = 0 if verdict else 2
+    if args.json:
+        print(run_record(
+            "allocate",
+            inputs={
+                "rule": rule.label(),
+                "inflows": list(e),
+                "agents": list(names),
+                "dataset": args.dataset,
+                "tolerance": args.tolerance,
+            },
+            outputs={
+                "allocation": list(allocation),
+                "total": allocation.total,
+                "valid": verdict.ok,
+            },
+        ))
+        return code
     rows = [
         [names[i], _fmt(e[i]), _fmt(allocation[i])]
         for i in range(len(e))
@@ -138,8 +136,8 @@ def cmd_allocate(args) -> int:
     lines.extend(_table(["agent", "inflow", "allocation"], rows))
     if not verdict:
         lines.append(f"VALIDATION FAILED: {verdict.reason}")
-    _emit(record, args, lines)
-    return 0 if verdict else 2
+    print(*lines, sep="\n")
+    return code
 
 
 def _parse_axiom_list(text: str) -> tuple[axioms.Axiom, ...]:
@@ -178,22 +176,25 @@ def cmd_axioms(args) -> int:
         tol=args.tolerance,
     )
     violations = sum(r.violations for r in reports)
-    record = run_record(
-        "axioms",
-        inputs={
-            "rule": rule.label(),
-            "axioms": [a.value for a in chosen],
-            "trials": args.trials,
-            "agents": [args.min_agents, args.max_agents],
-            "tolerance": args.tolerance,
-        },
-        outputs={
-            "reports": [r.to_dict() for r in reports],
-            "violations": violations,
-            "passed": violations == 0,
-        },
-        seed=args.seed,
-    )
+    code = 0 if violations == 0 else 2
+    if args.json:
+        print(run_record(
+            "axioms",
+            inputs={
+                "rule": rule.label(),
+                "axioms": [a.value for a in chosen],
+                "trials": args.trials,
+                "agents": [args.min_agents, args.max_agents],
+                "tolerance": args.tolerance,
+            },
+            outputs={
+                "reports": [r.to_dict() for r in reports],
+                "violations": violations,
+                "passed": violations == 0,
+            },
+            seed=args.seed,
+        ))
+        return code
     lines = [f"rule: {rule.label()}  trials: {args.trials}  seed: {args.seed}"]
     for report in reports:
         status = "pass" if report.passed else f"FAIL ({report.violations} violations)"
@@ -205,8 +206,8 @@ def cmd_axioms(args) -> int:
             for label, allocation in ce.allocations:
                 lines.append(f"    {label}: {tuple(_fmt(v) for v in allocation)}")
             lines.append(f"    {ce.violation}")
-    _emit(record, args, lines)
-    return 0 if violations == 0 else 2
+    print(*lines, sep="\n")
+    return code
 
 
 def _write_curve(path: str, e, z, family: analysis.Family, points: int) -> None:
@@ -237,23 +238,25 @@ def cmd_fit(args) -> int:
     legitimacy = analysis.legitimacy_bounds(e, z, family, names=dataset.names, tol=args.tolerance)
     if args.curve is not None:
         _write_curve(args.curve, e, z, family, args.curve_points)
-    record = run_record(
-        "fit",
-        inputs={
-            "dataset": args.dataset,
-            "family": family.value,
-            "nodes": args.nodes,
-            "tolerance": args.tolerance,
-            "curve": args.curve,
-            "curve_points": args.curve_points if args.curve is not None else None,
-        },
-        outputs={
-            "fit": fit.to_dict(),
-            "integral": integral,
-            "legitimacy": legitimacy.to_dict(),
-            "observed": list(z),
-        },
-    )
+    if args.json:
+        print(run_record(
+            "fit",
+            inputs={
+                "dataset": args.dataset,
+                "family": family.value,
+                "nodes": args.nodes,
+                "tolerance": args.tolerance,
+                "curve": args.curve,
+                "curve_points": args.curve_points if args.curve is not None else None,
+            },
+            outputs={
+                "fit": fit.to_dict(),
+                "integral": integral,
+                "legitimacy": legitimacy.to_dict(),
+                "observed": list(z),
+            },
+        ))
+        return 0
     lines = [
         f"family: {family.value}",
         f"parameter: {_fmt(fit.parameter_star)}"
@@ -277,18 +280,21 @@ def cmd_fit(args) -> int:
     lines.extend(_table(["agent", "observed", "fitted", "lower", "upper", "status"], rows))
     if args.curve is not None:
         lines.append(f"distance curve written to {args.curve}")
-    _emit(record, args, lines)
+    print(*lines, sep="\n")
     return 0
 
 
 def cmd_case_study(args) -> int:
     decimals = None if args.full_precision else args.decimals
     result = analysis.nile_case_study(reporting_decimals=decimals, nodes=args.nodes)
-    record = run_record(
-        "case-study",
-        inputs={"reporting_decimals": decimals, "nodes": args.nodes},
-        outputs=result.to_dict(),
-    )
+    code = 0 if result.all_ok else 2
+    if args.json:
+        print(run_record(
+            "case-study",
+            inputs={"reporting_decimals": decimals, "nodes": args.nodes},
+            outputs=result.to_dict(),
+        ))
+        return code
     lines = ["Nile basin allocation study", ""]
     headers = ["agent"] + [label for label, _ in result.table]
     rows = []
@@ -330,8 +336,8 @@ def cmd_case_study(args) -> int:
                 + (f" within {check.tolerance}" if check.tolerance is not None else "")
                 + f", got {check.actual}"
             )
-    _emit(record, args, lines)
-    return 0 if result.all_ok else 2
+    print(*lines, sep="\n")
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ offending line (CSV) or array index (JSON).  A number outside the float
 range is an error too: a JSON integer too large to convert, a JSON
 integer longer than Python converts at all, or withdrawals whose total
 overflows when they are normalized.
+
+`csv` and `json` are imported by the functions that use them, so a
+command that reads no dataset file and prints no JSON loads neither.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -81,7 +82,12 @@ class BasinDataset(_Record):
     def normalized_withdrawals(self) -> ObservedAllocation:
         if self.withdrawals is None:
             raise DatasetError("dataset has no withdrawal column")
-        return normalize_withdrawals(self.inflows, self.withdrawals)
+        # the constructor checked the withdrawals; only their total is new
+        try:
+            total = math.fsum(self.withdrawals)
+        except OverflowError:
+            total = math.inf
+        return _scaled_withdrawals(self.inflows, self.withdrawals, total)
 
 
 def _check_names(names: tuple, error: type) -> None:
@@ -116,6 +122,13 @@ def normalize_withdrawals(e, withdrawals) -> ObservedAllocation:
     values, total = _checked_floats(withdrawals, "withdrawal", DatasetError, False)
     if len(values) != len(e):
         raise DimensionError(f"{len(values)} withdrawals for {len(e)} inflows")
+    return _scaled_withdrawals(e, values, total)
+
+
+def _scaled_withdrawals(e: InflowProfile, values: tuple[float, ...], total: float) -> ObservedAllocation:
+    """Checked withdrawals `values`, of fsum `total` (inf past the float
+    range), rescaled to `e`'s total inflow.  The product is checked once,
+    as an `ObservedAllocation`."""
     if total == math.inf:
         raise DatasetError("withdrawal total is too large to represent as a float")
     if not total > 0.0:
@@ -170,6 +183,8 @@ def _columns_dataset(names, inflows, withdrawals) -> BasinDataset | None:
 
 
 def _load_csv(text: str) -> BasinDataset:
+    import csv
+
     reader = csv.reader(io.StringIO(text))
     try:
         header = [h.strip().casefold() for h in next(reader)]
@@ -223,12 +238,14 @@ def _reject_constant(text):
     raise DatasetError(f"non-finite JSON value {text!r} is not allowed")
 
 
-def _decode_json(text):
-    """`json.loads(text, parse_constant=_reject_constant)`, with the parse
-    errors `json` leaves unworded made a DatasetError."""
+def _load_json(text: str) -> BasinDataset:
+    import json
+
     try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, DatasetError):
+        payload = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"invalid JSON: {exc}") from None
+    except DatasetError:
         raise
     except ValueError:  # int() refuses a literal of that many digits
         raise DatasetError(
@@ -237,13 +254,6 @@ def _decode_json(text):
         ) from None
     except RecursionError:
         raise DatasetError("invalid JSON: arrays or objects nested too deeply") from None
-
-
-def _load_json(text: str) -> BasinDataset:
-    try:
-        payload = _decode_json(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "agents" not in payload:
         raise DatasetError("top level must be an object with an 'agents' array")
     agents = payload["agents"]
@@ -407,7 +417,8 @@ def dump_dataset(dataset: BasinDataset, format: str) -> str:
         return "agent,inflow\n" + "".join(rows)
     # the JSON form: the bytes of json.dumps({"agents": [...]}, indent=2), written
     # directly: with an indent json.dumps never uses its C encoder
-    quote = json.encoder.encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii as quote
+
     if dataset.has_withdrawals:
         agents = [
             f'    {{\n      "name": {quote(name)},\n      "inflow": {inflow!r},\n'

@@ -965,6 +965,45 @@ def test_import_loads_every_module_and_commands_load_nothing_heavy():
     assert done.stdout.endswith("ok\n")
 
 
+_LOADED_SCRIPT = """
+import contextlib
+import io
+import sys
+
+from rivershare.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in ("json", "_json", "csv", "_csv") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("allocate", "--inflows", "50,30,10,10", "--rule", "shapley"), ("0",)),
+        (("allocate", "--dataset", "nile", "--rule", "compromise:0.5"), ("0",)),
+        (("allocate", "--inflows", "1,-2", "--rule", "nt"), ("1",)),
+        (("axioms", "--rule", "compromise:0.5", "--axioms", "balance", "--trials", "20"), ("2",)),
+        (("fit", "--dataset", "nile", "--family", "compromise", "--curve", "{tmp}/curve.csv"), ("0",)),
+        (("case-study",), ("0",)),
+        (("allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"), ("0", "_json", "json")),
+        (("case-study", "--json"), ("0", "_json", "json")),
+        (("allocate", "--dataset", "{tmp}/nile.json", "--rule", "nt"), ("0", "_json", "json")),
+        (("allocate", "--dataset", "{tmp}/nile.csv", "--rule", "nt"), ("0", "_csv", "csv")),
+        (("fit", "--dataset", "{tmp}/nile.csv", "--family", "partial"), ("0", "_csv", "csv")),
+    ],
+    ids=" ".join,
+)
+def test_a_command_loads_json_and_csv_only_when_it_uses_them(tmp_path, argv, expected):
+    for fmt in ("csv", "json"):
+        (tmp_path / f"nile.{fmt}").write_text(dump_dataset(builtin_nile(), fmt), encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    # -S: a site .pth file may import `json` at start-up
+    done = run_child([sys.executable, "-S", "-c", _LOADED_SCRIPT, *argv], text=True)
+    assert (done.stdout, done.stderr) == (" ".join(expected) + "\n", "")
+
+
 def test_package_names_are_bound_from_their_modules():
     import rivershare
 
