@@ -79,7 +79,7 @@ def as_family(value) -> Family:
     if isinstance(value, Family):
         return value
     try:
-        return Family(str(value))
+        return Family(str(value).strip().casefold())
     except ValueError:
         legal = ", ".join(f.value for f in Family)
         raise ParameterError(f"unknown family {value!r}, expected one of: {legal}") from None

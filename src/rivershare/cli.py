@@ -10,6 +10,12 @@ case-study reference outside tolerance).  A standard output closed by its
 reader, as in `rivershare axioms ... | head -1`, is an error too: one
 `error:` line on stderr and exit 1, with no traceback.
 
+Each input is checked once, by the library function that takes it, so an
+input error's text is that function's message.  The CLI checks only what
+no library function knows about: the caps on `--trials` and
+`--max-agents`, the range of `--curve-points`, and that exactly one of
+`--inflows` and `--dataset` is given.
+
 Importing this module loads the whole package, as `import rivershare`
 does, so every subcommand starts with the same modules loaded.  Of the
 standard library, `json` is loaded only by a `--json` run or a JSON
@@ -19,7 +25,6 @@ dataset, and `csv` only by a CSV dataset.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections.abc import Sequence
@@ -157,14 +162,8 @@ def _parse_axiom_list(text: str) -> tuple[axioms.Axiom, ...]:
 def cmd_axioms(args) -> int:
     rule = parse_rule(args.rule)
     chosen = _parse_axiom_list(args.axioms)
-    if args.trials < 1:
-        raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     if args.trials > _MAX_TRIALS:
         raise ParameterError(f"--trials must be at most {_MAX_TRIALS}, got {args.trials}")
-    if not 2 <= args.min_agents <= args.max_agents:
-        raise ParameterError(
-            f"need 2 <= --min-agents <= --max-agents, got {args.min_agents}..{args.max_agents}"
-        )
     if args.max_agents > _MAX_AXIOM_AGENTS:
         raise ParameterError(f"--max-agents must be at most {_MAX_AXIOM_AGENTS}, got {args.max_agents}")
     reports = axioms.run_axiom_suite(
@@ -229,8 +228,6 @@ def cmd_fit(args) -> int:
             f"--curve-points must lie in [2, {_MAX_CURVE_POINTS}], got {args.curve_points}"
         )
     dataset = _resolve_dataset(args.dataset)
-    if not dataset.has_withdrawals:
-        raise ParameterError(f"dataset {args.dataset!r} has no withdrawal column to fit against")
     e = dataset.inflows
     z = dataset.normalized_withdrawals()
     fit = analysis.fit_family(e, z, family)
@@ -455,9 +452,6 @@ def _main(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        tolerance = getattr(args, "tolerance", None)
-        if tolerance is not None and not 0.0 <= tolerance < math.inf:
-            raise ParameterError(f"--tolerance must be a finite number >= 0, got {tolerance}")
         return args.handler(args)
     except RiverShareError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,7 +40,8 @@ agent count beyond the index range, `sys.maxsize`, is refused by
 `_check_count` before any vector is sized.
 Comparisons use `tolerance_for(scale)`, 1e-9 relative with a floor at the
 smallest normal float, 2^-1022, so verdicts are the same at every
-magnitude down to there; a `tol` given instead must be finite and >= 0.
+magnitude down to there; the scale, and a `tol` given instead, must be
+finite, and the `tol` >= 0.
 
 The value types here, in `data_io`, in `axioms` and in `analysis` are
 immutable records on one `__slots__` base, `_Record`, rather than
@@ -77,11 +78,18 @@ class AllocationError(RiverShareError):
 
 
 def tolerance_for(scale: float) -> float:
-    """Default comparison tolerance for quantities of the given magnitude."""
+    """Default comparison tolerance for quantities of the given magnitude,
+    which must be finite: a NaN or infinite tolerance would pass every
+    comparison."""
     try:
-        return max(RELATIVE_TOLERANCE * abs(scale), TOLERANCE_FLOOR)
-    except (TypeError, OverflowError):  # not a float: `_as_float` words a non-number
-        return tolerance_for(_as_float(scale, ParameterError, "scale"))
+        tol = RELATIVE_TOLERANCE * abs(scale)
+    except (TypeError, OverflowError):  # not a float: `_as_finite_float` words it below
+        tol = math.nan
+    if TOLERANCE_FLOOR <= tol < math.inf:
+        return tol
+    if tol < TOLERANCE_FLOOR:
+        return TOLERANCE_FLOOR
+    return tolerance_for(_as_finite_float(scale, ParameterError, "scale"))
 
 
 def _resolved_tolerance(tol: float | None, scale: float) -> float:
@@ -389,9 +397,7 @@ class InflowProfile(_FloatVector, values="inflows"):
     def bumped(self, position: int, delta: float) -> "InflowProfile":
         """Copy with `delta` added to the inflow at `position`."""
         _check_position(position, len(self.inflows))
-        delta = _as_float(delta, ParameterError, "delta")
-        if not math.isfinite(delta):
-            raise ParameterError(f"delta must be finite, got {delta}")
+        delta = _as_finite_float(delta, ParameterError, "delta")
         return _derived_profile(self, position, delta)
 
 
@@ -903,8 +909,9 @@ _RULE_GRAMMAR = "nt | eft | ept | shapley | compromise:<w> | partial:<w> | alpha
 def parse_rule(text: str) -> RuleSpec:
     """Inverse of RuleSpec.label(); errors name the offending token.
 
-    Range checks are left to RuleSpec, and the retention shares' number
-    checks to RetentionShares, whose errors name the share's position.
+    The weight's number and range checks are left to RuleSpec, and the
+    retention shares' to RetentionShares, whose errors name the share's
+    position.
     """
     if not isinstance(text, str):
         raise ParameterError(f"a rule must be given as text, got {text!r}")
@@ -914,13 +921,7 @@ def parse_rule(text: str) -> RuleSpec:
     except ValueError:
         raise ParameterError(f"unknown rule {head!r}, expected one of: {_RULE_GRAMMAR}") from None
     if kind in _WEIGHTED_KINDS:
-        try:
-            weight = float(tail)
-        except ValueError:
-            raise ParameterError(
-                f"{head}: expected a weight in [0, 1] after the colon, got {tail!r}"
-            ) from None
-        return RuleSpec(kind, weight=weight)
+        return RuleSpec(kind, weight=tail)
     if kind is RuleKind.RETENTION:
         if not tail:
             raise ParameterError("alpha: expected comma-separated retention shares after the colon")

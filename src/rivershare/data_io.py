@@ -295,7 +295,7 @@ def _walk_json(agents: list) -> BasinDataset:
         where = f"agents[{k}]"
         if not isinstance(entry, dict):
             raise DatasetError(f"{where}: each agent must be an object")
-        unknown = set(entry) - {"name", "inflow", "withdrawal"}
+        unknown = set(entry).difference(_FIELDS)
         if unknown:
             raise DatasetError(f"{where}: unknown field {sorted(unknown)[0]!r}")
         name = entry.get("name")
@@ -310,9 +310,9 @@ def _walk_json(agents: list) -> BasinDataset:
 
 
 def _json_number(entry: dict, field: str, where: str) -> float:
-    """The number in `entry[field]`: a JSON number, not a boolean."""
+    """The number in `entry[field]`, of one of the `_NUMBER_TYPES`."""
     value = entry[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBER_TYPES:
         raise DatasetError(f"{where}: {field} must be a number, got {value!r}")
     return _as_finite_float(value, DatasetError, "{}: {}", where, field)
 
@@ -368,7 +368,7 @@ def read_dataset(path) -> BasinDataset:
     else:
         raise DatasetError(f"cannot infer format from {os.path.basename(path)!r}; use a .csv or .json file")
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:  # the second is a ValueError
         raise DatasetError(f"cannot read {path}: {exc}") from None

@@ -467,8 +467,13 @@ def test_as_family_coercion():
     assert as_family("compromise") is Family.COMPROMISE
     assert as_family("partial") is Family.PARTIAL_COMPROMISE
     assert as_family(Family.COMPROMISE) is Family.COMPROMISE
-    with pytest.raises(ParameterError):
-        as_family("shapley")
+    # read as the rule, axiom and dataset names are: stripped and case-folded
+    assert as_family("Compromise") is Family.COMPROMISE
+    assert as_family(" PARTIAL\t") is Family.PARTIAL_COMPROMISE
+    for name in ("shapley", "", "partial compromise"):
+        with pytest.raises(ParameterError) as caught:
+            as_family(name)
+        assert str(caught.value) == f"unknown family {name!r}, expected one of: compromise, partial"
 
 
 def test_family_member_endpoints():

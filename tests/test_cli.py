@@ -19,8 +19,15 @@ from hypothesis import strategies as st
 
 from rivershare import analysis, axioms, cli
 from rivershare.cli import main, parse_rule
-from rivershare.core import ParameterError, RuleKind, RuleSpec, ValidationResult
-from rivershare.data_io import builtin_nile, dump_dataset
+from rivershare.core import (
+    ParameterError,
+    RiverShareError,
+    RuleKind,
+    RuleSpec,
+    ValidationResult,
+    validate_allocation,
+)
+from rivershare.data_io import builtin_nile, dump_dataset, read_dataset
 from rivershare.analysis import Family, family_member
 
 
@@ -73,7 +80,7 @@ def test_parse_rule_round_trips_labels():
     [
         ("sharpley", "unknown rule"),
         ("nt:1", "takes no parameter"),
-        ("compromise:", "expected a weight"),
+        ("compromise:", "compromise weight must be a number"),
         ("compromise:x", "'x'"),
         ("compromise:1.5", "[0, 1]"),
         ("partial:-0.1", "[0, 1]"),
@@ -86,6 +93,16 @@ def test_parse_rule_errors_name_the_token(text, fragment):
     with pytest.raises(ParameterError) as err:
         parse_rule(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("weight", ["x", "", "nan", "1.5", "-0.1"])
+@pytest.mark.parametrize("kind", [RuleKind.COMPROMISE, RuleKind.PARTIAL_COMPROMISE])
+def test_parse_rule_leaves_the_weight_to_rulespec(kind, weight):
+    with pytest.raises(ParameterError) as parsed:
+        parse_rule(f"{kind.value.title()}:{weight}")
+    with pytest.raises(ParameterError) as built:
+        RuleSpec(kind, weight=weight)
+    assert str(parsed.value) == str(built.value)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +195,16 @@ def test_dataset_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_a_dataset_with_a_byte_order_mark_allocates(capsys, tmp_path):
+    plain = tmp_path / "basin.csv"
+    plain.write_text("agent,inflow\nup,3\ndown,1\n", encoding="utf-8")
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, out, err = run_cli(capsys, "allocate", "--dataset", str(marked), "--rule", "shapley")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "allocate", "--dataset", str(plain), "--rule", "shapley") == (0, out, "")
+
+
 def test_allocate_overflowing_total_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "allocate", "--inflows", "1e308,1e308", "--rule", "shapley")
     assert code == 1
@@ -198,7 +225,60 @@ def test_tolerance_must_be_finite_and_non_negative(capsys, argv, value):
     code, out, err = run_cli(capsys, *argv, "--tolerance", value)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: --tolerance") and len(err.splitlines()) == 1
+    assert err.startswith("error: tolerance must be finite and >= 0") and len(err.splitlines()) == 1
+
+
+def _rerouted_tolerance(value):
+    tol = float(value)
+    yield pytest.param(
+        ("allocate", "--inflows", "1,2", "--rule", "shapley", "--tolerance", value),
+        lambda path: validate_allocation((1, 2), RuleSpec.shapley().apply((1, 2)), tol=tol),
+        id=f"allocate-tolerance={value}",
+    )
+    yield pytest.param(
+        ("axioms", "--rule", "shapley", "--trials", "1", "--tolerance", value),
+        lambda path: axioms.run_axiom_suite(RuleSpec.shapley(), list(axioms.Axiom), 1, 0, tol=tol),
+        id=f"axioms-tolerance={value}",
+    )
+    yield pytest.param(
+        ("fit", "--dataset", "nile", "--family", "compromise", "--tolerance", value),
+        lambda path: analysis.legitimacy_bounds(
+            builtin_nile().inflows, builtin_nile().normalized_withdrawals(), Family.COMPROMISE, tol=tol
+        ),
+        id=f"fit-tolerance={value}",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,call",
+    [
+        *_rerouted_tolerance("-1"),
+        *_rerouted_tolerance("nan"),
+        pytest.param(
+            ("axioms", "--rule", "shapley", "--trials", "0"),
+            lambda path: axioms.run_axiom_suite(RuleSpec.shapley(), list(axioms.Axiom), 0, 0),
+            id="trials",
+        ),
+        pytest.param(
+            ("axioms", "--rule", "shapley", "--min-agents", "5", "--max-agents", "3"),
+            lambda path: axioms.run_axiom_suite(RuleSpec.shapley(), list(axioms.Axiom), 1000, 0, (5, 3)),
+            id="agent-range",
+        ),
+        pytest.param(
+            ("fit", "--dataset", "{csv}", "--family", "compromise"),
+            lambda path: read_dataset(path).normalized_withdrawals(),
+            id="no-withdrawals",
+        ),
+    ],
+)
+def test_a_rerouted_input_error_is_the_library_message(capsys, tmp_path, argv, call):
+    # the CLI leaves each of these to the library call it makes
+    path = tmp_path / "no-withdrawals.csv"
+    path.write_text("agent,inflow\nup,1\ndown,2\n", encoding="utf-8")
+    with pytest.raises(RiverShareError) as caught:
+        call(path)
+    argv = [str(path) if arg == "{csv}" else arg for arg in argv]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {caught.value}\n")
 
 
 def test_case_study_takes_no_tolerance(capsys):
@@ -301,9 +381,9 @@ def test_axioms_all_for_no_transfer(capsys):
 def test_axioms_rejects_bad_input(capsys, monkeypatch, argv):
     # every one of these is rejected before any instance is generated
     def fail(*args, **kwargs):
-        raise AssertionError("axiom suite ran")
+        raise AssertionError("an instance was generated")
 
-    monkeypatch.setattr(axioms, "run_axiom_suite", fail)
+    monkeypatch.setattr(axioms, "_draw", fail)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")

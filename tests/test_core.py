@@ -1251,6 +1251,26 @@ def test_positions_and_agent_counts_must_be_integers(what, value, call):
     assert str(caught.value) == f"{what} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, "nan"], ids=repr)
+def test_tolerance_for_refuses_a_non_finite_scale(scale):
+    # a NaN or infinite tolerance would pass every comparison
+    with pytest.raises(ParameterError) as caught:
+        tolerance_for(scale)
+    assert str(caught.value) == f"scale must be finite, got {scale!r}"
+
+
+def test_tolerance_for_has_the_bits_of_the_max_form():
+    floor = core.TOLERANCE_FLOOR
+    edge = floor / core.RELATIVE_TOLERANCE
+    scales = [0.0, -0.0, 5e-324, -5e-324, floor, edge, 1e308, -1e308, -math.ulp(0.0) * 7]
+    scales += [math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), -edge]
+    rng = random.Random(2030)
+    scales += [rng.choice((-1, 1)) * 10.0 ** rng.uniform(-320, 308) for _ in range(200_000)]
+    for scale in scales:
+        expected = max(core.RELATIVE_TOLERANCE * abs(scale), floor)
+        assert tolerance_for(scale).hex() == expected.hex(), scale
+
+
 def test_tolerance_floor_is_the_smallest_normal_float():
     assert core.TOLERANCE_FLOOR == 2.0**-1022 == tolerance_for(0.0)
     # nothing allocated, and a 2.5e-6 relative over-allocation: both passed

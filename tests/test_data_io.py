@@ -459,6 +459,17 @@ def test_read_dataset_infers_format(tmp_path):
     assert read_dataset(json_path).names == ("A", "B", "C")
 
 
+@pytest.mark.parametrize("name,text", [("basin.csv", GOOD_CSV), ("basin.json", GOOD_JSON)], ids=["csv", "json"])
+def test_read_dataset_skips_a_byte_order_mark(tmp_path, name, text):
+    # as a spreadsheet's "CSV UTF-8" starts its file
+    plain = tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / f"bom-{name}"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert read_dataset(marked) == read_dataset(plain)
+
+
 def test_read_dataset_rejects_unknown_extension(tmp_path):
     path = tmp_path / "basin.txt"
     path.write_text(GOOD_CSV, encoding="utf-8")
