@@ -7,13 +7,13 @@ that meet its hypothesis by construction, and its directed cases;
 `run_axiom_suite` drives the checker over random instances, and
 `find_counterexample` tries the directed cases before random ones.
 
-Arguments are checked once, where they enter: each public `check_*`
-predicate checks all of its arguments before it applies the rule, and each
-driver checks its own (the axioms, counts, seed, `n_range` and `tol`) once
-per call, in `_case` and `_run_range`.  The `_*_detail` checkers, the
-generators and `_first_mismatch` trust theirs: the generators build valid
-instances, and the checkers only raise HypothesisNotMet, for an instance
-that misses the axiom's hypothesis.
+Arguments are checked once, where they enter: every entry point checks
+the rule first, in `_as_rule`, then each `check_*` predicate the rest
+before it applies the rule, and each driver its own (the axioms, counts,
+seed, `n_range` and `tol`) once per call, in `_case` and `_run_range`.
+The `_*_detail` checkers, the generators and `_first_mismatch` trust
+theirs: the generators build valid instances, and the checkers only raise
+HypothesisNotMet, for an instance that misses the axiom's hypothesis.
 
 The random stream is a contract: the same arguments give the same
 instances, verdicts and counterexamples in every process.  A suite keeps
@@ -156,6 +156,18 @@ def _first_mismatch(xs, ys, tol):
 # finite and > 0, and `tol` a checked float or None, which takes
 # `tolerance_for` of the instance's own scale.  It still raises
 # HypothesisNotMet, which is a property of the instance, not a bad argument.
+
+
+def _as_rule(rule, pinned: bool = False) -> int | None:
+    """Refuse a `rule` without a callable `apply` and `label`, or, when
+    `pinned`, without the `fixed_agent_count` the caller reads and gets
+    back: one ParameterError, not an AttributeError from the first trial."""
+    if not (callable(getattr(rule, "apply", None)) and callable(getattr(rule, "label", None))
+            and (not pinned or hasattr(rule, "fixed_agent_count"))):
+        needs = "a callable apply and label" + (" and a fixed_agent_count" if pinned else "")
+        hint = "; pass a RuleSpec or parse_rule(...)" if isinstance(rule, str) else ""
+        raise ParameterError(f"a rule needs {needs}, got {rule!r}{hint}")
+    return rule.fixed_agent_count if pinned else None
 
 
 def _positive_finite(value, what: str) -> float:
@@ -393,6 +405,7 @@ def _same_river(e, other) -> tuple[InflowProfile, InflowProfile]:
 
 def check_scale_invariance(rule: RuleSpec, e, gamma, tol=None) -> bool:
     """Does scaling all inflows by gamma scale the whole allocation by gamma?"""
+    _as_rule(rule)
     e = as_profile(e)
     gamma = _positive_finite(gamma, "scale factor")
     return _scale_detail(rule, e, gamma, _checked_tolerance(tol)) is None
@@ -400,6 +413,7 @@ def check_scale_invariance(rule: RuleSpec, e, gamma, tol=None) -> bool:
 
 def check_upstream_invariance(rule: RuleSpec, e, position, delta, tol=None) -> bool:
     """Does extra inflow at `position` leave all upstream assignments alone?"""
+    _as_rule(rule)
     e = as_profile(e)
     delta = _positive_finite(delta, "inflow increase")
     _check_position(position, len(e))
@@ -415,6 +429,7 @@ def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, 
     The suites draw only instances that meet the hypothesis, and the
     search's directed cases that miss it pass vacuously, as here.
     """
+    _as_rule(rule)
     e = as_profile(e)
     delta = _positive_finite(delta, "inflow increase")
     _check_position(position, len(e))
@@ -423,6 +438,7 @@ def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, 
 
 def check_order_preservation(rule: RuleSpec, e, tol=None) -> bool:
     """Does a weakly larger inflow upstream imply a weakly larger assignment?"""
+    _as_rule(rule)
     return _order_detail(rule, as_profile(e), _checked_tolerance(tol)) is None
 
 
@@ -434,7 +450,7 @@ def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None,
     profile is a unit inflow at `position` with nothing else entering.
     `agent_count` sizes the river for size-generic rules.
     """
-    pinned = rule.fixed_agent_count
+    pinned = _as_rule(rule, True)
     n = pinned if agent_count is None else _check_count(agent_count, "agent_count")
     if n is None:
         raise DimensionError("agent_count is required for size-generic rules")
@@ -458,6 +474,7 @@ def check_equal_treatment_source(rule: RuleSpec, e, other, tol=None) -> bool:
     Raises HypothesisNotMet when either profile lacks a source or the source
     inflows differ.
     """
+    _as_rule(rule)
     e, other = _same_river(e, other)
     return _equal_source_detail(rule, e, other, _checked_tolerance(tol)) is None
 
@@ -468,6 +485,7 @@ def check_equal_treatment_upstream_total(rule: RuleSpec, e, other, position, tol
     Raises HypothesisNotMet when the two profiles disagree at `position` or
     in their upstream sums.
     """
+    _as_rule(rule)
     e, other = _same_river(e, other)
     tol = _checked_tolerance(tol)
     _check_position(position, len(e))
@@ -681,6 +699,7 @@ def run_axiom_suite(
     Results are deterministic for a given seed.  Reports come back in the
     enum's declaration order with at most one stored counterexample each.
     """
+    fixed_n = _as_rule(rule, True)
     requested = {
         axiom: _case(axiom)
         for axiom in _as_tuple(axioms, ParameterError, "axioms must be a collection of Axiom members")
@@ -690,7 +709,6 @@ def run_axiom_suite(
     lo, hi, tol = _run_range(trials, "trials", 1, seed, n_range, tol)
     reports = []
     label = rule.label()
-    fixed_n = rule.fixed_agent_count
     rng = random.Random()
     for axiom in Axiom:
         if axiom not in requested:
@@ -742,9 +760,9 @@ def find_counterexample(
     stress cases for these rules; the random phase reuses the suite
     generators.  Returns None when nothing is found.
     """
+    fixed_n = _as_rule(rule, True)
     case = _case(axiom)
     lo, hi, tol = _run_range(random_trials, "random_trials", 0, seed, n_range, tol)
-    fixed_n = rule.fixed_agent_count
     key = f"{seed}|find|{rule.label()}|{axiom.value}|"
 
     def instances():  # directed cases first; only a random phase builds a `Random`

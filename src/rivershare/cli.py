@@ -230,9 +230,10 @@ def cmd_fit(args) -> int:
     dataset = _resolve_dataset(args.dataset)
     e = dataset.inflows
     z = dataset.normalized_withdrawals()
+    # first: the one call that checks --tolerance, so a bad value runs no fit or quadrature
+    legitimacy = analysis.legitimacy_bounds(e, z, family, names=dataset.names, tol=args.tolerance)
     fit = analysis.fit_family(e, z, family)
     integral = analysis.integrate_distance(e, z, family, nodes=args.nodes)
-    legitimacy = analysis.legitimacy_bounds(e, z, family, names=dataset.names, tol=args.tolerance)
     if args.curve is not None:
         _write_curve(args.curve, e, z, family, args.curve_points)
     if args.json:

@@ -191,17 +191,16 @@ def _as_finite_float(value, error: type, what: str, *args) -> float:
     return f
 
 
-def _walk_floats(items: tuple, what: str, error: type, non_negative: bool) -> tuple[float, ...]:
-    """`items` as floats, or `error` naming the first entry that is not a
-    finite number or, failing that, the first negative one when
-    `non_negative`."""
-    floats = tuple(
-        [_as_finite_float(v, error, "{} at position {}", what, k) for k, v in enumerate(items)]
-    )
+def _walk_floats(items: tuple, what: str, error: type, non_negative: bool, where=None) -> tuple[float, ...]:
+    """`items` as floats, or `error` naming, by position or by its string in
+    `where`, the first entry that is not a finite number or, failing that,
+    the first negative one when `non_negative`."""
+    name, places = ("{} at position {}", range(len(items))) if where is None else ("{1}: {0}", where)
+    floats = tuple([_as_finite_float(v, error, name, what, k) for k, v in zip(places, items)])
     if non_negative:
-        for k, f in enumerate(floats):
+        for k, f in zip(places, floats):
             if f < 0.0:
-                raise error(f"{what} at position {k} must be >= 0, got {f}")
+                raise error(f"{name.format(what, k)} must be >= 0, got {f}")
     return floats
 
 

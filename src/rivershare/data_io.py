@@ -9,12 +9,16 @@ A loader hands the columns straight to the constructors, whose checks
 run in bulk, in C builtins: `BasinDataset` checks that the names are
 non-empty and distinct, and its withdrawals and `InflowProfile`'s inflows
 pass the package's one float-vector check (every entry a finite number
->= 0; for the inflows, a finite total too).  Only input that these checks
-reject is walked row by row; the walk words the error and names the
-offending line (CSV) or array index (JSON).  A number outside the float
-range is an error too: a JSON integer too large to convert, a JSON
-integer longer than Python converts at all, or withdrawals whose total
-overflows when they are normalized.
+>= 0; for the inflows, a finite total too).  Input they reject is walked:
+the loader checks its format, then the constructors' own walks word the
+error, given each entry's line (CSV) or array index (JSON).  The first
+fault is reported, in this order: the format, row by row; under two
+agents; withdrawals for some agents only; names; inflows; withdrawals,
+where in a column the first entry upstream that is not a finite number
+comes before the first negative one.  A number outside the float range is
+an error too: a JSON integer too large to convert, a JSON integer longer
+than Python converts at all, or withdrawals whose total overflows when
+they are normalized.
 
 `csv` and `json` are imported by the functions that use them, so a
 command that reads no dataset file and prints no JSON loads neither.
@@ -34,10 +38,10 @@ from .core import (
     InflowProfile,
     ObservedAllocation,
     RiverShareError,
-    _as_finite_float,
     _as_tuple,
     _checked_floats,
     _Record,
+    _walk_floats,
     as_profile,
 )
 
@@ -98,18 +102,21 @@ def _check_names(names: tuple, error: type) -> None:
         _walk_names(names, error)
 
 
-def _walk_names(names: tuple, error: type) -> None:
+def _walk_names(names: tuple, error: type, where: tuple[str, ...] | None = None) -> None:
     """Raise `error` naming the first name that is not a string, or is
-    empty or repeated."""
-    seen = set()
+    empty or repeated; by its location in `where`, one per name, if given."""
+    seen = {}  # name: the index of its first use
     for k, name in enumerate(names):
+        at = "" if where is None else f"{where[k]}: "
         if not isinstance(name, str):
-            raise error(f"agent name at position {k} must be a string, got {name!r}")
+            subject = f"agent name at position {k}" if where is None else f"{at}agent name"
+            raise error(f"{subject} must be a string, got {name!r}")
         if not name:
-            raise error("agent names must be non-empty")
+            raise error("agent names must be non-empty" if where is None else f"{at}agent name must be non-empty")
         if name in seen:
-            raise error(f"duplicate agent name {name!r}")
-        seen.add(name)
+            first = "" if where is None else f" (first at {where[seen[name]]})"
+            raise error(f"{at}duplicate agent name {name!r}{first}")
+        seen[name] = k
 
 
 def normalize_withdrawals(e, withdrawals) -> ObservedAllocation:
@@ -141,41 +148,28 @@ def _scaled_withdrawals(e: InflowProfile, values: tuple[float, ...], total: floa
 # parsing
 
 
-def _build_dataset(rows: list[tuple[str, str, float, float | None]]) -> BasinDataset:
-    # rows: (where, name, inflow, withdrawal-or-None), already value-checked
+def _located_dataset(rows: list[tuple]) -> BasinDataset:
+    """The dataset of format-checked `rows`, each (location, name, inflow,
+    withdrawal or None), or its first fault in the module docstring's order."""
     if len(rows) < 2:
         raise DatasetError(f"a dataset needs at least two agents, got {len(rows)}")
-    seen = {}  # name: where, in river order
-    inflows = []
-    withdrawals = []
-    with_count = 0
-    for where, name, inflow, withdrawal in rows:
-        if name in seen:
-            raise DatasetError(f"{where}: duplicate agent name {name!r} (first at {seen[name]})")
-        seen[name] = where
-        if inflow < 0.0:
-            raise DatasetError(f"{where}: inflow must be >= 0, got {inflow}")
-        inflows.append(inflow)
-        if withdrawal is not None:
-            if withdrawal < 0.0:
-                raise DatasetError(f"{where}: withdrawal must be >= 0, got {withdrawal}")
-            with_count += 1
-        withdrawals.append(withdrawal)
-    if 0 < with_count < len(rows):
-        missing = next(where for (where, _, _, w) in rows if w is None)
-        raise DatasetError(
-            f"{missing}: withdrawal missing; provide the column for every agent or none"
-        )
-    return BasinDataset(
-        tuple(seen), InflowProfile(tuple(inflows)), tuple(withdrawals) if with_count else None
-    )
+    where, names, inflows, withdrawals = zip(*rows)
+    if None in withdrawals:
+        if withdrawals.count(None) < len(rows):
+            missing = where[withdrawals.index(None)]
+            raise DatasetError(f"{missing}: withdrawal missing; provide the column for every agent or none")
+        withdrawals = None
+    _walk_names(names, DatasetError, where)
+    inflows = _walk_floats(inflows, "inflow", DatasetError, True, where)
+    if withdrawals is not None:
+        withdrawals = _walk_floats(withdrawals, "withdrawal", DatasetError, True, where)
+    # of what the walks pass, the constructors refuse only a total inflow past the float range
+    return BasinDataset(names, InflowProfile(inflows), withdrawals)
 
 
 def _columns_dataset(names, inflows, withdrawals) -> BasinDataset | None:
-    """The dataset of these columns, or None when a constructor rejects them,
-    so that the row walk words the error.  `names` is a tuple of strings;
-    `inflows` and `withdrawals` (or None) are columns of numbers or number
-    texts, as long as `names`."""
+    """The dataset of these columns, of equal length, or None when a
+    constructor rejects them, so that the loader walks them."""
     try:
         return BasinDataset(names, InflowProfile(inflows), withdrawals)
     except RiverShareError:
@@ -214,24 +208,17 @@ def _csv_columns(rows: list[list[str]], width: int) -> BasinDataset | None:
 
 
 def _walk_csv(rows: list[list[str]], width: int) -> BasinDataset:
-    """The row-by-row check of CSV rows below the header, which names the
-    line of the first fault."""
-    checked = []
+    """The format check of CSV rows below the header: blank lines are
+    skipped, and each other needs `width` fields."""
+    located = []
     for line_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
             continue  # ignore blank lines
-        where = f"line {line_no}"
-        if len(row) != width:
-            raise DatasetError(f"{where}: expected {width} fields, got {len(row)}")
-        name = row[0].strip()
-        if not name:
-            raise DatasetError(f"{where}: agent name must be non-empty")
-        inflow = _as_finite_float(row[1].strip(), DatasetError, "{}: inflow", where)
-        withdrawal = None
-        if width == 3:
-            withdrawal = _as_finite_float(row[2].strip(), DatasetError, "{}: withdrawal", where)
-        checked.append((where, name, inflow, withdrawal))
-    return _build_dataset(checked)
+        if len(cells) != width:
+            raise DatasetError(f"line {line_no}: expected {width} fields, got {len(cells)}")
+        located.append((f"line {line_no}", cells[0], cells[1], cells[2] if width == 3 else None))
+    return _located_dataset(located)
 
 
 def _reject_constant(text):
@@ -280,17 +267,15 @@ def _json_columns(agents: list) -> BasinDataset | None:
     if set(map(len, agents)) != {len(fields)}:
         return None
     names, inflows, *withdrawals = [tuple(map(dict.get, agents, repeat(f))) for f in fields]
-    if set(map(type, names)) != {str} or not all(
-        set(map(type, column)) <= _NUMBER_TYPES for column in (inflows, *withdrawals)
-    ):
-        return None
+    if not all(set(map(type, column)) <= _NUMBER_TYPES for column in (inflows, *withdrawals)):
+        return None  # `BasinDataset` checks the names
     return _columns_dataset(names, inflows, withdrawals[0] if withdrawals else None)
 
 
 def _walk_json(agents: list) -> BasinDataset:
-    """The entry-by-entry check of the 'agents' array, which names the
-    index of the first fault."""
-    rows = []
+    """The format check of the 'agents' array: each entry an object with no
+    unknown field and an 'inflow', whose numbers are `_NUMBER_TYPES`."""
+    located = []
     for k, entry in enumerate(agents):
         where = f"agents[{k}]"
         if not isinstance(entry, dict):
@@ -298,23 +283,13 @@ def _walk_json(agents: list) -> BasinDataset:
         unknown = set(entry).difference(_FIELDS)
         if unknown:
             raise DatasetError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise DatasetError(f"{where}: 'name' must be a non-empty string")
         if "inflow" not in entry:
             raise DatasetError(f"{where}: 'inflow' is required")
-        inflow = _json_number(entry, "inflow", where)
-        withdrawal = _json_number(entry, "withdrawal", where) if "withdrawal" in entry else None
-        rows.append((where, name, inflow, withdrawal))
-    return _build_dataset(rows)
-
-
-def _json_number(entry: dict, field: str, where: str) -> float:
-    """The number in `entry[field]`, of one of the `_NUMBER_TYPES`."""
-    value = entry[field]
-    if type(value) not in _NUMBER_TYPES:
-        raise DatasetError(f"{where}: {field} must be a number, got {value!r}")
-    return _as_finite_float(value, DatasetError, "{}: {}", where, field)
+        for field in _FIELDS[1:]:
+            if field in entry and type(entry[field]) not in _NUMBER_TYPES:
+                raise DatasetError(f"{where}: {field} must be a number, got {entry[field]!r}")
+        located.append((where, entry.get("name"), entry["inflow"], entry.get("withdrawal")))
+    return _located_dataset(located)
 
 
 def _dataset_format(format) -> str:
@@ -360,12 +335,8 @@ def read_dataset(path) -> BasinDataset:
         path = os.fspath(path)
     if not isinstance(path, str):
         raise DatasetError(f"a dataset path must be a str or an os.PathLike of one, got {type(path).__name__}")
-    suffix = os.path.splitext(path)[1].casefold()
-    if suffix == ".csv":
-        fmt = "csv"
-    elif suffix == ".json":
-        fmt = "json"
-    else:
+    fmt = os.path.splitext(path)[1].casefold()[1:]
+    if fmt not in ("csv", "json"):
         raise DatasetError(f"cannot infer format from {os.path.basename(path)!r}; use a .csv or .json file")
     try:
         with open(path, encoding="utf-8-sig") as handle:

@@ -312,6 +312,37 @@ def test_an_agent_count_range_past_the_index_range_is_one_error(count):
             assert rule.applied == []
 
 
+_ENTRY_POINTS = {
+    **_PREDICATES,
+    "suite": lambda rule: run_axiom_suite(rule, list(Axiom), 3, 0),
+    "search": lambda rule: find_counterexample(rule, Axiom.BALANCE, random_trials=3),
+}
+
+
+@pytest.mark.parametrize("rule", ["shapley", None, object()], ids=["str", "None", "object"])
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_a_non_rule_is_one_parameter_error_at_every_entry_point(name, rule):
+    with pytest.raises(ParameterError) as caught:
+        _ENTRY_POINTS[name](rule)
+    needs = "a callable apply and label"
+    if name in ("shape", "suite", "search"):  # the entry points that read it
+        needs += " and a fixed_agent_count"
+    hint = "; pass a RuleSpec or parse_rule(...)" if isinstance(rule, str) else ""
+    assert str(caught.value) == f"a rule needs {needs}, got {rule!r}{hint}"
+
+
+def test_a_rule_needs_a_fixed_agent_count_only_where_it_is_read():
+    rule = _FixedRule((1.0, 2.0, 2.0))  # no fixed_agent_count
+    assert _PREDICATES["order"](rule)
+    for name in ("shape", "suite", "search"):
+        with pytest.raises(ParameterError) as caught:
+            _ENTRY_POINTS[name](rule)
+        assert str(caught.value).startswith("a rule needs a callable apply and label and a fixed_agent_count")
+    not_callable = types.SimpleNamespace(apply=RuleSpec.shapley().apply, label="shapley")
+    with pytest.raises(ParameterError, match="^a rule needs a callable apply and label, got namespace"):
+        _PREDICATES["order"](not_callable)
+
+
 def _plain_walk(xs, ys, tol):
     for k, (a, b) in enumerate(zip(xs, ys)):
         if abs(a - b) > tol:

@@ -281,6 +281,16 @@ def test_a_rerouted_input_error_is_the_library_message(capsys, tmp_path, argv, c
     assert run_cli(capsys, *argv) == (1, "", f"error: {caught.value}\n")
 
 
+def test_fit_refuses_a_bad_tolerance_before_the_fit_and_the_quadrature(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the tolerance was checked")
+
+    monkeypatch.setattr(analysis, "fit_family", fail)
+    monkeypatch.setattr(analysis, "integrate_distance", fail)
+    argv = ("fit", "--dataset", "nile", "--family", "compromise", "--nodes", "1024", "--tolerance", "-1")
+    assert run_cli(capsys, *argv) == (1, "", "error: tolerance must be finite and >= 0, got -1.0\n")
+
+
 def test_case_study_takes_no_tolerance(capsys):
     # each reference check has its own stated tolerance
     code, out, err = run_cli(capsys, "case-study", "--tolerance", "0.1")

@@ -243,6 +243,119 @@ def test_load_json_rejects_integers_out_of_range(payload, message):
         load_dataset(payload, "json")
 
 
+def _agents(*entries) -> str:
+    return json.dumps({"agents": list(entries)})
+
+
+_AB = ({"name": "A", "inflow": 1}, {"name": "B", "inflow": 2})
+_ABW = ({"name": "A", "inflow": 1, "withdrawal": 1}, {"name": "B", "inflow": 2, "withdrawal": 1})
+
+
+def _csv(fault, text, message):
+    return pytest.param("csv", text, message, id=f"csv-{fault}")
+
+
+def _json(fault, text, message):
+    return pytest.param("json", text, message, id=f"json-{fault}")
+
+
+# inputs with one fault each, and the whole message that fault gives
+@pytest.mark.parametrize(
+    "fmt,text,message",
+    [
+        _csv("not-a-number", "agent,inflow\nA,one\nB,2\n", "line 2: inflow must be a number, got 'one'"),
+        _csv("empty-withdrawal", "agent,inflow,withdrawal\nA,1,1\nB,2,\n",
+             "line 3: withdrawal must be a number, got ''"),
+        _csv("inf", "agent,inflow\nA,inf\nB,2\n", "line 2: inflow must be finite, got 'inf'"),
+        _csv("past-float-range", "agent,inflow\nA,1\nB,1e400\n",
+             "line 3: inflow must be finite, got '1e400'"),
+        _csv("negative-inflow", "agent,inflow\nA,1\nB,-2\n", "line 3: inflow must be >= 0, got -2.0"),
+        _csv("negative-withdrawal", "agent,inflow,withdrawal\nA,1,1\nB,2,-1\n",
+             "line 3: withdrawal must be >= 0, got -1.0"),
+        _csv("empty-name", "agent,inflow\nA,1\n ,2\n", "line 3: agent name must be non-empty"),
+        _csv("duplicate", "agent,inflow\n\nA,1\nB,2\n\nA,3\n",
+             "line 6: duplicate agent name 'A' (first at line 3)"),
+        _csv("field-count", "agent,inflow\nA,1\nB\n", "line 3: expected 2 fields, got 1"),
+        _csv("extra-field", "agent,inflow,withdrawal\nA,1,1\nB,2,1,0\n", "line 3: expected 3 fields, got 4"),
+        _csv("one-agent", "agent,inflow\nA,1\n", "a dataset needs at least two agents, got 1"),
+        _csv("no-agent", "agent,inflow\n\n", "a dataset needs at least two agents, got 0"),
+        _csv("total-past-float-range", "agent,inflow\nA,1e308\nB,1e308\n",
+             "total inflow is too large to represent as a float"),
+        _json("string-number", _agents({"name": "A", "inflow": "1"}, _AB[1]),
+              "agents[0]: inflow must be a number, got '1'"),
+        _json("null-withdrawal", _agents(_ABW[0], {**_ABW[1], "withdrawal": None}),
+              "agents[1]: withdrawal must be a number, got None"),
+        _json("true", _agents({"name": "A", "inflow": True}, _AB[1]),
+              "agents[0]: inflow must be a number, got True"),
+        _json("false-withdrawal", _agents(_ABW[0], {**_ABW[1], "withdrawal": False}),
+              "agents[1]: withdrawal must be a number, got False"),
+        _json("past-float-range", '{"agents": [{"name": "A", "inflow": 1e400}, {"name": "B", "inflow": 2}]}',
+              "agents[0]: inflow must be finite, got inf"),
+        _json("negative-inflow", _agents(_AB[0], {"name": "B", "inflow": -1}),
+              "agents[1]: inflow must be >= 0, got -1.0"),
+        _json("negative-withdrawal", _agents({**_ABW[0], "withdrawal": -0.5}, _ABW[1]),
+              "agents[0]: withdrawal must be >= 0, got -0.5"),
+        _json("duplicate", _agents(_AB[0], {"name": "A", "inflow": 2}),
+              "agents[1]: duplicate agent name 'A' (first at agents[0])"),
+        _json("empty-name", _agents(_AB[0], {"name": "", "inflow": 2}),
+              "agents[1]: agent name must be non-empty"),
+        _json("no-name", _agents(_AB[0], {"inflow": 2}), "agents[1]: agent name must be a string, got None"),
+        _json("name-not-a-string", _agents({"name": 5, "inflow": 1}, _AB[1]),
+              "agents[0]: agent name must be a string, got 5"),
+        _json("no-inflow", _agents({"name": "A"}, _AB[1]), "agents[0]: 'inflow' is required"),
+        _json("unknown-field", _agents({**_AB[0], "x": 2}, _AB[1]), "agents[0]: unknown field 'x'"),
+        _json("not-an-object", _agents(_AB[0], [1]), "agents[1]: each agent must be an object"),
+        _json("missing-withdrawal", _agents(_ABW[0], _AB[1]),
+              "agents[1]: withdrawal missing; provide the column for every agent or none"),
+        _json("one-agent", _agents(_AB[0]), "a dataset needs at least two agents, got 1"),
+        _json("no-agent", _agents(), "a dataset needs at least two agents, got 0"),
+    ],
+)
+def test_each_loader_error_is_pinned(fmt, text, message):
+    with pytest.raises(RiverShareError) as caught:
+        load_dataset(text, fmt)
+    assert str(caught.value) == message
+
+
+def test_a_csv_dataset_with_several_faults_reports_names_then_inflows_then_withdrawals():
+    # the faults lie upstream of one another in the reverse of the order reported
+    rows = ["agent,inflow,withdrawal", "A,1,-1", "B,-2,x", "C,y,1", "A,3,1"]
+    expected = [  # the fault reported, and the row that mends it
+        ("line 5: duplicate agent name 'A' (first at line 2)", 4, "D,3,1"),
+        ("line 4: inflow must be a number, got 'y'", 3, "C,0,1"),  # before the negative one upstream
+        ("line 3: inflow must be >= 0, got -2.0", 2, "B,2,x"),
+        ("line 3: withdrawal must be a number, got 'x'", 2, "B,2,1"),
+        ("line 2: withdrawal must be >= 0, got -1.0", 1, "A,1,1"),
+    ]
+    for message, line, mended in expected:
+        with pytest.raises(DatasetError) as caught:
+            load_dataset("\n".join(rows), "csv")
+        assert str(caught.value) == message
+        rows[line] = mended
+    assert load_dataset("\n".join(rows), "csv").names == ("A", "B", "C", "D")
+
+
+def test_a_json_dataset_with_several_faults_reports_names_then_inflows_then_withdrawals():
+    agents = [
+        {"name": "A", "inflow": 1, "withdrawal": -1},
+        {"name": "B", "inflow": -2, "withdrawal": math.inf},
+        {"name": "", "inflow": math.inf, "withdrawal": 1},
+    ]
+    expected = [  # the fault reported, and the value that mends it
+        ("agents[2]: agent name must be non-empty", 2, "name", "C"),
+        ("agents[2]: inflow must be finite, got inf", 2, "inflow", 3),  # before the negative one upstream
+        ("agents[1]: inflow must be >= 0, got -2.0", 1, "inflow", 2),
+        ("agents[1]: withdrawal must be finite, got inf", 1, "withdrawal", 1),
+        ("agents[0]: withdrawal must be >= 0, got -1.0", 0, "withdrawal", 1),
+    ]
+    for message, k, field, mended in expected:
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(json.dumps({"agents": agents}).replace("Infinity", "1e400"), "json")
+        assert str(caught.value) == message
+        agents[k][field] = mended
+    assert load_dataset(json.dumps({"agents": agents}), "json").names == ("A", "B", "C")
+
+
 def test_unknown_format_rejected():
     with pytest.raises(DatasetError):
         load_dataset(GOOD_CSV, "tsv")
