@@ -1,19 +1,22 @@
 """Executable fairness axioms for river allocation rules.
 
 Each axiom is a predicate on one rule evaluation (or on a pair of related
-evaluations).  The checkers here decide single instances.  One record per
+evaluations).  The checkers here decide single instances, each returning
+None or the violation's inputs, allocations and text.  One record per
 axiom, in `_CASES`, holds its checker, the generator of random instances
 that meet its hypothesis by construction, and its directed cases;
 `run_axiom_suite` drives the checker over random instances, and
-`find_counterexample` tries the directed cases before random ones.
+`find_counterexample` tries the directed cases before random ones.  Each
+driver builds the Counterexample it keeps from the axiom and the label.
 
 Arguments are checked once, where they enter: every entry point checks
 the rule first, in `_as_rule`, then each `check_*` predicate the rest
-before it applies the rule, and each driver its own (the axioms, counts,
-seed, `n_range` and `tol`) once per call, in `_case` and `_run_range`.
-The `_*_detail` checkers, the generators and `_first_mismatch` trust
-theirs: the generators build valid instances, and the checkers only raise
-HypothesisNotMet, for an instance that misses the axiom's hypothesis.
+before it applies the rule, and each driver its own (the rule's label, a
+str; the axioms, counts, seed, `n_range` and `tol`) once per call, in
+`_case` and `_run_range`.  The `_*_detail` checkers, the generators and
+`_first_mismatch` trust theirs: the generators build valid instances, and
+the checkers only raise HypothesisNotMet, for an instance that misses the
+axiom's hypothesis.
 
 The random stream is a contract: the same arguments give the same
 instances, verdicts and counterexamples in every process.  A suite keeps
@@ -149,12 +152,13 @@ def _first_mismatch(xs, ys, tol):
 # ---------------------------------------------------------------------------
 # single-instance checkers
 #
-# Each `_*_detail` function returns None on a pass and a Counterexample on a
-# failure; the public predicates below check their arguments and collapse
-# that to a boolean.  A checker trusts its arguments: `e` (and `other`) an
-# `InflowProfile`, positions in range, a scale factor or an inflow increase
-# finite and > 0, and `tol` a checked float or None, which takes
-# `tolerance_for` of the instance's own scale.  It still raises
+# Each `_*_detail` function returns None on a pass and, on a failure, the
+# violation's (inputs, allocations, text), from which the driver builds its
+# Counterexample; the public predicates below check their arguments and
+# test that against None.  A checker trusts its arguments: `e` (and
+# `other`) an `InflowProfile`, positions in range, a scale factor or an
+# inflow increase finite and > 0, and `tol` a checked float or None, which
+# takes `tolerance_for` of the instance's own scale.  It still raises
 # HypothesisNotMet, which is a property of the instance, not a bad argument.
 
 
@@ -179,7 +183,7 @@ def _positive_finite(value, what: str) -> float:
     return value
 
 
-def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
+def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> tuple | None:
     scaled = _derived_profile(e, None, gamma)
     if tol is None:
         tol = tolerance_for(max(e.total, scaled.total))
@@ -190,16 +194,14 @@ def _scale_detail(rule: RuleSpec, e, gamma, tol=None) -> Counterexample | None:
     if bad is None:
         return None
     k, a, b = bad
-    return Counterexample(
-        Axiom.SCALE_INVARIANCE,
-        rule.label(),
+    return (
         (("e", e.inflows), ("gamma", gamma)),
         (("on e", base.amounts), ("on gamma*e", left.amounts)),
         f"position {k}: rule on scaled profile gives {a}, scaling the rule output gives {b}",
     )
 
 
-def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexample | None:
+def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> tuple | None:
     bumped = _derived_profile(e, position, delta)
     if tol is None:
         tol = tolerance_for(bumped.total)
@@ -210,9 +212,7 @@ def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexa
     if bad is None:
         return None
     k, a, b = bad
-    return Counterexample(
-        Axiom.UPSTREAM_INVARIANCE,
-        rule.label(),
+    return (
         (("e", e.inflows), ("position", position), ("delta", delta)),
         (("before", base.amounts), ("after", after.amounts)),
         f"agent {k} is upstream of {position} but moved from {a} to {b}",
@@ -221,7 +221,7 @@ def _upstream_detail(rule: RuleSpec, e, position, delta, tol=None) -> Counterexa
 
 def _downstream_detail(
     rule: RuleSpec, e, position, delta, tol=None, strict=False
-) -> Counterexample | None:
+) -> tuple | None:
     if not strict:
         # the inflows are finite, so `count`'s identity shortcut changes nothing
         tail = e.inflows[position + 1 :]
@@ -235,9 +235,7 @@ def _downstream_detail(
     gains = list(map(sub, after.amounts[position + 1 :], base.amounts[position + 1 :]))
     for k, g in enumerate(gains[1:], start=position + 2):
         if abs(g - gains[0]) > tol:
-            return Counterexample(
-                Axiom.DOWNSTREAM_IMPARTIALITY,
-                rule.label(),
+            return (
                 (("e", e.inflows), ("position", position), ("delta", delta)),
                 (("before", base.amounts), ("after", after.amounts)),
                 f"downstream gains differ: agent {position + 1} gains {gains[0]}, "
@@ -249,7 +247,7 @@ def _downstream_detail(
 _ORDER_HEAD = 2  # the agents whose pairs `_order_detail` checks one by one
 
 
-def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
+def _order_detail(rule: RuleSpec, e, tol=None) -> tuple | None:
     """The first pair i < j, in (i, j) order, with e_i >= e_j but x_i < x_j - tol.
 
     The first `_ORDER_HEAD` agents' pairs are checked one by one, since a
@@ -267,7 +265,7 @@ def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
         ei, xi = inflows[i], amounts[i]
         for j in range(i + 1, n):
             if ei >= inflows[j] and xi < amounts[j] - tol:
-                return _order_counterexample(rule, inflows, amounts, i, j)
+                return _order_violation(inflows, amounts, i, j)
     if head == n - 1:
         return None
     i = _first_order_row(inflows, amounts, tol, head)
@@ -275,7 +273,7 @@ def _order_detail(rule: RuleSpec, e, tol=None) -> Counterexample | None:
         return None
     ei, xi = inflows[i], amounts[i]
     j = next(j for j in range(i + 1, n) if ei >= inflows[j] and xi < amounts[j] - tol)
-    return _order_counterexample(rule, inflows, amounts, i, j)
+    return _order_violation(inflows, amounts, i, j)
 
 
 def _first_order_row(inflows, amounts, tol, lo: int) -> int | None:
@@ -305,10 +303,8 @@ def _first_order_row(inflows, amounts, tol, lo: int) -> int | None:
     return first
 
 
-def _order_counterexample(rule: RuleSpec, inflows, amounts, i: int, j: int) -> Counterexample:
-    return Counterexample(
-        Axiom.ORDER_PRESERVATION,
-        rule.label(),
+def _order_violation(inflows, amounts, i: int, j: int) -> tuple:
+    return (
         (("e", inflows),),
         (("allocation", amounts),),
         f"inflows e[{i}]={inflows[i]} >= e[{j}]={inflows[j]} "
@@ -319,7 +315,7 @@ def _order_counterexample(rule: RuleSpec, inflows, amounts, i: int, j: int) -> C
 _SHAPES = (Axiom.PROGRESSIVITY, Axiom.REGRESSIVITY, Axiom.BALANCE)
 
 
-def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
+def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None) -> tuple | None:
     # e must have its only positive inflow at `position` (a non-terminal
     # agent), and `shape` must be one of `_SHAPES`
     if tol is None:
@@ -339,16 +335,14 @@ def _source_shape_profile_detail(rule: RuleSpec, e, position, shape, tol=None):
         relation = "=="
     if ok:
         return None
-    return Counterexample(
-        shape,
-        rule.label(),
+    return (
         (("e", e.inflows), ("position", position)),
         (("allocation", x.amounts),),
         f"source assignment {kept} {relation} downstream mean {mean} fails",
     )
 
 
-def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> Counterexample | None:
+def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> tuple | None:
     if tol is None:
         tol = tolerance_for(max(e.total, other.total))
     s1 = source(e)
@@ -361,9 +355,7 @@ def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> Counterexample |
     x2 = rule.apply(other)
     if abs(x1.amounts[s1] - x2.amounts[s2]) <= tol:
         return None
-    return Counterexample(
-        Axiom.EQUAL_TREATMENT_EQUAL_SOURCE_INFLOWS,
-        rule.label(),
+    return (
         (("e", e.inflows), ("other", other.inflows), ("sources", (s1, s2))),
         (("on e", x1.amounts), ("on other", x2.amounts)),
         f"sources with equal inflow get {x1.amounts[s1]} vs {x2.amounts[s2]}",
@@ -372,7 +364,7 @@ def _equal_source_detail(rule: RuleSpec, e, other, tol=None) -> Counterexample |
 
 def _equal_upstream_total_detail(
     rule: RuleSpec, e, other, position, tol=None
-) -> Counterexample | None:
+) -> tuple | None:
     if tol is None:
         tol = tolerance_for(max(e.total, other.total))
     own1, own2 = e.inflows[position], other.inflows[position]
@@ -386,9 +378,7 @@ def _equal_upstream_total_detail(
     x2 = rule.apply(other)
     if abs(x1.amounts[position] - x2.amounts[position]) <= tol:
         return None
-    return Counterexample(
-        Axiom.EQUAL_TREATMENT_EQUAL_UPSTREAM_TOTAL_INFLOW,
-        rule.label(),
+    return (
         (("e", e.inflows), ("other", other.inflows), ("position", position)),
         (("on e", x1.amounts), ("on other", x2.amounts)),
         f"agent {position} has equal own inflow and upstream total "
@@ -665,12 +655,18 @@ def _draw(rng: random.Random, key: str, generate, fixed_n, lo: int, hi: int) -> 
     return generate(rng, lo + _below(rng, hi - lo + 1) if fixed_n is None else fixed_n)
 
 
-def _run_range(trials, what: str, fewest: int, seed, n_range, tol) -> tuple[int, int, float | None]:
-    """Check a driver's arguments once per call: the trial count `trials`,
-    named `what`, of at least `fewest`; the seed; `n_range`, the pair
-    (lo, hi) of agent counts with 2 <= lo <= hi; and `tol`.  Returns lo,
-    hi and the checked `tol`, or None for each instance's own
-    `tolerance_for`.  The checkers trust all of them."""
+def _run_range(
+    rule, trials, what: str, fewest: int, seed, n_range, tol
+) -> tuple[str, int, int, float | None]:
+    """Check a driver's arguments once per call: the label of `rule`, which
+    must be a str; the trial count `trials`, named `what`, of at least
+    `fewest`; the seed; `n_range`, the pair (lo, hi) of agent counts with
+    2 <= lo <= hi; and `tol`.  Returns the label, lo, hi and the checked
+    `tol`, or None for each instance's own `tolerance_for`.  The checkers
+    trust all of them."""
+    label = rule.label()
+    if not isinstance(label, str):
+        raise ParameterError(f"a rule's label() must return a str, got {label!r}")
     if _check_int(trials, what) < fewest:
         raise ParameterError(f"{what} must be >= {fewest}, got {_int_text(trials)}")
     _check_int(seed, "seed")
@@ -682,7 +678,7 @@ def _run_range(trials, what: str, fewest: int, seed, n_range, tol) -> tuple[int,
     _check_count(hi, "n_range end")
     if not 2 <= lo <= hi:
         raise ParameterError(f"invalid agent count range ({_int_text(lo)}, {hi})")
-    return lo, hi, _checked_tolerance(tol)
+    return label, lo, hi, _checked_tolerance(tol)
 
 
 def run_axiom_suite(
@@ -706,9 +702,8 @@ def run_axiom_suite(
     }
     if not requested:
         raise ParameterError("at least one axiom is required")
-    lo, hi, tol = _run_range(trials, "trials", 1, seed, n_range, tol)
+    label, lo, hi, tol = _run_range(rule, trials, "trials", 1, seed, n_range, tol)
     reports = []
-    label = rule.label()
     rng = random.Random()
     for axiom in Axiom:
         if axiom not in requested:
@@ -722,16 +717,16 @@ def run_axiom_suite(
             for attempt in range(64):
                 instance = _draw(rng, f"{key}{trial}|{attempt}", generate, fixed_n, lo, hi)
                 try:
-                    counterexample = detail(rule, *instance, tol)
+                    violation = detail(rule, *instance, tol)
                 except HypothesisNotMet:
                     continue  # regenerate; conforming generators make this rare
                 break
             else:
                 raise RuntimeError(f"could not generate a conforming instance for {axiom}")
-            if counterexample is not None:
+            if violation is not None:
                 violations += 1
                 if first is None:
-                    first = counterexample
+                    first = Counterexample(axiom, label, *violation)
         reports.append(
             AxiomReport(
                 axiom=axiom,
@@ -762,8 +757,8 @@ def find_counterexample(
     """
     fixed_n = _as_rule(rule, True)
     case = _case(axiom)
-    lo, hi, tol = _run_range(random_trials, "random_trials", 0, seed, n_range, tol)
-    key = f"{seed}|find|{rule.label()}|{axiom.value}|"
+    label, lo, hi, tol = _run_range(rule, random_trials, "random_trials", 0, seed, n_range, tol)
+    key = f"{seed}|find|{label}|{axiom.value}|"
 
     def instances():  # directed cases first; only a random phase builds a `Random`
         for n in range(lo, hi + 1) if fixed_n is None else (fixed_n,):
@@ -778,7 +773,7 @@ def find_counterexample(
         except HypothesisNotMet:
             continue
         if found is not None:
-            return found
+            return Counterexample(axiom, label, *found)
     return None
 
 

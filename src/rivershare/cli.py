@@ -1,14 +1,15 @@
 """Command-line surface: allocate, axioms, fit, case-study.
 
-Output goes to standard output as plain tables (four decimal places, or
-an exponent form with four decimals from magnitude 1e12 up), or
-as a single JSON document with `--json` (full precision, key-sorted, no
-timestamps, so identical invocations are byte-identical).  Exit codes:
-0 on success, 1 on parse or validation errors, 2 when a requested check
-fails (an allocation that fails validation, an axiom violation, or a
-case-study reference outside tolerance).  A standard output closed by its
-reader, as in `rivershare axioms ... | head -1`, is an error too: one
-`error:` line on stderr and exit 1, with no traceback.
+Each subcommand returns its exit code, its run record and its text, and
+`_main` prints exactly one of them: the text as plain tables (four decimal
+places, or an exponent form with four decimals from magnitude 1e12 up), or
+with `--json` the record as a single JSON document (full precision,
+key-sorted, no timestamps, so identical invocations are byte-identical).
+Exit codes: 0 on success, 1 on parse or validation errors, 2 when a
+requested check fails (an allocation that fails validation, an axiom
+violation, or a case-study reference outside tolerance).  A standard
+output closed by its reader, as in `rivershare axioms ... | head -1`, is
+an error too: one `error:` line on stderr and exit 1, with no traceback.
 
 Each input is checked once, by the library function that takes it, so an
 input error's text is that function's message.  The CLI checks only what
@@ -109,29 +110,23 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
 # subcommands
 
 
-def cmd_allocate(args) -> int:
+def cmd_allocate(args) -> tuple:
     rule = parse_rule(args.rule)
     e, names = _load_profile(args)
     allocation = rule.apply(e)
     verdict = validate_allocation(e, allocation, tol=args.tolerance)
-    code = 0 if verdict else 2
-    if args.json:
-        print(run_record(
-            "allocate",
-            inputs={
-                "rule": rule.label(),
-                "inflows": list(e),
-                "agents": list(names),
-                "dataset": args.dataset,
-                "tolerance": args.tolerance,
-            },
-            outputs={
-                "allocation": list(allocation),
-                "total": allocation.total,
-                "valid": verdict.ok,
-            },
-        ))
-        return code
+    inputs = {
+        "rule": rule.label(),
+        "inflows": list(e),
+        "agents": list(names),
+        "dataset": args.dataset,
+        "tolerance": args.tolerance,
+    }
+    outputs = {
+        "allocation": list(allocation),
+        "total": allocation.total,
+        "valid": verdict.ok,
+    }
     rows = [
         [names[i], _fmt(e[i]), _fmt(allocation[i])]
         for i in range(len(e))
@@ -141,8 +136,7 @@ def cmd_allocate(args) -> int:
     lines.extend(_table(["agent", "inflow", "allocation"], rows))
     if not verdict:
         lines.append(f"VALIDATION FAILED: {verdict.reason}")
-    print(*lines, sep="\n")
-    return code
+    return (0 if verdict else 2), inputs, outputs, None, lines
 
 
 def _parse_axiom_list(text: str) -> tuple[axioms.Axiom, ...]:
@@ -159,7 +153,7 @@ def _parse_axiom_list(text: str) -> tuple[axioms.Axiom, ...]:
     return tuple(chosen)
 
 
-def cmd_axioms(args) -> int:
+def cmd_axioms(args) -> tuple:
     rule = parse_rule(args.rule)
     chosen = _parse_axiom_list(args.axioms)
     if args.trials > _MAX_TRIALS:
@@ -175,25 +169,18 @@ def cmd_axioms(args) -> int:
         tol=args.tolerance,
     )
     violations = sum(r.violations for r in reports)
-    code = 0 if violations == 0 else 2
-    if args.json:
-        print(run_record(
-            "axioms",
-            inputs={
-                "rule": rule.label(),
-                "axioms": [a.value for a in chosen],
-                "trials": args.trials,
-                "agents": [args.min_agents, args.max_agents],
-                "tolerance": args.tolerance,
-            },
-            outputs={
-                "reports": [r.to_dict() for r in reports],
-                "violations": violations,
-                "passed": violations == 0,
-            },
-            seed=args.seed,
-        ))
-        return code
+    inputs = {
+        "rule": rule.label(),
+        "axioms": [a.value for a in chosen],
+        "trials": args.trials,
+        "agents": [args.min_agents, args.max_agents],
+        "tolerance": args.tolerance,
+    }
+    outputs = {
+        "reports": [r.to_dict() for r in reports],
+        "violations": violations,
+        "passed": violations == 0,
+    }
     lines = [f"rule: {rule.label()}  trials: {args.trials}  seed: {args.seed}"]
     for report in reports:
         status = "pass" if report.passed else f"FAIL ({report.violations} violations)"
@@ -205,8 +192,7 @@ def cmd_axioms(args) -> int:
             for label, allocation in ce.allocations:
                 lines.append(f"    {label}: {tuple(_fmt(v) for v in allocation)}")
             lines.append(f"    {ce.violation}")
-    print(*lines, sep="\n")
-    return code
+    return (0 if violations == 0 else 2), inputs, outputs, args.seed, lines
 
 
 def _write_curve(path: str, e, z, family: analysis.Family, points: int) -> None:
@@ -221,7 +207,7 @@ def _write_curve(path: str, e, z, family: analysis.Family, points: int) -> None:
         raise ParameterError(f"cannot write curve to {path}: {exc}") from None
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple:
     family = analysis.as_family(args.family)
     if args.curve is not None and not 2 <= args.curve_points <= _MAX_CURVE_POINTS:
         raise ParameterError(
@@ -236,25 +222,20 @@ def cmd_fit(args) -> int:
     integral = analysis.integrate_distance(e, z, family, nodes=args.nodes)
     if args.curve is not None:
         _write_curve(args.curve, e, z, family, args.curve_points)
-    if args.json:
-        print(run_record(
-            "fit",
-            inputs={
-                "dataset": args.dataset,
-                "family": family.value,
-                "nodes": args.nodes,
-                "tolerance": args.tolerance,
-                "curve": args.curve,
-                "curve_points": args.curve_points if args.curve is not None else None,
-            },
-            outputs={
-                "fit": fit.to_dict(),
-                "integral": integral,
-                "legitimacy": legitimacy.to_dict(),
-                "observed": list(z),
-            },
-        ))
-        return 0
+    inputs = {
+        "dataset": args.dataset,
+        "family": family.value,
+        "nodes": args.nodes,
+        "tolerance": args.tolerance,
+        "curve": args.curve,
+        "curve_points": args.curve_points if args.curve is not None else None,
+    }
+    outputs = {
+        "fit": fit.to_dict(),
+        "integral": integral,
+        "legitimacy": legitimacy.to_dict(),
+        "observed": list(z),
+    }
     lines = [
         f"family: {family.value}",
         f"parameter: {_fmt(fit.parameter_star)}"
@@ -278,21 +259,12 @@ def cmd_fit(args) -> int:
     lines.extend(_table(["agent", "observed", "fitted", "lower", "upper", "status"], rows))
     if args.curve is not None:
         lines.append(f"distance curve written to {args.curve}")
-    print(*lines, sep="\n")
-    return 0
+    return 0, inputs, outputs, None, lines
 
 
-def cmd_case_study(args) -> int:
+def cmd_case_study(args) -> tuple:
     decimals = None if args.full_precision else args.decimals
     result = analysis.nile_case_study(reporting_decimals=decimals, nodes=args.nodes)
-    code = 0 if result.all_ok else 2
-    if args.json:
-        print(run_record(
-            "case-study",
-            inputs={"reporting_decimals": decimals, "nodes": args.nodes},
-            outputs=result.to_dict(),
-        ))
-        return code
     lines = ["Nile basin allocation study", ""]
     headers = ["agent"] + [label for label, _ in result.table]
     rows = []
@@ -334,8 +306,8 @@ def cmd_case_study(args) -> int:
                 + (f" within {check.tolerance}" if check.tolerance is not None else "")
                 + f", got {check.actual}"
             )
-    print(*lines, sep="\n")
-    return code
+    inputs = {"reporting_decimals": decimals, "nodes": args.nodes}
+    return (0 if result.all_ok else 2), inputs, result.to_dict(), None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +425,12 @@ def _main(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        code, inputs, outputs, seed, lines = args.handler(args)
     except RiverShareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(run_record(args.command, inputs, outputs, seed) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -196,9 +196,9 @@ def _load_csv(text: str) -> BasinDataset:
 
 
 def _csv_columns(rows: list[list[str]], width: int) -> BasinDataset | None:
-    """The bulk check of CSV rows below the header; empty lines are skipped."""
+    """The bulk check of CSV rows below the header; rows of empty cells are skipped."""
     try:
-        columns = tuple(zip(*filter(None, rows), strict=True))
+        columns = tuple(zip(*filter(any, rows), strict=True))
     except ValueError:  # rows of different lengths
         return None
     if len(columns) != width:

@@ -103,6 +103,8 @@ class TestUpstreamInvariance:
         # no retention rule violates this axiom, so a stub does: every
         # agent gets the mean inflow
         class EqualSplit:
+            fixed_agent_count = None
+
             def label(self) -> str:
                 return "equal-split"
 
@@ -111,10 +113,13 @@ class TestUpstreamInvariance:
 
         assert not check_upstream_invariance(EqualSplit(), (3, 3, 3), 2, 3.0)
         # the checker trusts its arguments: the profile is an InflowProfile
-        found = _upstream_detail(EqualSplit(), core.InflowProfile((3, 3, 3)), 2, 3.0)
+        inputs, allocations, violation = _upstream_detail(EqualSplit(), core.InflowProfile((3, 3, 3)), 2, 3.0)
+        assert inputs == (("e", (3.0, 3.0, 3.0)), ("position", 2), ("delta", 3.0))
+        assert allocations == (("before", (3.0, 3.0, 3.0)), ("after", (4.0, 4.0, 4.0)))
+        assert violation == "agent 0 is upstream of 2 but moved from 3.0 to 4.0"
+        # a driver names the axiom and the rule on the record it builds
+        found = find_counterexample(EqualSplit(), Axiom.UPSTREAM_INVARIANCE, (3, 3), random_trials=0)
         assert (found.axiom, found.rule) == (Axiom.UPSTREAM_INVARIANCE, "equal-split")
-        assert found.inputs == (("e", (3.0, 3.0, 3.0)), ("position", 2), ("delta", 3.0))
-        assert found.violation == "agent 0 is upstream of 2 but moved from 3.0 to 4.0"
 
 
 @pytest.mark.parametrize("check", [check_upstream_invariance, check_downstream_impartiality])
@@ -343,6 +348,18 @@ def test_a_rule_needs_a_fixed_agent_count_only_where_it_is_read():
         _PREDICATES["order"](not_callable)
 
 
+@pytest.mark.parametrize("label", [None, b"shapley", 3], ids=["None", "bytes", "int"])
+@pytest.mark.parametrize("name", ["suite", "search"])
+def test_each_driver_refuses_a_label_that_is_not_a_str(name, label):
+    # the label keys the random stream and names the rule in every record
+    rule = _RefusingRule()
+    rule.label = lambda: label
+    with pytest.raises(ParameterError) as caught:
+        _ENTRY_POINTS[name](rule)
+    assert str(caught.value) == f"a rule's label() must return a str, got {label!r}"
+    assert rule.applied == []
+
+
 def _plain_walk(xs, ys, tol):
     for k, (a, b) in enumerate(zip(xs, ys)):
         if abs(a - b) > tol:
@@ -473,14 +490,12 @@ def test_order_sweep_finds_the_pair_the_double_loop_finds(monkeypatch):
             expected = _first_order_violation(
                 e.inflows, amounts, tolerance_for(e.total) if tol is None else tol
             )
-            counterexample = _order_detail(rule, e, tol)
+            violation = _order_detail(rule, e, tol)
             if expected is None:
-                assert counterexample is None
+                assert violation is None
             else:
                 found += 1
-                assert counterexample.violation == expected
-                assert counterexample.inputs == (("e", e.inflows),)
-                assert counterexample.allocations == (("allocation", amounts),)
+                assert violation == ((("e", e.inflows),), (("allocation", amounts),), expected)
         assert 1000 < found < 3000  # both verdicts are well covered
 
 
@@ -631,6 +646,22 @@ class TestRunAxiomSuite:
         assert report.trials == 500
         assert not report.passed
         json.dumps(report.to_dict())  # serializable for machine output
+
+    def test_a_violating_suite_builds_one_counterexample(self, monkeypatch):
+        built = []
+
+        class Counting(Counterexample):
+            __slots__ = ()
+
+            def __init__(self, *values):
+                built.append(values[0])
+                Counterexample.__init__(self, *values)
+
+        monkeypatch.setattr(axioms, "Counterexample", Counting)
+        (report,) = run_axiom_suite(RuleSpec.compromise(0.5), [Axiom.PROGRESSIVITY], 100, seed=12345)
+        assert report.violations > 50
+        assert built == [Axiom.PROGRESSIVITY]
+        assert type(report.first_counterexample) is Counting
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):

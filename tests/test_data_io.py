@@ -766,6 +766,22 @@ def test_well_formed_datasets_never_take_the_constructors_walks(monkeypatch, tex
         assert list(map(float.hex, normalized)) == list(map(float.hex, expected))
 
 
+@pytest.mark.parametrize("header", ["agent,inflow", "agent,inflow,withdrawal"])
+def test_rows_of_empty_cells_take_the_bulk_path(monkeypatch, header):
+    # a spreadsheet saves a blank line as a row of empty cells, such as ",,"
+    width = header.count(",") + 1
+    rows = [",".join(cells[:width]) for cells in (("A", "3", "1"), ("B", "2", "1"), ("C", "1", "0"))]
+    plain = "\n".join([header, *rows]) + "\n"
+    padded = "\n".join([header, rows[0], ",,", rows[1], ",", '"",', rows[2], ",,", ",,"]) + "\n"
+    expected = load_dataset(plain, "csv")
+
+    def refuse(*args):
+        raise AssertionError("rows of empty cells sent the dataset through the row walk")
+
+    monkeypatch.setattr(data_io, "_walk_csv", refuse)
+    assert _bits(load_dataset(padded, "csv")) == _bits(expected)
+
+
 def _walked(text: str, fmt: str):
     """load_dataset with the bulk checks turned off: every input takes the
     row walk."""
