@@ -352,10 +352,16 @@ class _FloatVector(_Record):
         return math.fsum(self._values)
 
 
+#: Classes `_json` returns as they are after one test; subclasses take the long way.
+_SCALARS = frozenset({float, int, str, bool, type(None)})
+
+
 def _json(value):
     """`value` as JSON data: a float vector becomes a list of its floats, a
     tuple a list of its entries' JSON data, a record its `to_dict()` and an
     enum member its value; anything else stays as it is."""
+    if value.__class__ in _SCALARS:
+        return value
     if isinstance(value, _FloatVector):
         return list(value._values)
     if isinstance(value, tuple):

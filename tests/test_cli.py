@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -905,6 +906,43 @@ def test_closed_stdout_is_one_error_line(monkeypatch, argv, unbuffered):
     assert done.stderr.splitlines() == ["error: standard output was closed"]
 
 
+# registered before the CLI runs, so it runs after the CLI's own exit path
+_FREEZE_HOOK = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+"""
+
+
+@pytest.mark.parametrize("entry", ["-m", "script"])
+def test_a_cli_process_freezes_the_collector_before_it_exits(capsys, monkeypatch, tmp_path, entry):
+    if entry == "-m":
+        (tmp_path / "sitecustomize.py").write_text(_FREEZE_HOOK, encoding="utf-8")
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        argv = [sys.executable, "-m", "rivershare.cli", "case-study"]
+    else:
+        # the way pip's generated `rivershare` wrapper calls its entry point
+        wrapper = _FREEZE_HOOK + "from rivershare.cli import script\nsys.exit(script())\n"
+        argv = [sys.executable, "-c", wrapper, "case-study"]
+    done = run_child(argv, text=True)
+    assert main(["case-study"]) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "True\n")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("allocate", "--inflows", "50,30,10,10", "--rule", "shapley"), 0),
+        (("axioms", "--rule", "compromise:0.5", "--axioms", "progressivity", "--trials", "25"), 2),
+        (("allocate", "--inflows", "1,-2", "--rule", "nt"), 1),
+    ],
+    ids=["passes", "fails", "error"],
+)
+def test_main_leaves_the_collector_alone(capsys, argv, expected):
+    frozen = gc.get_freeze_count()
+    assert main(list(argv)) == expected
+    assert gc.get_freeze_count() == frozen
+
+
 _PUBLIC_CALLS_SCRIPT = """
 import copy
 import pickle
@@ -1012,11 +1050,20 @@ def heavy():
 
 
 # what the `rivershare` script runs
-from rivershare.cli import main
+from rivershare.cli import script
+
+
+def call(*argv):
+    sys.argv = ["rivershare", *argv]
+    try:
+        script()
+    except SystemExit as exc:
+        return exc.code
+
 
 codes = [
-    main(["allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"]),
-    main(["allocate", "--inflows", "1,-2", "--rule", "nt"]),
+    call("allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"),
+    call("allocate", "--inflows", "1,-2", "--rule", "nt"),
 ]
 assert codes == [0, 1], codes
 assert not heavy(), f"the script's allocate loaded {heavy()}"
