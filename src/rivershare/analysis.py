@@ -394,8 +394,8 @@ class LegitimacyEntry(_Record):
         observed: float,
         classification: Legitimacy,
     ):
-        object.__setattr__(
-            self, "_values", (agent, position, lower, upper, observed, classification)
+        LegitimacyEntry._values.__set__(
+            self, (agent, position, lower, upper, observed, classification)
         )
 
     agent = property(lambda self: self._values[0])

@@ -13,10 +13,12 @@ Arguments are checked once, where they enter: every entry point checks
 the rule first, in `_as_rule`, then each `check_*` predicate the rest
 before it applies the rule, and each driver its own (the rule's label, a
 str; the axioms, counts, seed, `n_range` and `tol`) once per call, in
-`_case` and `_run_range`.  The `_*_detail` checkers, the generators and
-`_first_mismatch` trust theirs: the generators build valid instances, and
-the checkers only raise HypothesisNotMet, for an instance that misses the
-axiom's hypothesis.
+`_case` and `_run_range`.  A rule's output is not checked: the checkers
+read its `amounts`, and `_rule_output_checked`, around all nine entry
+points, turns a failed read into one ParameterError.  The `_*_detail`
+checkers, the generators and `_first_mismatch` trust theirs: the
+generators build valid instances, and the checkers only raise
+HypothesisNotMet, for an instance that misses the axiom's hypothesis.
 
 The random stream is a contract: the same arguments give the same
 instances, verdicts and counterexamples in every process.  A suite keeps
@@ -38,13 +40,13 @@ from __future__ import annotations
 
 import _random
 import enum
+import functools
 import math
 import random
 from collections.abc import Iterable
 from operator import sub
 
 from .core import (
-    Allocation,
     DimensionError,
     InflowProfile,
     ParameterError,
@@ -61,7 +63,6 @@ from .core import (
     _profile_of_floats,
     _Record,
     as_profile,
-    as_retention,
     source,
     tolerance_for,
 )
@@ -172,6 +173,30 @@ def _as_rule(rule, pinned: bool = False) -> int | None:
         hint = "; pass a RuleSpec or parse_rule(...)" if isinstance(rule, str) else ""
         raise ParameterError(f"a rule needs {needs}, got {rule!r}{hint}")
     return rule.fixed_agent_count if pinned else None
+
+
+def _rule_output_checked(entry):
+    """`entry`, one of the nine entry points, with one error translated: a
+    checker's read of `.amounts` that fails on what a rule's `apply`
+    returned (a list, a tuple, None) becomes one ParameterError.  Any other
+    AttributeError, such as one raised inside a rule, propagates unchanged.
+    It adds one call per entry-point call and nothing per trial."""
+
+    @functools.wraps(entry)
+    def checked(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        except AttributeError as exc:
+            last = exc.__traceback__
+            while last.tb_next is not None:
+                last = last.tb_next
+            if exc.name != "amounts" or last.tb_frame.f_globals is not globals():
+                raise
+            raise ParameterError(
+                f"a rule's apply() must return an Allocation, got {type(exc.obj).__name__}"
+            ) from None
+
+    return checked
 
 
 def _positive_finite(value, what: str) -> float:
@@ -393,6 +418,7 @@ def _same_river(e, other) -> tuple[InflowProfile, InflowProfile]:
     return e, other
 
 
+@_rule_output_checked
 def check_scale_invariance(rule: RuleSpec, e, gamma, tol=None) -> bool:
     """Does scaling all inflows by gamma scale the whole allocation by gamma?"""
     _as_rule(rule)
@@ -401,6 +427,7 @@ def check_scale_invariance(rule: RuleSpec, e, gamma, tol=None) -> bool:
     return _scale_detail(rule, e, gamma, _checked_tolerance(tol)) is None
 
 
+@_rule_output_checked
 def check_upstream_invariance(rule: RuleSpec, e, position, delta, tol=None) -> bool:
     """Does extra inflow at `position` leave all upstream assignments alone?"""
     _as_rule(rule)
@@ -410,6 +437,7 @@ def check_upstream_invariance(rule: RuleSpec, e, position, delta, tol=None) -> b
     return _upstream_detail(rule, e, position, delta, _checked_tolerance(tol)) is None
 
 
+@_rule_output_checked
 def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, strict=False) -> bool:
     """Do all agents below `position` gain equally from extra inflow there?
 
@@ -426,12 +454,14 @@ def check_downstream_impartiality(rule: RuleSpec, e, position, delta, tol=None, 
     return _downstream_detail(rule, e, position, delta, _checked_tolerance(tol), strict) is None
 
 
+@_rule_output_checked
 def check_order_preservation(rule: RuleSpec, e, tol=None) -> bool:
     """Does a weakly larger inflow upstream imply a weakly larger assignment?"""
     _as_rule(rule)
     return _order_detail(rule, as_profile(e), _checked_tolerance(tol)) is None
 
 
+@_rule_output_checked
 def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None, tol=None) -> bool:
     """Compare the source's keep with the downstream mean on a unit inflow.
 
@@ -458,6 +488,7 @@ def check_source_shape(rule: RuleSpec, position, shape: Axiom, agent_count=None,
     return _source_shape_profile_detail(rule, e, position, shape, tol) is None
 
 
+@_rule_output_checked
 def check_equal_treatment_source(rule: RuleSpec, e, other, tol=None) -> bool:
     """Must two sources with the same inflow be assigned the same amount?
 
@@ -469,6 +500,7 @@ def check_equal_treatment_source(rule: RuleSpec, e, other, tol=None) -> bool:
     return _equal_source_detail(rule, e, other, _checked_tolerance(tol)) is None
 
 
+@_rule_output_checked
 def check_equal_treatment_upstream_total(rule: RuleSpec, e, other, position, tol=None) -> bool:
     """Equal own inflow plus equal upstream total must mean an equal assignment.
 
@@ -681,6 +713,7 @@ def _run_range(
     return label, lo, hi, _checked_tolerance(tol)
 
 
+@_rule_output_checked
 def run_axiom_suite(
     rule: RuleSpec,
     axioms: Iterable[Axiom],
@@ -740,6 +773,7 @@ def run_axiom_suite(
     return reports
 
 
+@_rule_output_checked
 def find_counterexample(
     rule: RuleSpec,
     axiom: Axiom,
@@ -781,20 +815,22 @@ def find_counterexample(
 # brute-force oracle for the retention family
 
 
-def oracle_transfer_simulation(e, shares) -> Allocation:
+def oracle_transfer_simulation(e, shares) -> tuple[float, ...]:
     """Evaluate the retention family by simulating the hand-offs directly.
 
     Walks the river once: each non-terminal agent banks its kept fraction
     and pushes the release downstream in equal portions; the terminal agent
-    banks everything it sees.  Intentionally independent of the closed-form
-    evaluation in core so the two can cross-check each other.
+    banks everything it sees.  It reads plain floats: `float()` of each
+    inflow and share, with no other check, and calls nothing in core, so it
+    stands apart from the closed-form kernel and the input checks it
+    cross-checks.
     """
-    e = as_profile(e)
-    shares = as_retention(shares)
+    e = [float(v) for v in e]
+    shares = [float(a) for a in shares]
     n = len(e)
-    if shares.agent_count != n:
+    if len(shares) + 1 != n:
         raise DimensionError(
-            f"{len(shares)} retention shares imply {shares.agent_count} agents, "
+            f"{len(shares)} retention shares imply {len(shares) + 1} agents, "
             f"but the profile has {n}"
         )
     banked = [0.0] * n
@@ -807,4 +843,4 @@ def oracle_transfer_simulation(e, shares) -> Allocation:
         portion = (e[k] - kept) / (n - 1 - k)
         for j in range(k + 1, n):
             banked[j] += portion
-    return Allocation(tuple(banked))
+    return tuple(banked)

@@ -336,6 +336,47 @@ def test_a_non_rule_is_one_parameter_error_at_every_entry_point(name, rule):
     assert str(caught.value) == f"a rule needs {needs}, got {rule!r}{hint}"
 
 
+class _NotAnAllocationRule:
+    """A size-generic rule whose `apply` returns `kind` of the inflows (or
+    None), not an Allocation."""
+
+    fixed_agent_count = None
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def label(self) -> str:
+        return "not-an-allocation"
+
+    def apply(self, e):
+        return None if self.kind is None else self.kind(e.inflows)
+
+
+_APPLYING_ENTRY_POINTS = {  # each applies the rule: the source predicate's profiles share a source inflow
+    **_ENTRY_POINTS,
+    "source": lambda rule: _PREDICATES["source"](rule, other=(0.0, 1.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("kind", [list, tuple, None], ids=["list", "tuple", "None"])
+@pytest.mark.parametrize("name", list(_APPLYING_ENTRY_POINTS))
+def test_a_rule_output_that_is_not_an_allocation_is_one_parameter_error(name, kind):
+    with pytest.raises(ParameterError) as caught:
+        _APPLYING_ENTRY_POINTS[name](_NotAnAllocationRule(kind))
+    got = "NoneType" if kind is None else kind.__name__
+    assert str(caught.value) == f"a rule's apply() must return an Allocation, got {got}"
+
+
+def test_an_attribute_error_inside_a_rule_propagates_unchanged():
+    class Broken(_NotAnAllocationRule):
+        def apply(self, e):
+            return e.amounts  # a profile has inflows, not amounts
+
+    for entry in _APPLYING_ENTRY_POINTS.values():
+        with pytest.raises(AttributeError, match="'InflowProfile' object has no attribute 'amounts'"):
+            entry(Broken(None))
+
+
 def test_a_rule_needs_a_fixed_agent_count_only_where_it_is_read():
     rule = _FixedRule((1.0, 2.0, 2.0))  # no fixed_agent_count
     assert _PREDICATES["order"](rule)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import gc
 import hashlib
@@ -12,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,12 +34,23 @@ from rivershare.data_io import builtin_nile, dump_dataset, read_dataset
 from rivershare.analysis import Family, family_member
 
 
+# the children's bytecode cache: outside the checkout, removed at exit
+_PYCACHE = tempfile.TemporaryDirectory(prefix="rivershare-pycache-")
+atexit.register(_PYCACHE.cleanup)
+
+
 def run_child(argv, **kwargs):
-    """Run `argv` in a fresh interpreter that imports this checkout's package."""
+    """Run `argv` in a fresh interpreter that imports this checkout's package.
+
+    The children share one bytecode cache, also where the caller sets
+    PYTHONDONTWRITEBYTECODE, so only the first compiles the package.
+    """
     source = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONPYCACHEPREFIX": _PYCACHE.name}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     kwargs.setdefault("capture_output", True)
-    return subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, **kwargs)
+    return subprocess.run(argv, env=env, **kwargs)
 
 
 def run_cli(capsys, *argv):
@@ -943,86 +956,15 @@ def test_main_leaves_the_collector_alone(capsys, argv, expected):
     assert gc.get_freeze_count() == frozen
 
 
-_PUBLIC_CALLS_SCRIPT = """
+_IMPORT_CONTRACT_SCRIPT = """
 import copy
 import pickle
-import sys
-
-from rivershare import *
-
-nile = builtin_nile()
-z = nile.normalized_withdrawals()
-e = nile.inflows
-for family in Family:
-    fit = fit_family(e, z, family)
-    distance_at(e, z, family, fit.parameter_star)
-    for nodes in (1, 64, 1024):
-        integrate_distance(e, z, family, nodes=nodes)
-    report = legitimacy_bounds(e, z, family, names=nile.names)
-    pickle.loads(pickle.dumps(copy.deepcopy(report))).to_dict()
-    family_member(e, family, 0.5)
-assert nile_case_study().all_ok
-nile_case_study(reporting_decimals=None, nodes=512).to_dict()
-shares_of_total(e)
-rule = RuleSpec.shapley()
-assert validate_allocation(e, rule.apply(e))
-run_axiom_suite(rule, list(Axiom), 20, seed=1)
-find_counterexample(RuleSpec.egalitarian_full_transfer(), Axiom.ORDER_PRESERVATION)
-load_dataset(dump_dataset(nile, "json"), "json")
-loaded = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
-assert not loaded, f"public calls loaded {loaded}"
-print("ok")
-"""
-
-
-def test_no_public_call_loads_numpy():
-    done = run_child([sys.executable, "-c", _PUBLIC_CALLS_SCRIPT], text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.endswith("ok\n")
-
-
-_NUMPY_BLOCKED_SCRIPT = """
-import contextlib
-import io
-import sys
-
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-
-namespace = {}
-exec("from rivershare import *", namespace)
-from rivershare.cli import main
-
-runs = [
-    (0, ["allocate", "--inflows", "50,30,10,10", "--rule", "shapley", "--json"]),
-    (0, ["axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20"]),
-    (0, ["fit", "--dataset", "nile", "--family", "compromise", "--curve", sys.argv[1]]),
-    (0, ["fit", "--dataset", "nile", "--family", "partial", "--nodes", "1024"]),
-    (0, ["case-study", "--json"]),
-    (1, ["fit", "--dataset", "nile", "--family", "compromise", "--nodes", "0"]),
-    (1, ["fit", "--dataset", "nile", "--family", "compromise", "--curve", sys.argv[1],
-         "--curve-points", "1000000000"]),
-    (1, ["allocate", "--inflows", "1,-2", "--rule", "nt"]),
-]
-for expected, argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code == expected, (argv, code)
-print("ok")
-"""
-
-
-def test_every_command_runs_without_numpy(tmp_path):
-    argv = [sys.executable, "-c", _NUMPY_BLOCKED_SCRIPT, str(tmp_path / "curve.csv")]
-    done = run_child(argv, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.endswith("ok\n")
-    assert len((tmp_path / "curve.csv").read_text().splitlines()) == 102
-
-
-_IMPORT_CONTRACT_SCRIPT = """
 import runpy
 import sys
 import types
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+curve = sys.argv[1]  # read before `run` and `call` overwrite sys.argv
 
 import rivershare
 
@@ -1044,9 +986,7 @@ def run(*argv):
 
 
 def heavy():
-    return [
-        name for name in ("dataclasses", "inspect", "numpy", "typing", "pathlib") if name in sys.modules
-    ]
+    return [name for name in ("dataclasses", "inspect", "typing", "pathlib") if name in sys.modules]
 
 
 # what the `rivershare` script runs
@@ -1077,29 +1017,59 @@ codes = [
 assert codes == [0, 0, 1, 1], codes
 assert not heavy(), f"allocate loaded {heavy()}"
 
-assert run("axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20", "--json") == 0
+codes = [
+    run("axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20"),
+    run("axioms", "--rule", "shapley", "--axioms", "balance", "--trials", "20", "--json"),
+]
+assert codes == [0, 0], codes
 assert not heavy(), f"axioms loaded {heavy()}"
 
 codes = [
     run("fit", "--dataset", "nile", "--family", "compromise", "--json"),
+    run("fit", "--dataset", "nile", "--family", "compromise", "--curve", curve),
+    run("fit", "--dataset", "nile", "--family", "partial", "--nodes", "1024"),
+    run("fit", "--dataset", "nile", "--family", "compromise", "--nodes", "0"),
+    run("fit", "--dataset", "nile", "--family", "compromise", "--curve", curve, "--curve-points", "1000000000"),
     run("case-study", "--json"),
 ]
-assert codes == [0, 0], codes
+assert codes == [0, 0, 0, 1, 1, 0], codes
 assert not heavy(), f"fit and case-study loaded {heavy()}"
 
-namespace = {}
-exec("from rivershare import *", namespace)
-missing = [name for name in rivershare.__all__ if name not in namespace]
+from rivershare import *
+
+missing = [name for name in rivershare.__all__ if name not in globals()]
 assert not missing, missing
+nile = builtin_nile()
+z = nile.normalized_withdrawals()
+e = nile.inflows
+for family in Family:
+    fit = fit_family(e, z, family)
+    distance_at(e, z, family, fit.parameter_star)
+    for nodes in (1, 64, 1024):
+        integrate_distance(e, z, family, nodes=nodes)
+    report = legitimacy_bounds(e, z, family, names=nile.names)
+    pickle.loads(pickle.dumps(copy.deepcopy(report))).to_dict()
+    family_member(e, family, 0.5)
+assert nile_case_study().all_ok
+nile_case_study(reporting_decimals=None, nodes=512).to_dict()
+shares_of_total(e)
+rule = RuleSpec.shapley()
+assert validate_allocation(e, rule.apply(e))
+run_axiom_suite(rule, list(Axiom), 20, seed=1)
+find_counterexample(RuleSpec.egalitarian_full_transfer(), Axiom.ORDER_PRESERVATION)
+load_dataset(dump_dataset(nile, "json"), "json")
+assert not heavy(), f"public calls loaded {heavy()}"
 print("ok")
 """
 
 
-def test_import_loads_every_module_and_commands_load_nothing_heavy():
+def test_import_loads_every_module_and_commands_load_nothing_heavy(tmp_path):
     # -S: a site .pth file may import `typing` and `pathlib` at start-up
-    done = run_child([sys.executable, "-S", "-c", _IMPORT_CONTRACT_SCRIPT], text=True)
+    argv = [sys.executable, "-S", "-c", _IMPORT_CONTRACT_SCRIPT, str(tmp_path / "curve.csv")]
+    done = run_child(argv, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("ok\n")
+    assert len((tmp_path / "curve.csv").read_text().splitlines()) == 102
 
 
 _LOADED_SCRIPT = """
